@@ -27,6 +27,7 @@ from .graph import (
     greedy_coloring,
     induced_subgraph,
     is_proper_coloring,
+    k_core,
     shortest_cycle,
 )
 from .decompose import (
@@ -160,24 +161,11 @@ def color_girth5(g: Graph) -> Coloring:
     degeneracy <= 2, which covers K4-subdivision-free graphs of girth >= 5."""
     order, degeneracy = degeneracy_order(g)
     if degeneracy > 2:
-        core = _dense_core(g)
+        core = tuple(k_core(g, 3))
         raise ClassViolationError(
             Violation("degeneracy", f"degeneracy {degeneracy} exceeds 2", core)
         )
     return greedy_coloring(g, reversed(order))
-
-
-def _dense_core(g: Graph) -> tuple[int, ...]:
-    """Vertices remaining when minimum-degree-<=2 removal stalls."""
-    alive = set(range(g.n))
-    changed = True
-    while changed and alive:
-        changed = False
-        for v in sorted(alive):
-            if sum(1 for w in g.neighbors(v) if w in alive) <= 2:
-                alive.remove(v)
-                changed = True
-    return tuple(sorted(alive))
 
 
 def color_thick_multipartite(shape: MultipartiteShape) -> Coloring:
@@ -359,10 +347,12 @@ def _exact_edge_coloring(h: Graph, k: int) -> dict | None:
 
 def _assert_proper_edge_coloring(h: Graph, color) -> None:
     for u, v in h.edges():
-        assert (u, v) in color, f"edge ({u},{v}) left uncolored"
+        if (u, v) not in color:
+            raise AssertionError(f"edge ({u},{v}) left uncolored")
     for v in range(h.n):
         cs = [color[(min(v, w), max(v, w))] for w in h.neighbors(v)]
-        assert len(cs) == len(set(cs)), f"color clash at vertex {v}"
+        if len(cs) != len(set(cs)):
+            raise AssertionError(f"color clash at vertex {v}")
 
 
 def color_line_graph(g: Graph, kp: KrauszPartition) -> Coloring:
@@ -407,7 +397,8 @@ def color_rich_square(g: Graph, witness: PatternWitness) -> Coloring:
             for k, v in enumerate(link[1:-1]):
                 assign[v] = k % 2
     coloring = Coloring(tuple(assign), max(assign) + 1)
-    assert is_proper_coloring(g, coloring)
+    if not is_proper_coloring(g, coloring):
+        raise AssertionError("internal error: the rich square scheme produced an improper coloring")
     return coloring
 
 
@@ -493,10 +484,11 @@ def _c3_connected(g: Graph, ids, run: _Run) -> Coloring:
 
 
 def _wrap(g: Graph, run: _Run, coloring: Coloring, bound: int) -> ColoringResult:
-    assert is_proper_coloring(g, coloring), "internal error: produced an improper coloring"
+    if not is_proper_coloring(g, coloring):
+        raise AssertionError("internal error: produced an improper coloring")
     result = ColoringResult(coloring, bound, run.trace, run.violations)
-    if not result.violations:
-        assert coloring.palette_size <= bound, (
+    if not result.violations and coloring.palette_size > bound:
+        raise AssertionError(
             f"internal error: palette {coloring.palette_size} exceeds bound {bound} without violations"
         )
     return result

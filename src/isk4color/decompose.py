@@ -13,6 +13,7 @@ from .graph import (
     Graph,
     Coloring,
     bits,
+    component_masks,
     induced_subgraph,
     is_connected,
     is_proper_coloring,
@@ -51,24 +52,6 @@ class FlatPath:
         return len(self.vertices) - 1
 
 
-def _components_without(g: Graph, removed_mask: int) -> list[int]:
-    comps = []
-    left = ((1 << g.n) - 1) & ~removed_mask
-    while left:
-        v = (left & -left).bit_length() - 1
-        comp = 1 << v
-        frontier = comp
-        while frontier:
-            nxt = 0
-            for u in bits(frontier):
-                nxt |= g.mask(u)
-            frontier = nxt & ~comp & ~removed_mask
-            comp |= frontier
-        comps.append(comp)
-        left &= ~comp
-    return comps
-
-
 def _cliques_lex(g: Graph):
     """Cliques of size 1..3 in lexicographic order of their sorted vertex tuple."""
     for a in range(g.n):
@@ -93,7 +76,7 @@ def find_clique_cutset(g: Graph) -> CliqueCutset | None:
         raise ValueError(f"input contains a K4 {k4}; clique cutsets may exceed size 3")
     for clique in _cliques_lex(g):
         removed = mask_of(clique)
-        comps = _components_without(g, removed)
+        comps = component_masks(g, removed)
         if len(comps) >= 2:
             x = frozenset(bits(comps[0]))
             y = frozenset(v for c in comps[1:] for v in bits(c))
@@ -131,7 +114,7 @@ def find_proper_2cutset(g: Graph) -> Proper2Cutset | None:
         for b in range(a + 1, g.n):
             if g.has_edge(a, b):
                 continue
-            comps = _components_without(g, (1 << a) | (1 << b))
+            comps = component_masks(g, (1 << a) | (1 << b))
             if len(comps) < 2:
                 continue
             groupings = [(i,) for i in range(len(comps))]

@@ -5,6 +5,20 @@ Adjacency is one arbitrary-precision int bitmask per vertex.  Python ints
 serve both as the small-n fast path and as the general fallback, which keeps
 the subset-sweeping oracles and the exhaustive enumerator fast without a
 second representation.
+
+Each graph primitive has one implementation here, and every other module
+calls it:
+
+- ``bfs_path``: a shortest s-t path, optionally avoiding a vertex mask;
+- ``component_masks``: the component sweep (``connected_components`` and
+  ``is_connected`` are built on it);
+- ``triangles``: every triangle, in lexicographic order;
+- ``suppress_chains``: the branch-to-branch chains of a subdivision;
+- ``k_core``: the k-core by repeated peeling;
+- ``chordless_order``: the walk along an induced path or hole.
+
+Each visits vertices in ascending id order, so every witness built on them
+is deterministic.
 """
 
 from __future__ import annotations
@@ -299,25 +313,149 @@ def greedy_coloring(g: Graph, order: Iterable[int] | None = None) -> Coloring:
     return Coloring(tuple(assign), max(palette, 1) if g.n else 0)
 
 
-def connected_components(g: Graph) -> list[frozenset[int]]:
-    """Maximal connected vertex sets, ordered by smallest member."""
-    out: list[frozenset[int]] = []
-    seen = 0
-    for v in range(g.n):
-        if seen >> v & 1:
-            continue
-        comp = 1 << v
+def component_masks(g: Graph, removed: int = 0) -> list[int]:
+    """Vertex masks of the components of g minus the ``removed`` mask,
+    ordered by lowest vertex."""
+    comps = []
+    left = ((1 << g.n) - 1) & ~removed
+    while left:
+        comp = left & -left
         frontier = comp
         while frontier:
             nxt = 0
             for u in bits(frontier):
                 nxt |= g.mask(u)
-            frontier = nxt & ~comp
+            frontier = nxt & left & ~comp
             comp |= frontier
-        out.append(frozenset(bits(comp)))
-        seen |= comp
-    return out
+        comps.append(comp)
+        left &= ~comp
+    return comps
+
+
+def connected_components(g: Graph) -> list[frozenset[int]]:
+    """Maximal connected vertex sets, ordered by smallest member."""
+    return [frozenset(bits(c)) for c in component_masks(g)]
 
 
 def is_connected(g: Graph) -> bool:
-    return g.n <= 1 or len(connected_components(g)) == 1
+    return g.n <= 1 or len(component_masks(g)) == 1
+
+
+def bfs_path(g: Graph, s: int, t: int, blocked: int = 0) -> list[int] | None:
+    """A shortest s-t path avoiding the ``blocked`` mask (s and t are always
+    allowed), or None.  Ties go to the lowest-id parent."""
+    if s == t:
+        return [s]
+    allowed = ~(blocked & ~(1 << s) & ~(1 << t))
+    parent = {s: -1}
+    frontier = [s]
+    while frontier:
+        nxt = []
+        for v in frontier:
+            for w in bits(g.mask(v) & allowed):
+                if w in parent:
+                    continue
+                parent[w] = v
+                if w == t:
+                    path = [t]
+                    while path[-1] != s:
+                        path.append(parent[path[-1]])
+                    return path[::-1]
+                nxt.append(w)
+        frontier = nxt
+    return None
+
+
+def triangles(g: Graph) -> Iterator[tuple[int, int, int]]:
+    """Yield every triangle as (a, b, c) with a < b < c, in lexicographic order."""
+    for a in range(g.n):
+        ma = g.mask(a)
+        for b in bits(ma >> (a + 1)):
+            b += a + 1
+            for c in bits((ma & g.mask(b)) >> (b + 1)):
+                yield (a, b, b + 1 + c)
+
+
+def k_core(g: Graph, k: int) -> list[int]:
+    """Vertices of the k-core (the largest induced subgraph of minimum degree
+    at least k), ascending; found by repeatedly peeling vertices of degree
+    below k."""
+    alive = (1 << g.n) - 1
+    changed = True
+    while changed:
+        changed = False
+        for v in bits(alive):
+            if (g.mask(v) & alive).bit_count() < k:
+                alive &= ~(1 << v)
+                changed = True
+    return list(bits(alive))
+
+
+def suppress_chains(g: Graph, vs, branch) -> dict[tuple[int, int], list[int]] | None:
+    """The chains of G[vs] between its ``branch`` vertices, keyed by their
+    (lower, higher) end and listed from the lower end.
+
+    None unless every non-branch vertex of vs is the interior of a chain,
+    every chain joins two distinct branch vertices, and no two chains join
+    the same pair (suppressing the interiors leaves a simple graph).
+    """
+    vmask = mask_of(vs)
+    bset = set(branch)
+    chains: dict[tuple[int, int], list[int]] = {}
+    seen_interior: set[int] = set()
+    for b in branch:
+        for w in bits(g.mask(b) & vmask):
+            path = [b, w]
+            prev = b
+            cur = w
+            while cur not in bset:
+                if len(path) > len(vs) + 1:
+                    return None
+                nbrs = [x for x in bits(g.mask(cur) & vmask) if x != prev]
+                if len(nbrs) != 1:
+                    return None
+                prev, cur = cur, nbrs[0]
+                path.append(cur)
+            if path[0] == path[-1]:
+                return None  # chain loops back to its own branch vertex
+            if path[0] > path[-1]:
+                continue  # record each chain from its lower endpoint only
+            key = (path[0], path[-1])
+            if key in chains:
+                return None  # parallel connection after suppression
+            chains[key] = path
+            seen_interior.update(path[1:-1])
+    if seen_interior != set(vs) - bset:
+        return None
+    return chains
+
+
+def chordless_order(g: Graph, vertices, *, hole: bool) -> tuple[int, ...] | None:
+    """``vertices`` in order along the hole (``hole=True``: an induced cycle
+    of at least four vertices) or the induced path they form; None when they
+    form no such shape.
+
+    A path is read from its lower end, a hole from its lowest vertex towards
+    the lower of its two neighbours.
+    """
+    vs = sorted(set(vertices))
+    vmask = mask_of(vs)
+    ends = []
+    for v in vs:
+        d = (g.mask(v) & vmask).bit_count()
+        if d > 2:
+            return None
+        if d < 2:
+            ends.append(v)
+    if not vs or bool(ends) == hole or (hole and len(vs) < 4):
+        return None
+    start = ends[0] if ends else vs[0]
+    order = [start]
+    prev = -1
+    while True:
+        nbrs = [w for w in bits(g.mask(order[-1]) & vmask) if w != prev]
+        if not nbrs or nbrs[0] == start:
+            break
+        prev = order[-1]
+        order.append(nbrs[0])
+    return tuple(order) if len(order) == len(vs) else None

@@ -12,10 +12,13 @@ from .graph import (
     Graph,
     Coloring,
     Layering,
+    bfs_path,
     bits,
     induced_subgraph,
+    is_connected,
     is_proper_coloring,
     mask_of,
+    triangles,
 )
 
 
@@ -82,31 +85,9 @@ def upstairs_path(g: Graph, layering: Layering, i: int, x: int, y: int) -> list[
         level -= 1
     sub, ids = induced_subgraph(g, collected)
     pos = {v: k for k, v in enumerate(ids)}
-    path = _shortest_path(sub, pos[x], pos[y])
+    path = bfs_path(sub, pos[x], pos[y])
     assert path is not None
     return [ids[v] for v in path]
-
-
-def _shortest_path(g: Graph, s: int, t: int) -> list[int] | None:
-    if s == t:
-        return [s]
-    parent = {s: -1}
-    frontier = [s]
-    while frontier:
-        nxt = []
-        for v in frontier:
-            for w in bits(g.mask(v)):
-                if w in parent:
-                    continue
-                parent[w] = v
-                if w == t:
-                    path = [t]
-                    while path[-1] != s:
-                        path.append(parent[path[-1]])
-                    return path[::-1]
-                nxt.append(w)
-        frontier = nxt
-    return None
 
 
 # ---------------------------------------------------------------------------
@@ -133,8 +114,6 @@ def classify_confluence(g: Graph, candidate, tips) -> Confluence | None:
 
 
 def _classify_local(h: Graph, tips) -> tuple[int, tuple, int | tuple] | None:
-    from .graph import is_connected
-
     if not is_connected(h):
         return None
     if h.m == h.n - 1:
@@ -168,7 +147,7 @@ def _classify_tree(h: Graph, tips) -> tuple | None:
         u = inner[0]
     paths = []
     for t in tips:
-        p = _tree_path(h, t, u)
+        p = bfs_path(h, t, u)
         if p is None or any(v in tips and v not in (t, u) for v in p):
             return None
         paths.append(tuple(p))
@@ -182,35 +161,9 @@ def _classify_tree(h: Graph, tips) -> tuple | None:
     return 1, tuple(paths), u
 
 
-def _tree_path(h: Graph, s: int, t: int) -> list[int] | None:
-    return _bfs_path(h, s, t)
-
-
-def _bfs_path(h: Graph, s: int, t: int) -> list[int] | None:
-    if s == t:
-        return [s]
-    parent = {s: -1}
-    frontier = [s]
-    while frontier:
-        nxt = []
-        for v in frontier:
-            for w in bits(h.mask(v)):
-                if w in parent:
-                    continue
-                parent[w] = v
-                if w == t:
-                    out = [t]
-                    while out[-1] != s:
-                        out.append(parent[out[-1]])
-                    return out[::-1]
-                nxt.append(w)
-        frontier = nxt
-    return None
-
-
 def _classify_unicyclic(h: Graph, tips) -> tuple | None:
     n = h.n
-    tris = list(_all_triangles(h))
+    tris = list(triangles(h))
     if len(tris) != 1:
         return None
     tri = tris[0]
@@ -309,7 +262,7 @@ def _heuristic_confluence(h: Graph, tips) -> tuple | None:
         if any(d is None for d in ds):
             continue
         candidates.append((sum(ds), 0, (m, m, m)))
-    for tri in _all_triangles(h):
+    for tri in triangles(h):
         for perm in permutations(tri):
             ds = [dists[k][perm[k]] for k in range(3)]
             if any(d is None for d in ds):
@@ -341,14 +294,6 @@ def _bfs_dists(h: Graph, s: int, blocked: int) -> list[int | None]:
     return dist
 
 
-def _all_triangles(h: Graph):
-    for a in range(h.n):
-        for b in bits(h.mask(a) >> (a + 1)):
-            b += a + 1
-            for c in bits((h.mask(a) & h.mask(b)) >> (b + 1)):
-                yield (a, b, b + 1 + c)
-
-
 def _collect_union(h: Graph, tips, targets) -> set[int] | None:
     """Union of short tip-to-target paths built in some avoidance order;
     None when a tip cannot reach its target.  ``targets[k]`` is the center
@@ -359,38 +304,13 @@ def _collect_union(h: Graph, tips, targets) -> set[int] | None:
         for k in order:
             t = tips[k]
             block = (set(tips) - {t}) | (union - {targets[k]})
-            path = _bfs_path_blocked(h, t, targets[k], block)
+            path = bfs_path(h, t, targets[k], mask_of(block))
             if path is None:
                 ok = False
                 break
             union.update(path)
         if ok:
             return union
-    return None
-
-
-def _bfs_path_blocked(h: Graph, s: int, t: int, blocked: int | set) -> list[int] | None:
-    bl = mask_of(blocked) if not isinstance(blocked, int) else blocked
-    bl &= ~(1 << s)
-    bl &= ~(1 << t)
-    if s == t:
-        return [s]
-    parent = {s: -1}
-    frontier = [s]
-    while frontier:
-        nxt = []
-        for v in frontier:
-            for w in bits(h.mask(v) & ~bl):
-                if w in parent:
-                    continue
-                parent[w] = v
-                if w == t:
-                    out = [t]
-                    while out[-1] != s:
-                        out.append(parent[out[-1]])
-                    return out[::-1]
-                nxt.append(w)
-        frontier = nxt
     return None
 
 

@@ -1,6 +1,7 @@
 """Ground-truth brute force: induced-K4-subdivision search, exact chromatic
-number, isomorph-free exhaustive enumeration of small graphs, the hole
-attachment classifier, and the verification suite driver.
+number, isomorph-free exhaustive enumeration of small graphs, and the hole
+attachment classifier.  The verification suite driver that runs them over
+the enumerated graphs lives in ``suites.py``.
 
 Everything here trades polynomial niceties for certainty at desk scale; the
 enumeration is capped at n = 9 and the subset sweeps at n = 16.
@@ -16,10 +17,14 @@ from .graph import (
     Graph,
     bfs_layering,
     bits,
+    chordless_order,
+    component_masks,
     find_cycle,
     greedy_coloring,
     induced_subgraph,
+    k_core,
     mask_of,
+    suppress_chains,
 )
 
 ENUMERATION_CAP = 9
@@ -62,63 +67,16 @@ def _subdivision_witness(g: Graph, subset) -> Isk4Witness | None:
             return None
     if len(branch) != 4:
         return None
-    # connectivity within the subset
-    comp = 1 << vs[0]
-    frontier = comp
-    while frontier:
-        nxt = 0
-        for u in bits(frontier):
-            nxt |= g.mask(u) & vmask
-        frontier = nxt & ~comp
-        comp |= frontier
-    if comp != vmask:
+    # connected inside the subset: remove everything outside it
+    if len(component_masks(g, ~vmask)) != 1:
         return None
-    chains = _branch_chains(g, vs, branch)
+    chains = suppress_chains(g, vs, branch)
     if chains is None or len(chains) != 6:
         return None
     if set(chains) != {tuple(p) for p in combinations(branch, 2)}:
         return None
     paths = tuple(tuple(chains[p]) for p in sorted(chains))
     return Isk4Witness(frozenset(vs), tuple(branch), paths)
-
-
-def _branch_chains(g: Graph, vs, branch):
-    vmask = mask_of(vs)
-    bset = set(branch)
-    chains = {}
-    for b in branch:
-        for w in bits(g.mask(b) & vmask):
-            path = [b, w]
-            prev, cur = b, w
-            while cur not in bset:
-                if len(path) > len(vs) + 1:
-                    return None
-                nbrs = [x for x in bits(g.mask(cur) & vmask) if x != prev]
-                if len(nbrs) != 1:
-                    return None
-                prev, cur = cur, nbrs[0]
-                path.append(cur)
-            if path[0] == path[-1]:
-                return None
-            if path[0] > path[-1]:
-                continue
-            key = (path[0], path[-1])
-            if key in chains:
-                return None  # two parallel connections: a theta, not K4
-            chains[key] = path
-    return chains
-
-
-def _two_core(g: Graph) -> list[int]:
-    alive = (1 << g.n) - 1
-    changed = True
-    while changed:
-        changed = False
-        for v in bits(alive):
-            if (g.mask(v) & alive).bit_count() < 2:
-                alive &= ~(1 << v)
-                changed = True
-    return list(bits(alive))
 
 
 def contains_isk4(g: Graph, *, limit: int | None = SUBSET_SWEEP_CAP) -> Isk4Witness | None:
@@ -130,7 +88,7 @@ def contains_isk4(g: Graph, *, limit: int | None = SUBSET_SWEEP_CAP) -> Isk4Witn
         return None
     # every vertex of a K4 subdivision keeps degree >= 2 inside it, so the
     # witness lives in the 2-core; branch vertices need core degree >= 3
-    core = _two_core(g)
+    core = k_core(g, 2)
     cmask = mask_of(core)
     if sum(1 for v in core if (g.mask(v) & cmask).bit_count() >= 3) < 4:
         return None
@@ -140,47 +98,6 @@ def contains_isk4(g: Graph, *, limit: int | None = SUBSET_SWEEP_CAP) -> Isk4Witn
             if w is not None:
                 return w
     return None
-
-
-def contains_isk4_anchored(g: Graph) -> Isk4Witness | None:
-    """Independent second search: anchor the four branch vertices, then grow
-    six internally disjoint connecting paths and verify the union."""
-    cands = [v for v in range(g.n) if g.degree(v) >= 3]
-    for branch in combinations(cands, 4):
-        w = _anchored_paths(g, branch)
-        if w is not None:
-            return w
-    return None
-
-
-_PAIR_ORDER = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
-
-
-def _anchored_paths(g: Graph, branch) -> Isk4Witness | None:
-    bmask = mask_of(branch)
-
-    def rec(pair_idx, used_interior, paths):
-        if pair_idx == 6:
-            verts = set(branch)
-            for p in paths:
-                verts.update(p)
-            return _subdivision_witness(g, verts)
-        i, j = _PAIR_ORDER[pair_idx]
-        a, b = branch[i], branch[j]
-        stack = [([a], 0)]
-        while stack:
-            path, used = stack.pop()
-            last = path[-1]
-            if g.has_edge(last, b):
-                res = rec(pair_idx + 1, used_interior | used, paths + [path + [b]])
-                if res is not None:
-                    return res
-            free = g.mask(last) & ~bmask & ~used & ~used_interior
-            for w in bits(free):
-                stack.append((path + [w], used | (1 << w)))
-        return None
-
-    return rec(0, 0, [])
 
 
 # ---------------------------------------------------------------------------
@@ -371,8 +288,7 @@ def enumerate_graphs(
     n: int,
     *,
     connected: bool = False,
-    triangle_free: bool = False,
-    _hereditary: str | None = None,
+    hereditary: str | None = None,
 ) -> Iterator[Graph]:
     """All graphs on n vertices, one canonical representative per isomorphism
     class, in sorted canonical order.
@@ -380,15 +296,18 @@ def enumerate_graphs(
     Generation extends each (n-1)-vertex class by a new vertex and keeps one
     representative per canonical form.  ``connected`` restricts to connected
     graphs (valid because every connected graph has a non-cut vertex);
-    ``triangle_free`` prunes during generation (the class is hereditary).
+    ``hereditary`` names a hereditary class of ``_EXTENSION_FILTERS``
+    ("triangle-free" or "girth5") that is pruned during generation.
     """
     if n > ENUMERATION_CAP:
         raise SizeLimitError(f"enumeration is capped at n={ENUMERATION_CAP}")
+    if hereditary is not None and hereditary not in _EXTENSION_FILTERS:
+        raise ValueError(
+            f"unknown hereditary class {hereditary!r}; known: {', '.join(_EXTENSION_FILTERS)}"
+        )
     if n < 1:
         return
-    keep = _EXTENSION_FILTERS["triangle-free"] if triangle_free else None
-    if _hereditary is not None:
-        keep = _EXTENSION_FILTERS[_hereditary]
+    keep = _EXTENSION_FILTERS.get(hereditary)
     level = {(0,): (0,)}  # canonical rows -> masks
     for size in range(2, n + 1):
         nxt: dict[tuple[int, ...], tuple[int, ...]] = {}
@@ -484,9 +403,7 @@ def classify_hole_attachment(g: Graph, hole: Iterable[int], s: Iterable[int]) ->
 
 
 def _check_attachment_preconditions(g, order, sset):
-    from .patterns import _hole_order_of
-
-    if _hole_order_of(g, order) is None:
+    if chordless_order(g, order, hole=True) is None:
         raise ValueError("the given vertices do not form a hole")
     hset = set(order)
     if hset & set(sset):
@@ -534,7 +451,6 @@ __all__ = [
     "SizeLimitError",
     "Isk4Witness",
     "contains_isk4",
-    "contains_isk4_anchored",
     "chromatic_number_exact",
     "canonical_form",
     "canonical_graph",

@@ -14,7 +14,17 @@ from dataclasses import dataclass, field
 from itertools import combinations, permutations
 from typing import Iterator
 
-from .graph import Graph, bits, connected_components, induced_subgraph, is_connected, mask_of
+from .graph import (
+    Graph,
+    bits,
+    chordless_order,
+    connected_components,
+    induced_subgraph,
+    is_connected,
+    mask_of,
+    suppress_chains,
+    triangles,
+)
 
 PATTERN_KINDS = (
     "triangle",
@@ -67,12 +77,8 @@ class KrauszPartition:
 
 
 def find_triangle(g: Graph) -> PatternWitness | None:
-    for u, v in g.edges():
-        common = g.mask(u) & g.mask(v)
-        for w in bits(common):
-            if w > v:
-                return PatternWitness("triangle", frozenset((u, v, w)))
-    return None
+    tri = next(triangles(g), None)
+    return None if tri is None else PatternWitness("triangle", frozenset(tri))
 
 
 def find_k4(g: Graph) -> tuple[int, int, int, int] | None:
@@ -180,15 +186,6 @@ def find_k222(g: Graph) -> PatternWitness | None:
 # prisms
 
 
-def _triangles(g: Graph) -> list[tuple[int, int, int]]:
-    out = []
-    for u, v in g.edges():
-        for w in bits(g.mask(u) & g.mask(v)):
-            if w > v:
-                out.append((u, v, w))
-    return out
-
-
 def check_prism(g: Graph, vertices) -> dict | None:
     """Validate that ``vertices`` induces a prism; returns the triangle/path
     annotation or None."""
@@ -203,7 +200,7 @@ def check_prism(g: Graph, vertices) -> dict | None:
     sub, _ = induced_subgraph(g, vs)
     if not is_connected(sub):
         return None
-    chains = _suppress_chains(g, vs, branch)
+    chains = suppress_chains(g, vs, branch)
     if chains is None or len(chains) != 9:
         return None
     # the two triangles must consist of direct edges; the cross chains form a
@@ -227,42 +224,8 @@ def check_prism(g: Graph, vertices) -> dict | None:
     return None
 
 
-def _suppress_chains(g: Graph, vs, branch):
-    """Chains between degree-3 vertices in G[vs]; None if a chain closes on
-    itself or the suppressed multigraph has parallel edges."""
-    vmask = mask_of(vs)
-    bset = set(branch)
-    chains: dict[tuple[int, int], list[int]] = {}
-    seen_interior: set[int] = set()
-    for b in branch:
-        for w in bits(g.mask(b) & vmask):
-            path = [b, w]
-            prev = b
-            cur = w
-            while cur not in bset:
-                if len(path) > len(vs) + 1:
-                    return None
-                nbrs = [x for x in bits(g.mask(cur) & vmask) if x != prev]
-                if len(nbrs) != 1:
-                    return None
-                prev, cur = cur, nbrs[0]
-                path.append(cur)
-            if path[0] == path[-1]:
-                return None  # chain loops back to its own branch vertex
-            if path[0] > path[-1]:
-                continue  # record each chain from its lower endpoint only
-            key = (path[0], path[-1])
-            if key in chains:
-                return None  # parallel connection after suppression
-            chains[key] = path
-            seen_interior.update(path[1:-1])
-    if seen_interior != set(vs) - bset:
-        return None
-    return chains
-
-
 def find_prism(g: Graph) -> PatternWitness | None:
-    tris = _triangles(g)
+    tris = list(triangles(g))
     for i, t1 in enumerate(tris):
         for t2 in tris[i + 1 :]:
             if set(t1) & set(t2):
@@ -390,32 +353,11 @@ def recognize_thick_multipartite(g: Graph) -> MultipartiteShape | None:
 # rich squares
 
 
-def _path_order(g: Graph, comp: frozenset[int]) -> list[int] | None:
-    """Vertex order of the induced path on comp, or None if it is not a path."""
-    cs = sorted(comp)
-    cmask = mask_of(cs)
-    if len(cs) == 1:
-        return cs
-    degs = {v: (g.mask(v) & cmask).bit_count() for v in cs}
-    ends = sorted(v for v, d in degs.items() if d == 1)
-    if len(ends) != 2 or any(d > 2 for d in degs.values()):
-        return None
-    order = [ends[0]]
-    prev = -1
-    while True:
-        nxt = [w for w in bits(g.mask(order[-1]) & cmask) if w != prev]
-        if not nxt:
-            break
-        prev = order[-1]
-        order.append(nxt[0])
-    return order if len(order) == len(cs) and order[-1] == ends[1] else None
-
-
 def _link_of(g: Graph, square: tuple[int, ...], comp: frozenset[int]) -> tuple[int, ...] | None:
     """The component as an oriented link path of the square, or None."""
     u1, u2, u3, u4 = square
     smask = mask_of(square)
-    order = _path_order(g, comp)
+    order = chordless_order(g, comp, hole=False)
     if order is None:
         return None
     if len(order) == 1:
@@ -566,37 +508,13 @@ def _build_krausz(g, edge_clique):
 # standalone witness checkers
 
 
-def _hole_order_of(g: Graph, vertices) -> tuple[int, ...] | None:
-    vs = sorted(set(vertices))
-    if len(vs) < 4:
-        return None
-    vmask = mask_of(vs)
-    if any((g.mask(v) & vmask).bit_count() != 2 for v in vs):
-        return None
-    start = vs[0]
-    order = [start]
-    prev = -1
-    while True:
-        nbrs = [w for w in bits(g.mask(order[-1]) & vmask) if w != prev]
-        if not nbrs:
-            return None
-        nxt = min(nbrs) if len(order) == 1 else nbrs[0]
-        if nxt == start:
-            break
-        prev = order[-1]
-        order.append(nxt)
-        if len(order) > len(vs):
-            return None
-    return tuple(order) if len(order) == len(vs) else None
-
-
 def verify_witness(g: Graph, w: PatternWitness) -> bool:
     """Definition-level validation of a pattern witness."""
     vs = sorted(w.vertices)
     if w.kind == "triangle":
         return len(vs) == 3 and all(g.has_edge(a, b) for a, b in combinations(vs, 2))
     if w.kind in ("hole", "c4"):
-        order = _hole_order_of(g, vs)
+        order = chordless_order(g, vs, hole=True)
         return order is not None and (w.kind != "c4" or len(order) == 4)
     if w.kind == "k33":
         return _check_k33_set(g, vs)
@@ -606,7 +524,7 @@ def verify_witness(g: Graph, w: PatternWitness) -> bool:
         return check_prism(g, vs) is not None
     if w.kind in ("wheel", "boat", "four_wheel"):
         hub = w.extra["hub"]
-        order = _hole_order_of(g, set(vs) - {hub})
+        order = chordless_order(g, set(vs) - {hub}, hole=True)
         if order is None:
             return False
         count = (g.mask(hub) & mask_of(order)).bit_count()

@@ -8,6 +8,7 @@ canonical enumeration order and worker pools preserve that order.
 
 from __future__ import annotations
 
+import os
 import random
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -477,7 +478,8 @@ def run_suite(
     ``corpus`` optionally injects pre-enumerated connected graphs per order
     (used by the test suite to share one enumeration across many suites).
     ``seed`` fixes every randomized sample.  Workers only parallelize the
-    per-graph checks; aggregation order is the enumeration order.
+    per-graph checks; aggregation order is the enumeration order.  ``jobs``
+    is clamped to the CPU count.
     """
     spec = resolve_suite(suite)
     t0 = time.monotonic()
@@ -496,6 +498,7 @@ def run_suite(
     exceed_examples: list[dict] = []
     counter_examples: list[dict] = []
 
+    jobs = min(jobs, os.cpu_count() or 1)
     pool = ProcessPoolExecutor(max_workers=jobs) if jobs > 1 else None
     try:
         runtime = _runtime_filters(filters)
@@ -591,9 +594,9 @@ def _graph_source(n, connected, filters, corpus):
             graphs = [g for g in graphs if FILTERS[f](g)]
         return graphs
     if "girth5" in gen:
-        return enumerate_graphs(n, connected=connected, _hereditary="girth5")
+        return enumerate_graphs(n, connected=connected, hereditary="girth5")
     if "triangle-free" in gen:
-        return enumerate_graphs(n, connected=connected, triangle_free=True)
+        return enumerate_graphs(n, connected=connected, hereditary="triangle-free")
     return enumerate_graphs(n, connected=connected)
 
 

@@ -7,8 +7,9 @@ search paths.
 
 from itertools import combinations, permutations
 
-from isk4color.graph import Graph, induced_subgraph
+from isk4color.graph import Graph, bits, induced_subgraph, mask_of
 from isk4color.families import prism_graph
+from isk4color.oracle import Isk4Witness, _subdivision_witness
 
 
 def ref_isomorphic(g: Graph, h: Graph) -> bool:
@@ -228,3 +229,44 @@ def ref_labeled_connected_classes(n: int) -> int:
         if not any(ref_isomorphic(g, r) for r in reps):
             reps.append(g)
     return len(reps)
+
+
+def contains_isk4_anchored(g: Graph) -> Isk4Witness | None:
+    """Independent second search: anchor the four branch vertices, then grow
+    six internally disjoint connecting paths and verify the union."""
+    cands = [v for v in range(g.n) if g.degree(v) >= 3]
+    for branch in combinations(cands, 4):
+        w = _anchored_paths(g, branch)
+        if w is not None:
+            return w
+    return None
+
+
+_PAIR_ORDER = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
+
+
+def _anchored_paths(g: Graph, branch) -> Isk4Witness | None:
+    bmask = mask_of(branch)
+
+    def rec(pair_idx, used_interior, paths):
+        if pair_idx == 6:
+            verts = set(branch)
+            for p in paths:
+                verts.update(p)
+            return _subdivision_witness(g, verts)
+        i, j = _PAIR_ORDER[pair_idx]
+        a, b = branch[i], branch[j]
+        stack = [([a], 0)]
+        while stack:
+            path, used = stack.pop()
+            last = path[-1]
+            if g.has_edge(last, b):
+                res = rec(pair_idx + 1, used_interior | used, paths + [path + [b]])
+                if res is not None:
+                    return res
+            free = g.mask(last) & ~bmask & ~used & ~used_interior
+            for w in bits(free):
+                stack.append((path + [w], used | (1 << w)))
+        return None
+
+    return rec(0, 0, [])

@@ -89,7 +89,7 @@ def test_criterion_03_layer_forests(lemma_class_connected_8):
 def test_criterion_04_girth5_min_degree():
     checked = 0
     for n in range(1, 10):
-        for g in enumerate_graphs(n, connected=True, _hereditary="girth5"):
+        for g in enumerate_graphs(n, connected=True, hereditary="girth5"):
             assert girth(g) >= 5
             if contains_isk4(g) is None:
                 min_deg = min(g.degree(v) for v in range(g.n))

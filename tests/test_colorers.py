@@ -1,8 +1,13 @@
 import json
+import os
 import random
+import subprocess
+import sys
+import textwrap
 
 import pytest
 
+import isk4color
 from isk4color.graph import Graph, is_proper_coloring
 from isk4color.families import (
     complete_graph,
@@ -294,3 +299,25 @@ def test_determinism_of_results():
 def test_invalid_mode():
     with pytest.raises(ValueError):
         color_general(cycle_graph(4), mode="lenient")
+
+
+def test_certificate_check_survives_optimize_flag():
+    # the proper-coloring certificate must not be an assert that -O strips
+    code = textwrap.dedent("""
+        from isk4color import colorers
+        from isk4color.families import complete_graph
+        from isk4color.graph import Coloring
+
+        colorers._c3_connected = lambda g, ids, run: Coloring((0,) * g.n, 1)
+        try:
+            colorers.color_general(complete_graph(2))
+        except AssertionError as exc:
+            print(exc)
+    """)
+    src = os.path.dirname(os.path.dirname(isk4color.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "improper coloring" in proc.stdout

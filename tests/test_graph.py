@@ -3,19 +3,29 @@ import random
 
 import pytest
 
+from itertools import combinations
+
 from isk4color.graph import (
     Graph,
     Coloring,
     INFINITE_GIRTH,
     bfs_layering,
+    bfs_path,
+    bits,
+    chordless_order,
+    component_masks,
     connected_components,
     degeneracy_order,
     find_cycle,
     girth,
     greedy_coloring,
     induced_subgraph,
+    is_connected,
     is_proper_coloring,
+    k_core,
+    mask_of,
     shortest_cycle,
+    triangles,
 )
 from isk4color.families import (
     complete_graph,
@@ -161,3 +171,107 @@ def test_find_cycle():
     lolli = Graph(5, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 4)])
     cyc = find_cycle(lolli)
     assert set(cyc) == {0, 1, 2, 3}
+
+
+# ---------------------------------------------------------------------------
+# shared primitives against brute force
+
+
+def _ref_reach(g, s, allowed):
+    """Distances from s inside ``allowed`` by repeated edge relaxation."""
+    dist = {s: 0}
+    for _ in range(g.n):
+        for u, v in g.edges():
+            for a, b in ((u, v), (v, u)):
+                if a in dist and b in allowed and dist.get(b, g.n) > dist[a] + 1:
+                    dist[b] = dist[a] + 1
+    return dist
+
+
+def test_bfs_path_is_shortest_and_avoids_blocked():
+    rng = random.Random(21)
+    for _ in range(200):
+        g = random_graph(rng, rng.randint(1, 10), rng.uniform(0.1, 0.6))
+        s, t = rng.randrange(g.n), rng.randrange(g.n)
+        blocked = set(rng.sample(range(g.n), rng.randint(0, g.n // 2)))
+        for bl in (set(), blocked):
+            path = bfs_path(g, s, t, mask_of(bl)) if bl else bfs_path(g, s, t)
+            allowed = (set(range(g.n)) - bl) | {s, t}
+            expected = _ref_reach(g, s, allowed).get(t)
+            if expected is None:
+                assert path is None
+                continue
+            assert path[0] == s and path[-1] == t and len(path) - 1 == expected
+            assert all(g.has_edge(a, b) for a, b in zip(path, path[1:]))
+            assert set(path) <= allowed
+
+
+def test_triangles_lexicographic():
+    rng = random.Random(22)
+    for _ in range(60):
+        g = random_graph(rng, rng.randint(0, 9), rng.uniform(0.2, 0.8))
+        expected = [
+            trio for trio in combinations(range(g.n), 3)
+            if all(g.has_edge(a, b) for a, b in combinations(trio, 2))
+        ]
+        assert list(triangles(g)) == expected
+
+
+def _ref_k_core(g, k):
+    # the k-core is the union of all vertex sets inducing minimum degree >= k
+    core = set()
+    for r in range(1, g.n + 1):
+        for subset in combinations(range(g.n), r):
+            sset = set(subset)
+            if all(sum(1 for w in g.neighbors(v) if w in sset) >= k for v in sset):
+                core |= sset
+    return sorted(core)
+
+
+def test_k_core_matches_brute_force():
+    rng = random.Random(23)
+    for _ in range(40):
+        g = random_graph(rng, rng.randint(0, 9), rng.uniform(0.2, 0.7))
+        for k in (2, 3):
+            assert k_core(g, k) == _ref_k_core(g, k)
+    assert k_core(cycle_graph(6), 2) == list(range(6))
+    assert k_core(cycle_graph(6), 3) == []
+    assert k_core(complete_graph(4), 3) == [0, 1, 2, 3]
+
+
+def test_component_masks_with_removed_vertices():
+    rng = random.Random(24)
+    for _ in range(80):
+        g = random_graph(rng, rng.randint(0, 10), rng.uniform(0.05, 0.5))
+        removed = set(rng.sample(range(g.n), rng.randint(0, g.n)))
+        left = set(range(g.n)) - removed
+        expected = []
+        for v in sorted(left):
+            if not any(v in comp for comp in expected):
+                expected.append(set(_ref_reach(g, v, left)))
+        assert component_masks(g, mask_of(removed)) == [mask_of(c) for c in expected]
+        whole = component_masks(g)
+        assert connected_components(g) == [frozenset(bits(c)) for c in whole]
+        assert is_connected(g) == (len(whole) <= 1)
+
+
+def test_chordless_order_walks_paths_and_holes():
+    rng = random.Random(25)
+    for _ in range(300):
+        g = random_graph(rng, rng.randint(1, 9), rng.uniform(0.2, 0.6))
+        vs = rng.sample(range(g.n), rng.randint(1, g.n))
+        sub = induced_subgraph(g, vs)[0]
+        degs = [sub.degree(v) for v in range(sub.n)]
+        is_path = is_connected(sub) and sub.m == sub.n - 1 and max(degs) <= 2
+        is_hole = is_connected(sub) and sub.n >= 4 and set(degs) == {2}
+        for hole, expected in ((False, is_path), (True, is_hole)):
+            order = chordless_order(g, vs, hole=hole)
+            assert (order is not None) == expected
+            if order is None:
+                continue
+            assert sorted(order) == sorted(vs)
+            assert all(g.has_edge(a, b) for a, b in zip(order, order[1:]))
+            if hole:
+                assert order[0] == min(vs) and order[1] < order[-1]
+            else:
+                assert order[0] <= order[-1]

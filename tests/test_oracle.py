@@ -23,13 +23,17 @@ from isk4color.oracle import (
     chromatic_number_exact,
     classify_hole_attachment,
     contains_isk4,
-    contains_isk4_anchored,
     enumerate_graphs,
     verify_layer_forests,
 )
 from isk4color.colorers import color_general, greedy_fallback
 from isk4color.patterns import find_triangle
-from reference import ref_isomorphic, ref_labeled_connected_classes, ref_labeled_iso_classes
+from reference import (
+    contains_isk4_anchored,
+    ref_isomorphic,
+    ref_labeled_connected_classes,
+    ref_labeled_iso_classes,
+)
 
 
 def test_contains_isk4_examples():
@@ -119,8 +123,13 @@ def test_enumeration_counts():
 def test_enumeration_triangle_free_variant():
     for n in range(1, 7):
         direct = [g for g in enumerate_graphs(n) if find_triangle(g) is None]
-        fast = list(enumerate_graphs(n, triangle_free=True))
+        fast = list(enumerate_graphs(n, hereditary="triangle-free"))
         assert {canonical_form(g) for g in direct} == {canonical_form(g) for g in fast}
+
+
+def test_enumeration_rejects_unknown_hereditary_class():
+    with pytest.raises(ValueError):
+        list(enumerate_graphs(4, hereditary="planar"))
 
 
 def test_enumeration_yields_distinct_classes():

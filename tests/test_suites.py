@@ -1,7 +1,9 @@
 import json
+import os
 
 import pytest
 
+from isk4color import suites
 from isk4color.suites import FILTERS, SUITES, SUITE_ALIASES, resolve_suite, run_suite
 
 
@@ -84,6 +86,28 @@ def test_parallel_jobs_match_serial():
     assert json.dumps(serial.to_dict(), sort_keys=True) == json.dumps(
         parallel.to_dict(), sort_keys=True
     )
+
+
+def test_jobs_clamped_to_cpu_count(monkeypatch):
+    started = []
+
+    class FakePool:
+        # records the requested size and runs the checks in-process
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def map(self, fn, items, chunksize=1):
+            return map(fn, items)
+
+        def shutdown(self):
+            pass
+
+    monkeypatch.setattr(suites, "ProcessPoolExecutor", FakePool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    run_suite("layer-forests", 5, jobs=10**6)
+    assert started == [3]
+    run_suite("layer-forests", 5, jobs=2)
+    assert started == [3, 2]
 
 
 def test_extra_filters_and_unknown_filter():
