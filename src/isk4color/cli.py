@@ -5,8 +5,10 @@ Subcommands: ``detect`` (pattern witnesses), ``color`` (bounded colorers),
 ``enumerate`` (verification suites over exhaustively enumerated graphs).
 
 Exit codes: 0 success; 1 pattern not found or class violation in strict mode;
-2 usage or parse errors.  JSON output is byte-identical for identical inputs
-and seeds; wall-clock timings go to stderr only.
+2 usage or parse errors; 3 internal invariant failure, such as a failed
+certificate check (stderr reads ``error: internal: ...``).  JSON output is
+byte-identical for identical inputs and seeds; wall-clock timings go to
+stderr only.
 """
 
 from __future__ import annotations
@@ -49,6 +51,7 @@ from .suites import FILTERS, SUITES, run_suite
 EXIT_OK = 0
 EXIT_NOT_FOUND = 1
 EXIT_USAGE = 2
+EXIT_INTERNAL = 3
 
 _DETECTORS = {
     "triangle": find_triangle,
@@ -302,6 +305,9 @@ def cli_main(argv: list[str] | None = None) -> int:
     except (SizeLimitError, ValueError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE
+    except AssertionError as exc:
+        sys.stderr.write(f"error: internal: {exc}\n")
+        return EXIT_INTERNAL
 
 
 def main() -> None:

@@ -7,10 +7,15 @@ structured leaf cases (thick complete multipartite, line graph of a subcubic
 root, rich square), and otherwise color by nested BFS layerings whose layers
 are progressively simpler (4-wheel-free, then boat-free, then girth >= 5).
 
+The recursion terminates because every cutset block misses a non-empty
+side of its cut and so is smaller than its parent; each cutset level costs
+two Python frames.
+
 Class assumptions are checked operationally along the way.  In strict mode
 the first failure raises ``ClassViolationError`` with a witness; in tolerant
 mode the offending piece falls back to a greedy coloring and the failure is
-recorded.  Output colorings are proper in every mode.
+recorded.  Output colorings are proper in every mode: ``_color`` checks the
+coloring and the palette bound once per call and raises ``AssertionError``.
 """
 
 from __future__ import annotations
@@ -31,7 +36,6 @@ from .graph import (
     shortest_cycle,
 )
 from .decompose import (
-    DecompositionError,
     build_2cutset_blocks,
     find_clique_cutset,
     find_proper_2cutset,
@@ -104,18 +108,17 @@ class ColoringResult:
 class _Run:
     """Mutable per-call context: mode, trace log, and violation collection."""
 
-    def __init__(self, mode: str, depth_limit: int = 0):
+    def __init__(self, mode: str):
         if mode not in ("strict", "tolerant"):
             raise ValueError(f"mode must be 'strict' or 'tolerant', got {mode!r}")
         self.mode = mode
-        self.depth_limit = depth_limit
         self.trace: list[dict] = []
         self.violations: list[Violation] = []
 
     def note(self, rule: str, ids, **detail):
         entry = {"rule": rule}
         entry.update(detail)
-        entry["scope"] = [ids[v] for v in range(len(ids))] if ids else []
+        entry["scope"] = list(ids)
         self.trace.append(entry)
 
     def violate(self, kind: str, message: str, vertices=()) -> None:
@@ -123,10 +126,6 @@ class _Run:
         if self.mode == "strict":
             raise ClassViolationError(violation)
         self.violations.append(violation)
-
-
-def _ids_for(g: Graph) -> tuple[int, ...]:
-    return tuple(range(g.n))
 
 
 def _map_ids(ids, sub_ids) -> tuple[int, ...]:
@@ -279,7 +278,8 @@ def edge_color_subcubic(h: Graph) -> EdgeColoring:
             if d not in used[w]:
                 w_idx = idx
                 break
-        assert w_idx is not None, "alternating path inversion failed to free a color"
+        if w_idx is None:
+            raise AssertionError("internal error: the alternating path freed no color")
         # rotate the fan prefix toward the uncolored edge, then finish with d;
         # apply in one batch (used-sets cannot track the transient duplicates)
         new_colors = {fan_edges[fan[idx]]: color[fan_edges[fan[idx + 1]]] for idx in range(w_idx)}
@@ -483,74 +483,66 @@ def _c3_connected(g: Graph, ids, run: _Run) -> Coloring:
     return _layered(g, ids, run, lambda s, si, r: _per_component(s, si, r, _c2_connected), "layering_4wheel_free")
 
 
-def _wrap(g: Graph, run: _Run, coloring: Coloring, bound: int) -> ColoringResult:
+def _color(g: Graph, mode: str, connected, bound: int) -> ColoringResult:
+    """Color each component with ``connected`` and check the certificate
+    once: the coloring is proper, and it stays within ``bound`` unless a
+    class violation was recorded."""
+    run = _Run(mode)
+    coloring = _per_component(g, tuple(range(g.n)), run, connected)
     if not is_proper_coloring(g, coloring):
         raise AssertionError("internal error: produced an improper coloring")
-    result = ColoringResult(coloring, bound, run.trace, run.violations)
-    if not result.violations and coloring.palette_size > bound:
+    if not run.violations and coloring.palette_size > bound:
         raise AssertionError(
             f"internal error: palette {coloring.palette_size} exceeds bound {bound} without violations"
         )
-    return result
+    return ColoringResult(coloring, bound, run.trace, run.violations)
 
 
 def color_c1(g: Graph, mode: str = "strict") -> ColoringResult:
     """Layered coloring for {K4-subdivision, K33, prism, boat}-free graphs:
     every layer has girth >= 5, so 3 colors per parity class suffice (<= 6)."""
-    run = _Run(mode)
-    coloring = _per_component(g, _ids_for(g), run, _c1_connected)
-    return _wrap(g, run, coloring, BOUND_C1)
+    return _color(g, mode, _c1_connected, BOUND_C1)
 
 
 def color_c2(g: Graph, mode: str = "strict") -> ColoringResult:
     """{K4-subdivision, K33, prism, 4-wheel}-free graphs: layers are boat-free,
     so each colors with 6 and the whole graph with <= 12."""
-    run = _Run(mode)
-    coloring = _per_component(g, _ids_for(g), run, _c2_connected)
-    return _wrap(g, run, coloring, BOUND_C2)
+    return _color(g, mode, _c2_connected, BOUND_C2)
 
 
 def color_c3(g: Graph, mode: str = "strict") -> ColoringResult:
     """{K4-subdivision, K33, prism, K222}-free graphs: layers are 4-wheel-free,
     so each colors with 12 and the whole graph with <= 24."""
-    run = _Run(mode)
-    coloring = _per_component(g, _ids_for(g), run, _c3_connected)
-    return _wrap(g, run, coloring, BOUND_C3)
+    return _color(g, mode, _c3_connected, BOUND_C3)
 
 
 # ---------------------------------------------------------------------------
 # the two main colorers
 
 
-def _recursion_guard(depth: int, run: _Run) -> None:
-    # blocks shrink by at least one vertex per level, so depth beyond the
-    # original vertex count signals a non-terminating decomposition
-    if depth > run.depth_limit:
-        raise DecompositionError(
-            f"decomposition depth {depth} exceeds the input vertex count; "
-            "the cutset recursion failed to shrink"
-        )
+def _fallback(g: Graph, ids, run: _Run, kind: str, message: str, vertices) -> Coloring:
+    """Record a class violation on ``vertices`` and color the block greedily."""
+    run.violate(kind, message, _map_ids(ids, vertices))
+    run.note("greedy_fallback", ids)
+    return greedy_fallback(g)
 
 
-def _tf_connected(g: Graph, ids, run: _Run, depth: int) -> Coloring:
-    _recursion_guard(depth, run)
+def _tf_connected(g: Graph, ids, run: _Run) -> Coloring:
     cut = find_clique_cutset(g)
     if cut is not None:
-        return _recurse_clique_cutset(g, ids, run, depth, cut, _tf_connected)
+        return _recurse_clique_cutset(g, ids, run, cut, _tf_connected)
     k33 = find_k33(g)
     if k33 is not None:
         shape = recognize_thick_multipartite(g)
         if shape is not None and len(shape.parts) == 2 and shape.thick:
             run.note("thick_bipartite", ids, parts=[len(p) for p in shape.parts])
             return color_thick_multipartite(shape)
-        run.violate(
-            "k33_not_bipartite",
+        return _fallback(
+            g, ids, run, "k33_not_bipartite",
             "graph contains K33 but is not a thick complete bipartite graph "
             "and has no clique cutset",
-            _map_ids(ids, sorted(k33.vertices)),
+            k33.vertices,
         )
-        run.note("greedy_fallback", ids)
-        return greedy_fallback(g)
     return _layered(g, ids, run, _tf_layer, "layering_forest")
 
 
@@ -566,48 +558,51 @@ def _tf_layer(g: Graph, ids, run: _Run) -> Coloring:
         return greedy_fallback(g)
 
 
-def _recurse_clique_cutset(g, ids, run, depth, cut, rec) -> Coloring:
+def _recurse_clique_cutset(g, ids, run, cut, rec) -> Coloring:
     run.note("clique_cutset", ids, clique=[ids[v] for v in cut.clique],
              sides=[len(cut.side_x), len(cut.side_y)])
     bx, ids_x = induced_subgraph(g, cut.side_x | set(cut.clique))
     by, ids_y = induced_subgraph(g, cut.side_y | set(cut.clique))
-    cx = rec(bx, _map_ids(ids, ids_x), run, depth + 1)
-    cy = rec(by, _map_ids(ids, ids_y), run, depth + 1)
+    cx = rec(bx, _map_ids(ids, ids_x), run)
+    cy = rec(by, _map_ids(ids, ids_y), run)
     return merge_colorings(g, cx, ids_x, cy, ids_y, cut.clique)
 
 
-def _general_connected(g: Graph, ids, run: _Run, depth: int) -> Coloring:
-    _recursion_guard(depth, run)
+def _general_connected(g: Graph, ids, run: _Run) -> Coloring:
     k4 = find_k4(g)
     if k4 is not None:
-        run.violate("k4", "graph contains K4, so it is not K4-subdivision-free",
-                    _map_ids(ids, k4))
-        run.note("greedy_fallback", ids)
-        return greedy_fallback(g)
+        return _fallback(g, ids, run, "k4",
+                         "graph contains K4, so it is not K4-subdivision-free", k4)
+    return _general_k4_free(g, ids, run)
+
+
+def _general_k4_free(g: Graph, ids, run: _Run) -> Coloring:
+    """The general case split on a connected K4-free block.  Clique-cutset
+    blocks are induced subgraphs, so they stay K4-free and recurse here;
+    the marker edge of a 2-cutset block can close a K4, so those blocks go
+    back through the K4 test."""
     cut = find_clique_cutset(g)
     if cut is not None:
-        return _recurse_clique_cutset(g, ids, run, depth, cut, _general_connected)
+        return _recurse_clique_cutset(g, ids, run, cut, _general_k4_free)
     k33 = find_k33(g)
     if k33 is not None:
         shape = recognize_thick_multipartite(g)
         if shape is not None and shape.thick:
             run.note("thick_multipartite", ids, parts=[len(p) for p in shape.parts])
             return color_thick_multipartite(shape)
-        run.violate(
-            "k33_not_multipartite",
+        return _fallback(
+            g, ids, run, "k33_not_multipartite",
             "graph contains K33 but is neither thick complete multipartite "
             "nor clique-cutset decomposable",
-            _map_ids(ids, sorted(k33.vertices)),
+            k33.vertices,
         )
-        run.note("greedy_fallback", ids)
-        return greedy_fallback(g)
     cut2 = find_proper_2cutset(g)
     if cut2 is not None:
         run.note("proper_2cutset", ids, cut=[ids[cut2.a], ids[cut2.b]],
                  sides=[len(cut2.side_x), len(cut2.side_y)])
         bx, ids_x, by, ids_y = build_2cutset_blocks(g, cut2)
-        cx = _general_connected(bx, _map_ids(ids, ids_x), run, depth + 1)
-        cy = _general_connected(by, _map_ids(ids, ids_y), run, depth + 1)
+        cx = _general_connected(bx, _map_ids(ids, ids_x), run)
+        cy = _general_connected(by, _map_ids(ids, ids_y), run)
         return merge_colorings(g, cx, ids_x, cy, ids_y, (cut2.a, cut2.b))
     trigger = find_k222(g) or find_prism(g)
     if trigger is not None:
@@ -621,14 +616,12 @@ def _general_connected(g: Graph, ids, run: _Run, depth: int) -> Coloring:
             run.note("rich_square", ids, square=[ids[v] for v in rs.extra["square"]],
                      links=len(rs.extra["links"]))
             return color_rich_square(g, rs)
-        run.violate(
-            f"{trigger.kind}_not_decomposable",
+        return _fallback(
+            g, ids, run, f"{trigger.kind}_not_decomposable",
             f"graph contains a {trigger.kind} but is neither a subcubic line "
             "graph nor a rich square, and has no cutset",
-            _map_ids(ids, sorted(trigger.vertices)),
+            trigger.vertices,
         )
-        run.note("greedy_fallback", ids)
-        return greedy_fallback(g)
     return _c3_connected(g, ids, run)
 
 
@@ -641,16 +634,12 @@ def color_triangle_free(g: Graph, mode: str = "strict") -> ColoringResult:
         raise ClassViolationError(
             Violation("triangle", "input contains a triangle", tuple(sorted(tri.vertices)))
         )
-    run = _Run(mode, depth_limit=g.n + 1)
-    coloring = _per_component(g, _ids_for(g), run, lambda s, si, r: _tf_connected(s, si, r, 0))
-    return _wrap(g, run, coloring, BOUND_TRIANGLE_FREE)
+    return _color(g, mode, _tf_connected, BOUND_TRIANGLE_FREE)
 
 
 def color_general(g: Graph, mode: str = "strict") -> ColoringResult:
     """Proper coloring of a K4-subdivision-free graph with at most 24 colors."""
-    run = _Run(mode, depth_limit=g.n + 1)
-    coloring = _per_component(g, _ids_for(g), run, lambda s, si, r: _general_connected(s, si, r, 0))
-    return _wrap(g, run, coloring, BOUND_GENERAL)
+    return _color(g, mode, _general_connected, BOUND_GENERAL)
 
 
 def color_auto(g: Graph, mode: str = "strict") -> tuple[str, ColoringResult]:

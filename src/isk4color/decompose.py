@@ -3,6 +3,10 @@ recombination: the recursion skeleton of the two bounded colorers.
 
 All searches return the lexicographically smallest witness (by sorted vertex
 ids) so that decomposition traces are reproducible.
+
+Both kinds of cutset give two blocks, each missing a non-empty side of the
+cut, so every block is smaller than its parent and the colorers' recursion
+terminates without a depth guard.
 """
 
 from __future__ import annotations
@@ -20,10 +24,6 @@ from .graph import (
     mask_of,
 )
 from .patterns import find_k4
-
-
-class DecompositionError(RuntimeError):
-    """Recursion depth guard tripped: decomposition failed to shrink the input."""
 
 
 @dataclass(frozen=True)
@@ -84,29 +84,33 @@ def find_clique_cutset(g: Graph) -> CliqueCutset | None:
     return None
 
 
-def _is_ab_path(g: Graph, verts: set[int], a: int, b: int) -> bool:
-    """Does ``verts`` induce a path graph whose two ends are a and b?"""
-    vmask = mask_of(verts)
-    degs = {v: (g.mask(v) & vmask).bit_count() for v in verts}
-    if len(verts) == 2:
-        return g.has_edge(a, b)
-    if degs[a] != 1 or degs[b] != 1:
-        return False
-    if any(d != 2 for v, d in degs.items() if v not in (a, b)):
-        return False
-    # connected + degree profile of a path => a single a-b path
-    sub, _ = induced_subgraph(g, verts)
-    return is_connected(sub)
+def _is_ab_path(g: Graph, vmask: int, a: int, b: int) -> bool:
+    """Does the vertex mask ``vmask`` induce a path graph whose two ends are
+    a and b?  Walks from a, leaving each vertex by its one unvisited
+    neighbour; the walk must end at b with every vertex of ``vmask`` seen."""
+    seen = 0
+    cur = a
+    while True:
+        seen |= 1 << cur
+        nbrs = g.mask(cur) & vmask
+        if cur == b:
+            return nbrs.bit_count() == 1 and seen == vmask
+        step = nbrs & ~seen
+        if nbrs.bit_count() != (1 if cur == a else 2) or step.bit_count() != 1:
+            return False
+        cur = step.bit_length() - 1
 
 
 def find_proper_2cutset(g: Graph) -> Proper2Cutset | None:
     """First (lex) non-adjacent pair {a,b} with a component grouping such that
     neither side together with {a,b} induces an a-b path.
 
-    Groupings tried: each single component against the rest and, when three or
+    Groupings tried: each single component against the rest and, when four or
     more components exist, each pair of components against the rest.  For up
     to three components this covers every bipartition; beyond that, one of
-    these groupings succeeds whenever any does.
+    these groupings succeeds whenever any does.  A grouping and its complement
+    make the same test, so two components need one grouping, and three need
+    no pairs.
     """
     if not is_connected(g):
         raise ValueError("input must be connected")
@@ -114,27 +118,23 @@ def find_proper_2cutset(g: Graph) -> Proper2Cutset | None:
         for b in range(a + 1, g.n):
             if g.has_edge(a, b):
                 continue
-            comps = component_masks(g, (1 << a) | (1 << b))
+            ab = (1 << a) | (1 << b)
+            comps = component_masks(g, ab)
             if len(comps) < 2:
                 continue
-            groupings = [(i,) for i in range(len(comps))]
-            if len(comps) >= 3:
-                groupings += [(i, j) for i in range(len(comps)) for j in range(i + 1, len(comps))]
+            rest = ((1 << g.n) - 1) & ~ab
+            k = len(comps)
+            groupings = [(i,) for i in range(k if k > 2 else 1)]
+            if k >= 4:
+                groupings += [(i, j) for i in range(k) for j in range(i + 1, k)]
             for grouping in groupings:
                 xm = 0
                 for i in grouping:
                     xm |= comps[i]
-                ym = 0
-                for i in range(len(comps)):
-                    if i not in grouping:
-                        ym |= comps[i]
-                xs = set(bits(xm))
-                ys = set(bits(ym))
-                if _is_ab_path(g, xs | {a, b}, a, b):
+                ym = rest & ~xm
+                if _is_ab_path(g, xm | ab, a, b) or _is_ab_path(g, ym | ab, a, b):
                     continue
-                if _is_ab_path(g, ys | {a, b}, a, b):
-                    continue
-                return Proper2Cutset(a, b, frozenset(xs), frozenset(ys))
+                return Proper2Cutset(a, b, frozenset(bits(xm)), frozenset(bits(ym)))
     return None
 
 

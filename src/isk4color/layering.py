@@ -86,7 +86,8 @@ def upstairs_path(g: Graph, layering: Layering, i: int, x: int, y: int) -> list[
     sub, ids = induced_subgraph(g, collected)
     pos = {v: k for k, v in enumerate(ids)}
     path = bfs_path(sub, pos[x], pos[y])
-    assert path is not None
+    if path is None:
+        raise AssertionError(f"internal error: no upstairs path joins {x} and {y}")
     return [ids[v] for v in path]
 
 
@@ -366,6 +367,9 @@ def combine_layer_colorings(g: Graph, layering: Layering, per_layer: list[Colori
 
     ``per_layer[i]`` must be a proper coloring of the subgraph induced by
     layer i (vertices taken in sorted order); the layering must cover g.
+    The combined coloring is checked once on g: an edge inside a layer keeps
+    its layer's colors and an edge between adjacent layers joins disjoint
+    palettes, so this catches an improper layer coloring.
     """
     if len(per_layer) != len(layering.layers):
         raise ValueError("need exactly one coloring per layer")
@@ -374,9 +378,8 @@ def combine_layer_colorings(g: Graph, layering: Layering, per_layer: list[Colori
     odd_max = 0
     even_max = 0
     for i, coloring in enumerate(per_layer):
-        sub, _ = induced_subgraph(g, layering.layers[i])
-        if not is_proper_coloring(sub, coloring):
-            raise ValueError(f"layer {i} coloring is not proper")
+        if len(coloring.assignment) != len(layering.layers[i]):
+            raise ValueError(f"layer {i} coloring does not cover its layer")
         if i % 2:
             odd_max = max(odd_max, coloring.palette_size)
         else:
@@ -387,4 +390,7 @@ def combine_layer_colorings(g: Graph, layering: Layering, per_layer: list[Colori
         for k, v in enumerate(verts):
             c = coloring.assignment[k]
             assign[v] = c if i % 2 else odd_max + c
-    return Coloring(tuple(assign), odd_max + even_max)
+    combined = Coloring(tuple(assign), odd_max + even_max)
+    if not is_proper_coloring(g, combined):
+        raise ValueError("a layer coloring is not proper")
+    return combined

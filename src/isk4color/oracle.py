@@ -233,7 +233,8 @@ def _min_encoding(masks: tuple[int, ...]) -> tuple[int, ...]:
             placed.pop()
 
     dfs(0)
-    assert best is not None
+    if best is None:
+        raise AssertionError("internal error: the labeling search found no complete labeling")
     return tuple(best)
 
 

@@ -18,6 +18,7 @@ from .graph import (
     Graph,
     bits,
     chordless_order,
+    component_masks,
     connected_components,
     induced_subgraph,
     is_connected,
@@ -197,8 +198,7 @@ def check_prism(g: Graph, vertices) -> dict | None:
     branch = sorted(v for v, d in degs.items() if d == 3)
     if len(branch) != 6 or any(d not in (2, 3) for d in degs.values()):
         return None
-    sub, _ = induced_subgraph(g, vs)
-    if not is_connected(sub):
+    if len(component_masks(g, ~vmask)) != 1:
         return None
     chains = suppress_chains(g, vs, branch)
     if chains is None or len(chains) != 9:

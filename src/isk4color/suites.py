@@ -105,8 +105,8 @@ class SuiteReport:
 # per-graph checks (top level so worker processes can pickle them)
 
 
-def _g6(g: Graph) -> str:
-    return write_graph6_line(g)
+def _violation(g: Graph, detail: str) -> dict:
+    return {"graph6": write_graph6_line(g), "n": g.n, "detail": detail}
 
 
 def _check_flat_reduction(g: Graph, ctx: dict) -> dict:
@@ -117,11 +117,9 @@ def _check_flat_reduction(g: Graph, ctx: dict) -> dict:
         checks += 1
         w = contains_isk4(reduced)
         if w is not None:
-            violations.append({
-                "graph6": _g6(g),
-                "n": g.n,
-                "detail": f"reducing flat path {list(fp.vertices)} created an induced K4 subdivision",
-            })
+            violations.append(_violation(
+                g, f"reducing flat path {list(fp.vertices)} created an induced K4 subdivision",
+            ))
     return {"checks": checks, "violations": violations}
 
 
@@ -131,11 +129,9 @@ def _check_layer_forests(g: Graph, ctx: dict) -> dict:
         return {"checks": g.n, "violations": []}
     return {
         "checks": g.n,
-        "violations": [{
-            "graph6": _g6(g),
-            "n": g.n,
-            "detail": f"layer {w.layer} from root {w.root} contains the cycle {list(w.cycle)}",
-        }],
+        "violations": [_violation(
+            g, f"layer {w.layer} from root {w.root} contains the cycle {list(w.cycle)}",
+        )],
     }
 
 
@@ -143,10 +139,7 @@ def _check_wheel_free_chi(g: Graph, ctx: dict) -> dict:
     chi = chromatic_number_exact(g)
     violations = []
     if chi > 3:
-        violations.append({
-            "graph6": _g6(g), "n": g.n,
-            "detail": f"wheel-free graph with chromatic number {chi} > 3",
-        })
+        violations.append(_violation(g, f"wheel-free graph with chromatic number {chi} > 3"))
     return {"checks": 1, "violations": violations, "chi": chi}
 
 
@@ -154,22 +147,15 @@ def _check_girth5_degree(g: Graph, ctx: dict) -> dict:
     violations = []
     min_deg = min((g.degree(v) for v in range(g.n)), default=0)
     if min_deg > 2:
-        violations.append({
-            "graph6": _g6(g), "n": g.n,
-            "detail": f"girth >= 5 graph with minimum degree {min_deg} > 2",
-        })
+        violations.append(_violation(g, f"girth >= 5 graph with minimum degree {min_deg} > 2"))
     try:
         coloring = color_girth5(g)
         if coloring.palette_size > 3 or not is_proper_coloring(g, coloring):
-            violations.append({
-                "graph6": _g6(g), "n": g.n,
-                "detail": f"greedy 3-coloring failed (palette {coloring.palette_size})",
-            })
+            violations.append(_violation(
+                g, f"greedy 3-coloring failed (palette {coloring.palette_size})",
+            ))
     except ClassViolationError as exc:
-        violations.append({
-            "graph6": _g6(g), "n": g.n,
-            "detail": f"degeneracy check failed: {exc.violation.message}",
-        })
+        violations.append(_violation(g, f"degeneracy check failed: {exc.violation.message}"))
     return {"checks": 2, "violations": violations}
 
 
@@ -188,22 +174,17 @@ def _check_colorer_bound(g: Graph, colorer, bound: int) -> dict:
         res = colorer(g, "strict")
         palette = res.coloring.palette_size
         if not is_proper_coloring(g, res.coloring):
-            violations.append({"graph6": _g6(g), "n": g.n, "detail": "coloring not proper"})
+            violations.append(_violation(g, "coloring not proper"))
         if palette > bound:
-            violations.append({
-                "graph6": _g6(g), "n": g.n,
-                "detail": f"palette {palette} exceeds the bound {bound}",
-            })
+            violations.append(_violation(g, f"palette {palette} exceeds the bound {bound}"))
         if res.violations:
-            violations.append({
-                "graph6": _g6(g), "n": g.n,
-                "detail": f"unexpected class violations: {[v.kind for v in res.violations]}",
-            })
+            violations.append(_violation(
+                g, f"unexpected class violations: {[v.kind for v in res.violations]}",
+            ))
     except ClassViolationError as exc:
-        violations.append({
-            "graph6": _g6(g), "n": g.n,
-            "detail": f"strict colorer aborted: {exc.violation.kind}: {exc.violation.message}",
-        })
+        violations.append(_violation(
+            g, f"strict colorer aborted: {exc.violation.kind}: {exc.violation.message}",
+        ))
     return {"checks": 1, "violations": violations, "palette": palette}
 
 
@@ -216,10 +197,7 @@ def _check_min_degree(g: Graph, ctx: dict) -> dict:
     min_deg = min((g.degree(v) for v in range(g.n)), default=0)
     record = {"checks": 1, "violations": [], "min_degree": min_deg}
     if min_deg > bound:
-        record["counterexample"] = {
-            "graph6": _g6(g), "n": g.n,
-            "detail": f"minimum degree {min_deg} exceeds {bound}",
-        }
+        record["counterexample"] = _violation(g, f"minimum degree {min_deg} exceeds {bound}")
     return record
 
 
@@ -238,16 +216,15 @@ def _check_hole_attachment(g: Graph, ctx: dict) -> dict:
         else:
             subsets = _sampled_dominating_subsets(
                 g, order, attachers,
-                random.Random(f"{ctx.get('seed', 0)}:{_g6(g)}:{hole_idx}"),
+                random.Random(f"{ctx.get('seed', 0)}:{write_graph6_line(g)}:{hole_idx}"),
                 ctx.get("samples", ATTACHMENT_SAMPLES),
             )
         for s in subsets:
             checks += 1
             if classify_hole_attachment(g, order, s) is None:
-                violations.append({
-                    "graph6": _g6(g), "n": g.n,
-                    "detail": f"no attachment case matched hole {list(order)} with set {sorted(s)}",
-                })
+                violations.append(_violation(
+                    g, f"no attachment case matched hole {list(order)} with set {sorted(s)}",
+                ))
     return {"checks": checks, "violations": violations}
 
 
@@ -320,30 +297,26 @@ def _check_upstairs(g: Graph, ctx: dict) -> dict:
                 path = upstairs_path(g, layering, i, x, y)
                 err = _validate_upstairs_path(g, layering, i, x, y, path)
                 if err:
-                    violations.append({
-                        "graph6": _g6(g), "n": g.n,
-                        "detail": f"upstairs path {path} for ({x},{y}) at layer {i} from {root}: {err}",
-                    })
+                    violations.append(_violation(
+                        g, f"upstairs path {path} for ({x},{y}) at layer {i} from {root}: {err}",
+                    ))
             for x, y, z in triples:
                 checks += 1
                 try:
                     conf = find_confluence(g, layering, i, x, y, z)
                 except ConfluenceSearchError as exc:
-                    violations.append({
-                        "graph6": _g6(g), "n": g.n,
-                        "detail": f"confluence search failed for ({x},{y},{z}) at layer {i} from {root}: {exc}",
-                    })
+                    violations.append(_violation(
+                        g, f"confluence search failed for ({x},{y},{z}) at layer {i} from {root}: {exc}",
+                    ))
                     continue
                 if classify_confluence(g, conf.vertices, (x, y, z)) is None:
-                    violations.append({
-                        "graph6": _g6(g), "n": g.n,
-                        "detail": f"confluence for ({x},{y},{z}) at layer {i} from {root} failed verification",
-                    })
+                    violations.append(_violation(
+                        g, f"confluence for ({x},{y},{z}) at layer {i} from {root} failed verification",
+                    ))
                 elif find_triangle(g) is None and conf.kind != 1:
-                    violations.append({
-                        "graph6": _g6(g), "n": g.n,
-                        "detail": "triangle-free graph produced a triangle-centered confluence",
-                    })
+                    violations.append(_violation(
+                        g, "triangle-free graph produced a triangle-centered confluence",
+                    ))
     return {"checks": checks, "violations": violations}
 
 
@@ -520,10 +493,10 @@ def run_suite(
                         max_chi = chi
                         chi_examples = []
                     if chi == max_chi and len(chi_examples) < EXTREMAL_KEEP:
-                        chi_examples.append({"graph6": _g6(g), "n": g.n, "chi": chi})
+                        chi_examples.append({"graph6": write_graph6_line(g), "n": g.n, "chi": chi})
                     if spec.expected_max_chi is not None and chi > spec.expected_max_chi:
                         exceed_examples.append({
-                            "graph6": _g6(g), "n": g.n, "chi": chi,
+                            "graph6": write_graph6_line(g), "n": g.n, "chi": chi,
                             "exceeds_expected": True,
                         })
                 if rec.get("palette") is not None:
@@ -644,10 +617,9 @@ def _check_upstairs_sampled(g: Graph, rng: random.Random, cap: int) -> dict:
             path = upstairs_path(g, layering, i, x, y)
             err = _validate_upstairs_path(g, layering, i, x, y, path)
             if err:
-                violations.append({
-                    "graph6": _g6(g), "n": g.n,
-                    "detail": f"upstairs path {path} for ({x},{y}) layer {i} root {root}: {err}",
-                })
+                violations.append(_violation(
+                    g, f"upstairs path {path} for ({x},{y}) layer {i} root {root}: {err}",
+                ))
         if len(verts) >= 3:
             triples = list(combinations(verts, 3))
             rng.shuffle(triples)
@@ -656,14 +628,12 @@ def _check_upstairs_sampled(g: Graph, rng: random.Random, cap: int) -> dict:
                 try:
                     conf = find_confluence(g, layering, i, x, y, z)
                 except ConfluenceSearchError as exc:
-                    violations.append({
-                        "graph6": _g6(g), "n": g.n,
-                        "detail": f"confluence search failed ({x},{y},{z}) layer {i} root {root}: {exc}",
-                    })
+                    violations.append(_violation(
+                        g, f"confluence search failed ({x},{y},{z}) layer {i} root {root}: {exc}",
+                    ))
                     continue
                 if classify_confluence(g, conf.vertices, (x, y, z)) is None:
-                    violations.append({
-                        "graph6": _g6(g), "n": g.n,
-                        "detail": f"confluence verification failed ({x},{y},{z}) layer {i} root {root}",
-                    })
+                    violations.append(_violation(
+                        g, f"confluence verification failed ({x},{y},{z}) layer {i} root {root}",
+                    ))
     return {"checks": checks, "violations": violations}

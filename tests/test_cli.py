@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from isk4color import colorers
 from isk4color.cli import cli_main
 from isk4color.families import (
     complete_graph,
@@ -10,6 +11,7 @@ from isk4color.families import (
     petersen,
 )
 from isk4color.formats import write_graph
+from isk4color.graph import Coloring
 
 
 @pytest.fixture()
@@ -94,6 +96,18 @@ def test_usage_errors(files, capsys):
     capsys.readouterr()
     assert cli_main(["enumerate", "--n", "3", "--check", "bogus"]) == 2
     capsys.readouterr()
+
+
+def test_internal_failure_exit(tmp_path, capsys, monkeypatch):
+    # a failed certificate check is neither a usage error nor a class violation
+    monkeypatch.setattr(colorers, "_c3_connected", lambda g, ids, run: Coloring((0,) * g.n, 1))
+    k2 = tmp_path / "k2.col"
+    k2.write_text(write_graph(complete_graph(2), "dimacs-col"))
+    assert cli_main(["color", "--algorithm", "general", str(k2)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: internal: ")
+    assert "improper coloring" in captured.err
 
 
 def test_parse_error_exit(tmp_path, capsys):

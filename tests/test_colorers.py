@@ -1,5 +1,8 @@
+import ast
+import hashlib
 import json
 import os
+import pathlib
 import random
 import subprocess
 import sys
@@ -19,6 +22,7 @@ from isk4color.families import (
     path_graph,
     petersen,
     rich_square_graph,
+    theta_graph,
 )
 from isk4color.colorers import (
     ClassViolationError,
@@ -229,6 +233,19 @@ def test_color_general_out_of_class():
     assert r.violations and r.coloring.palette_size == 5
 
 
+def test_color_general_k4_closed_by_marker_edge():
+    # no K4 and no clique cutset, but the marker edge 01 of the proper
+    # 2-cutset {0,1} closes the K4 {0,1,2,3} in the block on {0,1,2,3}
+    g = Graph(6, [(0, 2), (0, 3), (2, 3), (1, 2), (1, 3), (0, 4), (1, 4), (0, 5), (1, 5)])
+    with pytest.raises(ClassViolationError) as exc:
+        color_general(g)
+    assert exc.value.violation.kind == "k4"
+    r = color_general(g, mode="tolerant")
+    assert [(v.kind, v.vertices) for v in r.violations] == [("k4", (0, 1, 2, 3))]
+    assert [t["rule"] for t in r.trace[:2]] == ["proper_2cutset", "greedy_fallback"]
+    assert is_proper_coloring(g, r.coloring)
+
+
 def test_color_general_disconnected():
     g = disjoint_union(complete_multipartite(2, 2, 2), cycle_graph(5))
     r = color_general(g)
@@ -321,3 +338,45 @@ def test_certificate_check_survives_optimize_flag():
     )
     assert proc.returncode == 0, proc.stderr
     assert "improper coloring" in proc.stdout
+
+
+def test_no_assert_statements_in_package():
+    # python -O strips assert statements; invariant checks must raise explicitly
+    package = pathlib.Path(isk4color.__file__).parent
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(package.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.Assert)
+    ]
+    assert found == []
+
+
+# sha256 of json.dumps(result.to_dict(), sort_keys=True): colorings, traces
+# and violations must stay byte-identical across refactors of the colorers
+_PINNED_RESULTS = [
+    ("P40-general", color_general, lambda: path_graph(40),
+     "2b71491a0f72e86be218c6f51046889fda1052167708a3039b484e88fc9c14bf"),
+    ("P40-triangle-free", color_triangle_free, lambda: path_graph(40),
+     "a5f3ab0827958bc815de375381711d576cd8bf9be3d145ac5a7b12ea60840b91"),
+    ("C12-general", color_general, lambda: cycle_graph(12),
+     "680f905005e64962aea32e9ccdd2ce05e37a24637cc000e2191d06724d638c76"),
+    ("theta345-general", color_general, lambda: theta_graph(3, 4, 5),
+     "98665c5cad10aa5a0392fd507620934e6ce460d1203406ab30d9bd856dbb06e2"),
+    ("theta345-triangle-free", color_triangle_free, lambda: theta_graph(3, 4, 5),
+     "795d133ebb92b7bd963c0f23c712065d58a84f39f02befa71256582758fab9e5"),
+    ("L(petersen)-general", color_general, lambda: line_graph(petersen()),
+     "a134fd10171242265dd554939cdf71cde9bb47cef8a1794b07dbdce020451e03"),
+    ("K333-general", color_general, lambda: complete_multipartite(3, 3, 3),
+     "cc57317d31ea7a64dc42f3ad96bb25de3a685efa02ea2a91144e40c7da0cbde7"),
+    ("rich-square-general", color_general,
+     lambda: rich_square_graph([(3, False), (0, True), (2, True)]),
+     "ffaf202e2d0aeab0b4356961b7ebdb35a71254341e80f7ba1d794780ef733f7d"),
+]
+
+
+@pytest.mark.parametrize("colorer,make,digest", [c[1:] for c in _PINNED_RESULTS],
+                         ids=[c[0] for c in _PINNED_RESULTS])
+def test_result_bytes_pinned(colorer, make, digest):
+    payload = json.dumps(colorer(make()).to_dict(), sort_keys=True)
+    assert hashlib.sha256(payload.encode()).hexdigest() == digest
