@@ -6,7 +6,8 @@ Subcommands: ``detect`` (pattern witnesses), ``color`` (bounded colorers),
 
 Exit codes: 0 success; 1 pattern not found or class violation in strict mode;
 2 usage or parse errors; 3 internal invariant failure, such as a failed
-certificate check (stderr reads ``error: internal: ...``).  JSON output is
+certificate check or a ``ValueError`` raised inside a colorer (stderr reads
+``error: internal: ...``).  JSON output is
 byte-identical for identical inputs and seeds; wall-clock timings go to
 stderr only.
 """
@@ -33,7 +34,7 @@ from .colorers import (
     Violation,
 )
 from .formats import FORMATS, GraphParseError, json_report, parse_graph, serialize_coloring
-from .graph import Graph
+from .graph import Graph, is_proper_coloring
 from .oracle import SizeLimitError, chromatic_number_exact, contains_isk4
 from .patterns import (
     find_boat,
@@ -196,10 +197,16 @@ def _cmd_color(args, argv) -> int:
         else:
             coloring = greedy_fallback(g)
             result = ColoringResult(coloring, coloring.palette_size, [{"rule": "greedy"}], [])
+        proper = is_proper_coloring(g, result.coloring)
     except ClassViolationError as exc:
         return _emit_violation(args, argv, digest, exc.violation)
+    except ValueError as exc:
+        # the graph is parsed, so this is a broken internal invariant
+        raise AssertionError(str(exc)) from exc
+    if not proper:
+        raise AssertionError(f"algorithm {algorithm} produced an improper coloring")
     result.violations = pre_violations + result.violations
-    extra = {"algorithm": algorithm, "mode": args.mode, "seed": args.seed, "proper": True}
+    extra = {"algorithm": algorithm, "mode": args.mode, "seed": args.seed, "proper": proper}
     text = serialize_coloring(result, as_json=args.json, command=argv,
                               input_sha256=digest, extra=extra)
     _emit(text)

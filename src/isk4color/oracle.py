@@ -279,10 +279,12 @@ def _new_vertex_ok_girth5(masks, new_mask) -> bool:
     return True
 
 
+# strictest first: girth >= 5 implies triangle-free
 _EXTENSION_FILTERS: dict[str, Callable] = {
-    "triangle-free": _new_vertex_ok_triangle_free,
     "girth5": _new_vertex_ok_girth5,
+    "triangle-free": _new_vertex_ok_triangle_free,
 }
+HEREDITARY_CLASSES = tuple(_EXTENSION_FILTERS)
 
 
 def enumerate_graphs(
@@ -297,14 +299,14 @@ def enumerate_graphs(
     Generation extends each (n-1)-vertex class by a new vertex and keeps one
     representative per canonical form.  ``connected`` restricts to connected
     graphs (valid because every connected graph has a non-cut vertex);
-    ``hereditary`` names a hereditary class of ``_EXTENSION_FILTERS``
-    ("triangle-free" or "girth5") that is pruned during generation.
+    ``hereditary`` names one of ``HEREDITARY_CLASSES`` ("girth5" or
+    "triangle-free"), which is pruned during generation.
     """
     if n > ENUMERATION_CAP:
         raise SizeLimitError(f"enumeration is capped at n={ENUMERATION_CAP}")
     if hereditary is not None and hereditary not in _EXTENSION_FILTERS:
         raise ValueError(
-            f"unknown hereditary class {hereditary!r}; known: {', '.join(_EXTENSION_FILTERS)}"
+            f"unknown hereditary class {hereditary!r}; known: {', '.join(HEREDITARY_CLASSES)}"
         )
     if n < 1:
         return
@@ -448,6 +450,7 @@ def verify_layer_forests(g: Graph) -> LayerCycleWitness | None:
 
 __all__ = [
     "ENUMERATION_CAP",
+    "HEREDITARY_CLASSES",
     "SUBSET_SWEEP_CAP",
     "SizeLimitError",
     "Isk4Witness",

@@ -13,6 +13,7 @@ import random
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from functools import partial
 from itertools import combinations
 
 from .colorers import (
@@ -27,6 +28,7 @@ from .formats import write_graph6_line
 from .graph import Graph, bfs_layering, girth, is_proper_coloring
 from .layering import ConfluenceSearchError, classify_confluence, find_confluence, upstairs_path
 from .oracle import (
+    HEREDITARY_CLASSES,
     chromatic_number_exact,
     classify_hole_attachment,
     contains_isk4,
@@ -43,9 +45,11 @@ from .patterns import (
     find_wheel,
 )
 
-EXHAUSTIVE_ATTACHER_CAP = 12
-ATTACHMENT_SAMPLES = 200
 EXTREMAL_KEEP = 10
+# the random part of ``upstairs``: graph orders 4..RANDOM_N_MAX; per layer of
+# one random root, RANDOM_PAIR_CAP random pairs and one random triple
+RANDOM_N_MAX = 30
+RANDOM_PAIR_CAP = 3
 
 FILTERS = {
     "triangle-free": lambda g: find_triangle(g) is None,
@@ -58,12 +62,6 @@ FILTERS = {
     "isk4-free": lambda g: contains_isk4(g) is None,
 }
 
-# cheap filters run first
-_FILTER_COST = {name: i for i, name in enumerate(FILTERS)}
-
-# hereditary filters the enumerator can apply while generating
-_GENERATION_FILTERS = {"triangle-free", "girth5"}
-
 
 @dataclass
 class SuiteReport:
@@ -75,8 +73,8 @@ class SuiteReport:
     extremal: list[dict]
     wall_time_s: float = 0.0
 
-    def to_dict(self, include_timing: bool = False) -> dict:
-        out = {
+    def to_dict(self) -> dict:
+        return {
             "suite": self.suite,
             "parameters": self.parameters,
             "counts": self.counts,
@@ -84,9 +82,6 @@ class SuiteReport:
             "violations": self.violations,
             "extremal": self.extremal,
         }
-        if include_timing:
-            out["wall_time_s"] = round(self.wall_time_s, 3)
-        return out
 
     def summary(self) -> str:
         total = self.counts.get("total", {})
@@ -204,53 +199,22 @@ def _check_min_degree(g: Graph, ctx: dict) -> dict:
 def _check_hole_attachment(g: Graph, ctx: dict) -> dict:
     checks = 0
     violations = []
-    for hole_idx, order in enumerate(enumerate_holes(g)):
+    for order in enumerate_holes(g):
         hole_set = set(order)
         attachers = [v for v in range(g.n)
                      if v not in hole_set and any(g.has_edge(v, c) for c in order)]
-        hole_cover = {c: [v for v in attachers if g.has_edge(v, c)] for c in order}
-        if any(not lst for lst in hole_cover.values()):
-            continue  # no dominating attachment set exists at all
-        if len(attachers) <= ctx.get("exhaustive_cap", EXHAUSTIVE_ATTACHER_CAP):
-            subsets = _dominating_subsets(g, order, attachers)
-        else:
-            subsets = _sampled_dominating_subsets(
-                g, order, attachers,
-                random.Random(f"{ctx.get('seed', 0)}:{write_graph6_line(g)}:{hole_idx}"),
-                ctx.get("samples", ATTACHMENT_SAMPLES),
-            )
-        for s in subsets:
-            checks += 1
-            if classify_hole_attachment(g, order, s) is None:
-                violations.append(_violation(
-                    g, f"no attachment case matched hole {list(order)} with set {sorted(s)}",
-                ))
+        # every dominating subset: a hole has >= 4 vertices and enumeration
+        # stops at ENUMERATION_CAP, so there are few attachers
+        for r in range(1, len(attachers) + 1):
+            for s in combinations(attachers, r):
+                if not all(any(g.has_edge(v, c) for v in s) for c in order):
+                    continue
+                checks += 1
+                if classify_hole_attachment(g, order, s) is None:
+                    violations.append(_violation(
+                        g, f"no attachment case matched hole {list(order)} with set {sorted(s)}",
+                    ))
     return {"checks": checks, "violations": violations}
-
-
-def _dominating_subsets(g: Graph, order, attachers):
-    out = []
-    for r in range(1, len(attachers) + 1):
-        for combo in combinations(attachers, r):
-            if _dominates(g, order, combo):
-                out.append(combo)
-    return out
-
-
-def _dominates(g, order, subset) -> bool:
-    return all(any(g.has_edge(v, c) for v in subset) for c in order)
-
-
-def _sampled_dominating_subsets(g, order, attachers, rng, samples):
-    out = []
-    tries = 0
-    while len(out) < samples and tries < samples * 20:
-        tries += 1
-        r = rng.randint(1, len(attachers))
-        combo = tuple(sorted(rng.sample(attachers, r)))
-        if _dominates(g, order, combo):
-            out.append(combo)
-    return out
 
 
 def _validate_upstairs_path(g, layering, i, x, y, path) -> str | None:
@@ -277,46 +241,48 @@ def _validate_upstairs_path(g, layering, i, x, y, path) -> str | None:
     return None
 
 
+def _check_tips(g, layering, root, i, pairs, triples, triangle_free) -> list[dict]:
+    """Check the upstairs path of each pair and the confluence of each triple
+    of layer ``i``; return the violations."""
+    violations = []
+    for x, y in pairs:
+        path = upstairs_path(g, layering, i, x, y)
+        err = _validate_upstairs_path(g, layering, i, x, y, path)
+        if err:
+            violations.append(_violation(
+                g, f"upstairs path {path} for ({x},{y}) at layer {i} from {root}: {err}",
+            ))
+    for x, y, z in triples:
+        try:
+            conf = find_confluence(g, layering, i, x, y, z)
+        except ConfluenceSearchError as exc:
+            violations.append(_violation(
+                g, f"confluence search failed for ({x},{y},{z}) at layer {i} from {root}: {exc}",
+            ))
+            continue
+        if classify_confluence(g, conf.vertices, (x, y, z)) is None:
+            violations.append(_violation(
+                g, f"confluence for ({x},{y},{z}) at layer {i} from {root} failed verification",
+            ))
+        elif triangle_free and conf.kind != 1:
+            violations.append(_violation(
+                g, "triangle-free graph produced a triangle-centered confluence",
+            ))
+    return violations
+
+
 def _check_upstairs(g: Graph, ctx: dict) -> dict:
     checks = 0
     violations = []
-    pair_cap = ctx.get("pair_cap")
+    triangle_free = find_triangle(g) is None
     for root in range(g.n):
         layering = bfs_layering(g, root)
         for i, layer in enumerate(layering.layers):
-            if i == 0 or len(layer) < 2:
-                continue
             verts = sorted(layer)
             pairs = list(combinations(verts, 2))
             triples = list(combinations(verts, 3))
-            if pair_cap is not None:
-                pairs = pairs[:pair_cap]
-                triples = triples[:pair_cap]
-            for x, y in pairs:
-                checks += 1
-                path = upstairs_path(g, layering, i, x, y)
-                err = _validate_upstairs_path(g, layering, i, x, y, path)
-                if err:
-                    violations.append(_violation(
-                        g, f"upstairs path {path} for ({x},{y}) at layer {i} from {root}: {err}",
-                    ))
-            for x, y, z in triples:
-                checks += 1
-                try:
-                    conf = find_confluence(g, layering, i, x, y, z)
-                except ConfluenceSearchError as exc:
-                    violations.append(_violation(
-                        g, f"confluence search failed for ({x},{y},{z}) at layer {i} from {root}: {exc}",
-                    ))
-                    continue
-                if classify_confluence(g, conf.vertices, (x, y, z)) is None:
-                    violations.append(_violation(
-                        g, f"confluence for ({x},{y},{z}) at layer {i} from {root} failed verification",
-                    ))
-                elif find_triangle(g) is None and conf.kind != 1:
-                    violations.append(_violation(
-                        g, "triangle-free graph produced a triangle-centered confluence",
-                    ))
+            checks += len(pairs) + len(triples)
+            violations += _check_tips(g, layering, root, i, pairs, triples, triangle_free)
     return {"checks": checks, "violations": violations}
 
 
@@ -426,13 +392,6 @@ def resolve_suite(name: str) -> SuiteSpec:
 # the driver
 
 
-def _worker(args):
-    masks, suite_name, ctx = args
-    g = Graph.from_masks(masks)
-    spec = SUITES[suite_name]
-    return spec.check(g, ctx)
-
-
 def run_suite(
     suite: str,
     n_max: int,
@@ -443,16 +402,14 @@ def run_suite(
     seed: int = 0,
     corpus: dict[int, list[Graph]] | None = None,
     random_graphs: int = 1000,
-    random_n_max: int = 30,
-    pair_cap_random: int = 3,
 ) -> SuiteReport:
     """Run one verification suite over all graphs with 1..n_max vertices.
 
     ``corpus`` optionally injects pre-enumerated connected graphs per order
     (used by the test suite to share one enumeration across many suites).
-    ``seed`` fixes every randomized sample.  Workers only parallelize the
-    per-graph checks; aggregation order is the enumeration order.  ``jobs``
-    is clamped to the CPU count.
+    ``seed`` only drives the ``random_graphs`` random graphs of
+    ``upstairs``.  Workers only parallelize the per-graph checks; aggregation
+    order is the enumeration order.  ``jobs`` is clamped to the CPU count.
     """
     spec = resolve_suite(suite)
     t0 = time.monotonic()
@@ -460,8 +417,8 @@ def run_suite(
     for f in filters:
         if f not in FILTERS:
             raise ValueError(f"unknown filter {f!r}; known: {', '.join(FILTERS)}")
-    ctx = dict(spec.context)
-    ctx["seed"] = seed
+    runtime = [f for f in FILTERS if f in filters and f not in HEREDITARY_CLASSES]
+    check = partial(spec.check, ctx=spec.context)
 
     by_n: dict[str, dict] = {}
     violations: list[dict] = []
@@ -474,7 +431,6 @@ def run_suite(
     jobs = min(jobs, os.cpu_count() or 1)
     pool = ProcessPoolExecutor(max_workers=jobs) if jobs > 1 else None
     try:
-        runtime = _runtime_filters(filters)
         for n in range(1, n_max + 1):
             enumerated = 0
             graphs = []
@@ -482,7 +438,10 @@ def run_suite(
                 enumerated += 1
                 if all(FILTERS[f](g) for f in runtime):
                     graphs.append(g)
-            records = _map_checks(pool, spec, graphs, ctx)
+            if pool is None or len(graphs) < 4:
+                records = map(check, graphs)
+            else:
+                records = pool.map(check, graphs, chunksize=max(1, len(graphs) // 64))
             checks = 0
             for g, rec in zip(graphs, records):
                 checks += rec["checks"]
@@ -510,9 +469,7 @@ def run_suite(
             }
         random_bucket = None
         if spec.randomized and random_graphs > 0:
-            random_bucket = _run_random_upstairs(
-                seed, random_graphs, random_n_max, pair_cap_random, violations
-            )
+            random_bucket = _run_random_upstairs(seed, random_graphs, violations)
     finally:
         if pool is not None:
             pool.shutdown()
@@ -543,7 +500,7 @@ def run_suite(
     }
     if spec.randomized:
         parameters["random_graphs"] = random_graphs
-        parameters["random_n_max"] = random_n_max
+        parameters["random_n_max"] = RANDOM_N_MAX
     if spec.expected_max_chi is not None:
         parameters["expected_max_chi"] = spec.expected_max_chi
     return SuiteReport(
@@ -558,82 +515,32 @@ def run_suite(
 
 
 def _graph_source(n, connected, filters, corpus):
-    """Stream of graphs already satisfying the hereditary generation filters,
-    so counts agree between direct enumeration and an injected corpus."""
-    gen = [f for f in filters if f in _GENERATION_FILTERS]
+    """Stream of graphs already in the hereditary classes that ``filters``
+    names, so counts agree between direct enumeration and an injected corpus.
+    Enumeration prunes by the strictest of them, which implies the others."""
+    classes = [c for c in HEREDITARY_CLASSES if c in filters]
     if corpus is not None and n in corpus:
-        graphs = corpus[n]
-        for f in gen:
-            graphs = [g for g in graphs if FILTERS[f](g)]
-        return graphs
-    if "girth5" in gen:
-        return enumerate_graphs(n, connected=connected, hereditary="girth5")
-    if "triangle-free" in gen:
-        return enumerate_graphs(n, connected=connected, hereditary="triangle-free")
-    return enumerate_graphs(n, connected=connected)
+        return [g for g in corpus[n] if all(FILTERS[c](g) for c in classes)]
+    return enumerate_graphs(n, connected=connected, hereditary=classes[0] if classes else None)
 
 
-def _runtime_filters(filters):
-    out = [f for f in filters if f not in _GENERATION_FILTERS]
-    return sorted(out, key=_FILTER_COST.get)
-
-
-def _map_checks(pool, spec, graphs, ctx):
-    if pool is None or len(graphs) < 4:
-        return [spec.check(g, ctx) for g in graphs]
-    payload = [(g._adj, spec.name, ctx) for g in graphs]
-    return list(pool.map(_worker, payload, chunksize=max(1, len(payload) // 64)))
-
-
-def _run_random_upstairs(seed, count, n_max, pair_cap, violations):
+def _run_random_upstairs(seed, count, violations):
     checks = 0
-    graphs = 0
-    ctx = {"pair_cap": pair_cap}
     for idx in range(count):
         rng = random.Random(f"{seed}:upstairs-random:{idx}")
-        n = rng.randint(4, n_max)
+        n = rng.randint(4, RANDOM_N_MAX)
         p = rng.uniform(0.05, 0.45)
         g = random_connected_graph(rng, n, p)
-        graphs += 1
-        rec = _check_upstairs_sampled(g, rng, pair_cap)
-        checks += rec["checks"]
-        violations.extend(rec["violations"])
-    return {"graphs": graphs, "checks": checks}
-
-
-def _check_upstairs_sampled(g: Graph, rng: random.Random, cap: int) -> dict:
-    checks = 0
-    violations = []
-    root = rng.randrange(g.n)
-    layering = bfs_layering(g, root)
-    for i, layer in enumerate(layering.layers):
-        if i == 0 or len(layer) < 2:
-            continue
-        verts = sorted(layer)
-        pairs = list(combinations(verts, 2))
-        rng.shuffle(pairs)
-        for x, y in pairs[:cap]:
-            checks += 1
-            path = upstairs_path(g, layering, i, x, y)
-            err = _validate_upstairs_path(g, layering, i, x, y, path)
-            if err:
-                violations.append(_violation(
-                    g, f"upstairs path {path} for ({x},{y}) layer {i} root {root}: {err}",
-                ))
-        if len(verts) >= 3:
+        root = rng.randrange(g.n)
+        layering = bfs_layering(g, root)
+        triangle_free = find_triangle(g) is None
+        for i, layer in enumerate(layering.layers):
+            verts = sorted(layer)
+            pairs = list(combinations(verts, 2))
+            rng.shuffle(pairs)
             triples = list(combinations(verts, 3))
             rng.shuffle(triples)
-            for x, y, z in triples[: max(1, cap // 2)]:
-                checks += 1
-                try:
-                    conf = find_confluence(g, layering, i, x, y, z)
-                except ConfluenceSearchError as exc:
-                    violations.append(_violation(
-                        g, f"confluence search failed ({x},{y},{z}) layer {i} root {root}: {exc}",
-                    ))
-                    continue
-                if classify_confluence(g, conf.vertices, (x, y, z)) is None:
-                    violations.append(_violation(
-                        g, f"confluence verification failed ({x},{y},{z}) layer {i} root {root}",
-                    ))
-    return {"checks": checks, "violations": violations}
+            pairs, triples = pairs[:RANDOM_PAIR_CAP], triples[:1]
+            checks += len(pairs) + len(triples)
+            violations += _check_tips(g, layering, root, i, pairs, triples, triangle_free)
+    return {"graphs": count, "checks": checks}

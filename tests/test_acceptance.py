@@ -130,7 +130,7 @@ def test_criterion_06_flat_path_reduction(isk4_free_connected_8):
 
 def test_criterion_07_upstairs_and_confluences(connected_corpus_8):
     corpus = {n: connected_corpus_8[n] for n in range(1, 8)}
-    report = run_suite("upstairs", 7, corpus=corpus, random_graphs=1000, random_n_max=30)
+    report = run_suite("upstairs", 7, corpus=corpus, random_graphs=1000)
     assert report.violations == []
     total = report.counts["total"]["checks"] + report.counts["random"]["checks"]
     # independent re-validation on a seeded sample of random graphs

@@ -2,12 +2,13 @@ import json
 
 import pytest
 
-from isk4color import colorers
+from isk4color import cli, colorers
 from isk4color.cli import cli_main
 from isk4color.families import (
     complete_graph,
     complete_multipartite,
     cycle_graph,
+    path_graph,
     petersen,
 )
 from isk4color.formats import write_graph
@@ -108,6 +109,31 @@ def test_internal_failure_exit(tmp_path, capsys, monkeypatch):
     assert captured.out == ""
     assert captured.err.startswith("error: internal: ")
     assert "improper coloring" in captured.err
+
+
+def test_greedy_improper_coloring_exits_internal(tmp_path, capsys, monkeypatch):
+    # the greedy algorithm gets the same certificate check as the colorers
+    monkeypatch.setattr(cli, "greedy_fallback", lambda g: Coloring((0,) * g.n, 1))
+    p4 = tmp_path / "p4.col"
+    p4.write_text(write_graph(path_graph(4), "dimacs-col"))
+    assert cli_main(["color", "--algorithm", "greedy", "--json", str(p4)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: internal: ")
+
+
+def test_internal_value_error_exits_internal(tmp_path, capsys, monkeypatch):
+    # once the graph is parsed, a ValueError inside the colorer is not a usage error
+    def broken_merge(*args):
+        raise ValueError("merged coloring is not proper")
+
+    monkeypatch.setattr(colorers, "merge_colorings", broken_merge)
+    p4 = tmp_path / "p4.col"
+    p4.write_text(write_graph(path_graph(4), "dimacs-col"))
+    assert cli_main(["color", "--algorithm", "general", str(p4)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: internal: merged coloring is not proper\n"
 
 
 def test_parse_error_exit(tmp_path, capsys):

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 
@@ -123,3 +124,30 @@ def test_corpus_injection_matches_enumeration(connected_corpus_8):
     injected = run_suite("layer-forests", 5, corpus=corpus)
     direct = run_suite("layer-forests", 5)
     assert injected.counts == direct.counts
+
+
+# sha256 of json.dumps(report.to_dict(), sort_keys=True) for every suite:
+# counts, violations and extremal examples stay byte-identical
+SUITE_REPORT_SHA256 = {
+    "flat-reduction": "72e17c700b5c8d893576ead05bab1c439f9afaf2c64a09d049fbc3f941afddc0",
+    "general-bound": "83b64291649de3d30ce04e7b8d31edb15aaa474f3dc29667e64280eee9d0417b",
+    "girth5-degree": "21068bfcc8b5ea542a349a7003148fb0cd847de524087a000f2d4fc97948b76b",
+    "hole-attachment": "4d1d910c226dabd3b3aef1f5ef5237ac540da4ee173c042e62d40836443ad08f",
+    "layer-forests": "b3a6a07ebf796c87fba921cf9aa881e654e1acfe9dd7119decf633f61ac33f8b",
+    "max-chi-general": "6cf3946ac057b3249610a029b3f466a95136b926cdebb3497fd440ee5cedb7d7",
+    "max-chi-triangle-free": "26bb81c29fb21c397eec254443e589cd3d6e2b85e01538a71d21d219d8b2199f",
+    "min-degree-c3": "96e8f762e87e786bbac38eeb4a07e0cc5f350da314fa16b9c7ad5f00f528a5cf",
+    "min-degree-triangle-free": "45f2a49990687404b8717532e0182db5e3f966eefc799831fe1c3592528be71b",
+    "triangle-free-bound": "f9bcb31fa009c88e4ad7a3df6e174ce29960b4de93d5796928431f8e5bfc37b0",
+    "upstairs": "9302308d85319f6f687d76a4b5b84fdb76b60a838ccbe2874537d6f275e35d29",
+    "wheel-free-chi": "8c645f211e598bce31667ef01e79e120ae2ade011e2a195c0ceaf3240e3b44fb",
+}
+
+
+@pytest.mark.parametrize("name", sorted(SUITES))
+def test_suite_report_bytes_pinned(name):
+    # n = 7 is the smallest order with hole-attachment checks
+    n = 7 if name == "hole-attachment" else 6
+    kwargs = {"random_graphs": 25} if name == "upstairs" else {}
+    payload = json.dumps(run_suite(name, n, **kwargs).to_dict(), sort_keys=True)
+    assert hashlib.sha256(payload.encode()).hexdigest() == SUITE_REPORT_SHA256[name]
