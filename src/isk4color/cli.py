@@ -35,7 +35,7 @@ from .colorers import (
 )
 from .formats import FORMATS, GraphParseError, json_report, parse_graph, serialize_coloring
 from .graph import Graph, is_proper_coloring
-from .oracle import SizeLimitError, chromatic_number_exact, contains_isk4
+from .oracle import SUBSET_SWEEP_CAP, SizeLimitError, chromatic_number_exact, contains_isk4
 from .patterns import (
     find_boat,
     find_four_wheel,
@@ -227,7 +227,7 @@ def _emit_violation(args, argv, digest, violation) -> int:
 
 def _cmd_oracle(args, argv) -> int:
     g, digest = _load_graph(args.file, args.format)
-    limit = None if args.force else 16
+    limit = None if args.force else SUBSET_SWEEP_CAP
     if args.question == "chi":
         chi = chromatic_number_exact(g, limit=limit)
         if args.json:

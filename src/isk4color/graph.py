@@ -98,9 +98,6 @@ class Graph:
     def m(self) -> int:
         return sum(m.bit_count() for m in self._adj) // 2
 
-    def vertices(self) -> range:
-        return range(self.n)
-
     def complement(self) -> "Graph":
         full = (1 << self.n) - 1
         return Graph.from_masks(full & ~m & ~(1 << v) for v, m in enumerate(self._adj))
@@ -127,9 +124,6 @@ class Coloring:
         for v, c in enumerate(self.assignment):
             if not (0 <= c < self.palette_size):
                 raise ValueError(f"color {c} of vertex {v} outside palette 0..{self.palette_size - 1}")
-
-    def color_of(self, v: int) -> int:
-        return self.assignment[v]
 
 
 @dataclass(frozen=True)

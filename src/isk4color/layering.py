@@ -1,6 +1,15 @@
 """Connections through upper BFS layers: upstairs paths between two
 same-layer vertices, confluences joining three, and the odd/even layer
 palette combination.
+
+Every search keeps the vertex ids of the host graph, so no id is mapped
+back: ``upstairs_path`` passes the vertices it may not use to ``bfs_path``
+as a blocked mask, and ``find_confluence`` drops every edge that leaves
+the tips and the upper layers.  A confluence is recognized by suppressing
+the chains between its branch vertices with ``graph.suppress_chains`` and
+reading the shape that is left (``classify_confluence``); ``_sweep`` is the
+one minimum-size subset search, used on the union of the heuristic's
+candidate paths and, as the exact fallback, on the whole region.
 """
 
 from __future__ import annotations
@@ -14,10 +23,9 @@ from .graph import (
     Layering,
     bfs_path,
     bits,
-    induced_subgraph,
-    is_connected,
     is_proper_coloring,
     mask_of,
+    suppress_chains,
     triangles,
 )
 
@@ -28,6 +36,9 @@ class ConfluenceSearchError(RuntimeError):
 
 
 EXACT_SWEEP_REGION_CAP = 20
+# the heuristic sweeps the subsets of a candidate path union only up to this
+# many non-tip vertices
+_UNION_SWEEP_CAP = 18
 
 
 @dataclass
@@ -83,12 +94,10 @@ def upstairs_path(g: Graph, layering: Layering, i: int, x: int, y: int) -> list[
         collected.add(cx)
         collected.add(cy)
         level -= 1
-    sub, ids = induced_subgraph(g, collected)
-    pos = {v: k for k, v in enumerate(ids)}
-    path = bfs_path(sub, pos[x], pos[y])
+    path = bfs_path(g, x, y, ~mask_of(collected))
     if path is None:
         raise AssertionError(f"internal error: no upstairs path joins {x} and {y}")
-    return [ids[v] for v in path]
+    return path
 
 
 # ---------------------------------------------------------------------------
@@ -97,186 +106,112 @@ def upstairs_path(g: Graph, layering: Layering, i: int, x: int, y: int) -> list[
 
 def classify_confluence(g: Graph, candidate, tips) -> Confluence | None:
     """Exact structural check: does ``candidate`` induce a confluence of the
-    three tips?  This is the standalone verifier behind find_confluence."""
+    three tips?  This is the standalone verifier behind find_confluence.
+
+    The branch vertices are the tips plus every vertex of degree at least 3
+    in G[candidate]; suppressing the chains between them must leave one of
+    three shapes.  A claw centered on the one non-tip branch vertex, or a path
+    whose middle tip is the center, is a kind-1 confluence.  A triangle of
+    direct edges in which each tip is a corner or ends a pendant chain at its
+    own corner is a kind-2 confluence.
+    """
     x, y, z = tips
+    tipset = {x, y, z}
     cset = set(candidate)
-    if not {x, y, z} <= cset or len({x, y, z}) != 3:
+    if not tipset <= cset or len(tipset) != 3:
         return None
-    sub, ids = induced_subgraph(g, cset)
-    pos = {v: k for k, v in enumerate(ids)}
-    tip_local = (pos[x], pos[y], pos[z])
-    result = _classify_local(sub, tip_local)
-    if result is None:
+    cmask = mask_of(cset)
+    branch = tipset | {v for v in cset if (g.mask(v) & cmask).bit_count() >= 3}
+    chains = suppress_chains(g, cset, sorted(branch))
+    if chains is None:
         return None
-    kind, paths_local, center_local = result
-    paths = tuple(tuple(ids[v] for v in p) for p in paths_local)
-    center = ids[center_local] if kind == 1 else tuple(ids[v] for v in center_local)
-    return Confluence(kind, (x, y, z), paths, center)
+    adj: dict[int, set[int]] = {b: set() for b in branch}
+    for a, b in chains:
+        adj[a].add(b)
+        adj[b].add(a)
 
+    def chain(t: int, u: int) -> tuple[int, ...]:
+        if t == u:
+            return (t,)
+        return tuple(chains[t, u]) if t < u else tuple(reversed(chains[u, t]))
 
-def _classify_local(h: Graph, tips) -> tuple[int, tuple, int | tuple] | None:
-    if not is_connected(h):
+    # a star at u: a claw at a non-tip center, or a path with a tip in the middle
+    for u in branch:
+        if adj[u] | {u} == branch == tipset | {u} and len(chains) == len(adj[u]):
+            return Confluence(1, (x, y, z), tuple(chain(t, u) for t in tips), u)
+    # a triangle: each tip is a corner of degree 2 or a leaf hanging off one
+    if any(len(adj[t]) not in (1, 2) for t in tips):
         return None
-    if h.m == h.n - 1:
-        return _classify_tree(h, tips)
-    if h.m == h.n:
-        return _classify_unicyclic(h, tips)
+    corners = tuple(t if len(adj[t]) == 2 else min(adj[t]) for t in tips)
+    pendants = sum(len(adj[t]) == 1 for t in tips)
+    if (
+        len(set(corners)) == 3
+        and branch == tipset | set(corners)
+        and len(chains) == 3 + pendants
+        and all(len(chains.get(pair, ())) == 2 for pair in combinations(sorted(corners), 2))
+    ):
+        return Confluence(2, (x, y, z), tuple(map(chain, tips, corners)), corners)
     return None
-
-
-def _classify_tree(h: Graph, tips) -> tuple | None:
-    n = h.n
-    degs = [h.degree(v) for v in range(n)]
-    if any(d > 3 for d in degs):
-        return None
-    centers = [v for v in range(n) if degs[v] == 3]
-    leaves = [v for v in range(n) if degs[v] <= 1]
-    if len(centers) > 1:
-        return None
-    if centers:
-        u = centers[0]
-        if sorted(leaves) != sorted(tips):
-            return None
-    else:
-        # a path: its two ends must be tips and the third tip is the center
-        if n == 1:
-            return None
-        ends = [v for v in range(n) if degs[v] == 1]
-        inner = [t for t in tips if t not in ends]
-        if len(inner) != 1 or not set(ends) <= set(tips):
-            return None
-        u = inner[0]
-    paths = []
-    for t in tips:
-        p = bfs_path(h, t, u)
-        if p is None or any(v in tips and v not in (t, u) for v in p):
-            return None
-        paths.append(tuple(p))
-    # the three paths must share only u
-    interiors = [set(p) - {u} for p in paths]
-    for a, b in combinations(range(3), 2):
-        if interiors[a] & interiors[b]:
-            return None
-    if set().union(*interiors) | {u} != set(range(h.n)):
-        return None
-    return 1, tuple(paths), u
-
-
-def _classify_unicyclic(h: Graph, tips) -> tuple | None:
-    n = h.n
-    tris = list(triangles(h))
-    if len(tris) != 1:
-        return None
-    tri = tris[0]
-    tmask = mask_of(tri)
-    for v in range(n):
-        d = h.degree(v)
-        if d > (3 if tmask >> v & 1 else 2):
-            return None
-    # walk the pendant path hanging off each corner; with m == n and a unique
-    # triangle, covering all vertices this way forces "no other edges"
-    paths = []
-    used = set(tri)
-    for corner in tri:
-        pend = [w for w in bits(h.mask(corner)) if not (tmask >> w & 1)]
-        if len(pend) > 1:
-            return None
-        path = [corner]
-        if pend:
-            prev, cur = corner, pend[0]
-            while True:
-                if cur in used:
-                    return None
-                used.add(cur)
-                path.append(cur)
-                nxt = [w for w in bits(h.mask(cur)) if w != prev]
-                if not nxt:
-                    break
-                if len(nxt) > 1 or nxt[0] in used:
-                    return None
-                prev, cur = cur, nxt[0]
-        paths.append(path)
-    if used != set(range(n)):
-        return None
-    far_ends = [p[-1] for p in paths]
-    if sorted(far_ends) != sorted(tips):
-        return None
-    ordered = []
-    centers = []
-    for t in tips:
-        k = far_ends.index(t)
-        ordered.append(tuple(reversed(paths[k])))  # tip-first, inner end = corner
-        centers.append(tri[k])
-        if any(v in tips for v in paths[k][:-1]):
-            return None  # a tip buried inside a pendant path
-    return 2, tuple(ordered), tuple(centers)
 
 
 def find_confluence(g: Graph, layering: Layering, i: int, x: int, y: int, z: int) -> Confluence:
     """A subset of layers 0..i-1 that joins the three tips as a confluence.
 
-    Strategy: try centers (vertices, then triangles) in order of summed BFS
-    distance, building three nearly disjoint shortest paths and verifying the
-    union; on failure fall back to an exact minimum-size subset sweep when the
-    upper region has at most EXACT_SWEEP_REGION_CAP vertices.
+    The search runs on g with every edge that leaves the tips and layers
+    0..i-1 dropped; vertex ids stay those of g.  It tries centers (vertices,
+    then triangles) in order of summed BFS distance, builds three nearly
+    disjoint shortest paths and sweeps the subsets of their union; on
+    failure it sweeps the subsets of the whole region when that has at most
+    EXACT_SWEEP_REGION_CAP vertices.  Either sweep returns the first
+    confluence among the smallest subsets.
     """
     _check_layer_args(layering, i, (x, y, z))
-    region = set()
-    for layer in layering.layers[:i]:
-        region |= layer
+    region = mask_of(v for layer in layering.layers[:i] for v in layer)
     tips = (x, y, z)
-    allowed = region | set(tips)
-    sub, ids = induced_subgraph(g, allowed)
-    pos = {v: k for k, v in enumerate(ids)}
-    local_tips = tuple(pos[t] for t in tips)
-
-    hit = _heuristic_confluence(sub, local_tips)
+    allowed = region | mask_of(tips)
+    # the same ids as g, with every edge that leaves ``allowed`` dropped
+    h = Graph.from_masks(g.mask(v) & allowed if allowed >> v & 1 else 0 for v in range(g.n))
+    hit = _heuristic_confluence(h, tips)
     if hit is None:
-        if len(region) <= EXACT_SWEEP_REGION_CAP:
-            hit = _exact_confluence(sub, local_tips)
-            if hit is None:
-                raise ConfluenceSearchError(
-                    f"exhaustive sweep found no confluence for tips {tips}; "
-                    "the layering input is inconsistent"
-                )
-        else:
+        size = region.bit_count()
+        if size > EXACT_SWEEP_REGION_CAP:
             raise ConfluenceSearchError(
                 f"heuristic search failed for tips {tips} and the region "
-                f"({len(region)} vertices) exceeds the exact sweep cap "
+                f"({size} vertices) exceeds the exact sweep cap "
                 f"{EXACT_SWEEP_REGION_CAP}; result would be unverified"
             )
-    kind, paths_local, center_local = hit
-    paths = tuple(tuple(ids[v] for v in p) for p in paths_local)
-    center = ids[center_local] if kind == 1 else tuple(ids[v] for v in center_local)
-    return Confluence(kind, tips, paths, center)
+        hit = _sweep(h, tips, list(bits(region)))
+        if hit is None:
+            raise ConfluenceSearchError(
+                f"exhaustive sweep found no confluence for tips {tips}; "
+                "the layering input is inconsistent"
+            )
+    return hit
 
 
-def _heuristic_confluence(h: Graph, tips) -> tuple | None:
-    tipset = set(tips)
-    dists = []
-    for t in tips:
-        block = mask_of(tipset - {t})
-        dists.append(_bfs_dists(h, t, block))
+def _heuristic_confluence(h: Graph, tips) -> Confluence | None:
+    tipmask = mask_of(tips)
+    dists = [_bfs_dists(h, t, tipmask & ~(1 << t)) for t in tips]
     candidates: list[tuple[int, int, tuple[int, ...]]] = []
     for m in range(h.n):
         ds = [d[m] for d in dists]
-        if any(d is None for d in ds):
-            continue
-        candidates.append((sum(ds), 0, (m, m, m)))
+        if None not in ds:
+            candidates.append((sum(ds), 0, (m, m, m)))
     for tri in triangles(h):
         for perm in permutations(tri):
             ds = [dists[k][perm[k]] for k in range(3)]
-            if any(d is None for d in ds):
-                continue
-            candidates.append((sum(ds), 1, perm))
+            if None not in ds:
+                candidates.append((sum(ds), 1, perm))
     candidates.sort()
     for _, is_tri, targets in candidates[:60]:
         union = _collect_union(h, tips, targets)
         if union is None:
             continue
-        hit = _shrink_and_classify(h, tips, union)
-        if hit is not None:
-            return hit
+        pool = sorted(union - set(tips))
+        if len(pool) <= _UNION_SWEEP_CAP:
+            hit = _sweep(h, tips, pool)
+            if hit is not None:
+                return hit
     return None
 
 
@@ -315,46 +250,20 @@ def _collect_union(h: Graph, tips, targets) -> set[int] | None:
     return None
 
 
-def _shrink_and_classify(h: Graph, tips, union: set[int]) -> tuple | None:
-    """Exact minimum-size sweep restricted to ``union`` (small by construction)."""
-    extra = sorted(union - set(tips))
-    if len(extra) > 18:
-        return None
-    base = list(tips)
-    for size in range(len(extra) + 1):
-        for combo in combinations(extra, size):
-            cand = base + list(combo)
-            sub_result = _classify_on_subset(h, cand, tips)
-            if sub_result is not None:
-                return sub_result
+def _sweep(g: Graph, tips, pool: list[int]) -> Confluence | None:
+    """The first confluence of the tips plus a subset of the sorted ``pool``,
+    smallest subsets first; a subset that leaves a tip without a neighbor
+    is skipped."""
+    base = mask_of(tips)
+    tip_masks = [g.mask(t) for t in tips]
+    for size in range(len(pool) + 1):
+        for combo in combinations(pool, size):
+            cmask = base | mask_of(combo)
+            if all(tm & cmask for tm in tip_masks):
+                hit = classify_confluence(g, tips + combo, tips)
+                if hit is not None:
+                    return hit
     return None
-
-
-def _exact_confluence(h: Graph, tips) -> tuple | None:
-    others = sorted(set(range(h.n)) - set(tips))
-    base = list(tips)
-    tip_masks = [h.mask(t) for t in tips]
-    for size in range(len(others) + 1):
-        for combo in combinations(others, size):
-            cmask = mask_of(base) | mask_of(combo)
-            if any(not (tm & cmask) for tm in tip_masks):
-                continue  # a tip would be isolated
-            hit = _classify_on_subset(h, base + list(combo), tips)
-            if hit is not None:
-                return hit
-    return None
-
-
-def _classify_on_subset(h: Graph, cand, tips) -> tuple | None:
-    sub, ids = induced_subgraph(h, cand)
-    pos = {v: k for k, v in enumerate(ids)}
-    res = _classify_local(sub, tuple(pos[t] for t in tips))
-    if res is None:
-        return None
-    kind, paths, center = res
-    paths = tuple(tuple(ids[v] for v in p) for p in paths)
-    center = ids[center] if kind == 1 else tuple(ids[v] for v in center)
-    return kind, paths, center
 
 
 # ---------------------------------------------------------------------------

@@ -277,52 +277,49 @@ def _prism_paths(g, t1, t2, idx, blocked, acc):
 # hole-plus-apex detectors
 
 
-def _consecutive_on_hole(order: tuple[int, ...], nbr_positions: list[int]) -> bool:
-    L = len(order)
-    pos = set(nbr_positions)
-    if len(pos) != 4:
+def _is_boat_hub(order: tuple[int, ...], nbrs: int) -> bool:
+    """Exactly four neighbors on the hole, and consecutive along it."""
+    if nbrs.bit_count() != 4:
         return False
+    L = len(order)
+    pos = {i for i, v in enumerate(order) if nbrs >> v & 1}
     return any({(r + k) % L for k in range(4)} == pos for r in range(L))
+
+
+# the one hub test of each hole-plus-hub kind: the hole in order and the
+# mask of the hub's neighbors on it
+_HUB_TESTS = {
+    "wheel": lambda order, nbrs: nbrs.bit_count() >= 3,
+    "boat": _is_boat_hub,
+    "four_wheel": lambda order, nbrs: len(order) == 4 and nbrs.bit_count() == 4,
+}
+
+
+def _find_hub(g: Graph, kind: str, max_len: int | None = None) -> PatternWitness | None:
+    """The first hole (up to ``max_len`` vertices) and outside vertex that
+    pass the hub test of ``kind``."""
+    hub_test = _HUB_TESTS[kind]
+    for order in enumerate_holes(g, 4, max_len):
+        hmask = mask_of(order)
+        for x in range(g.n):
+            if not hmask >> x & 1 and hub_test(order, g.mask(x) & hmask):
+                return PatternWitness(kind, frozenset(order) | {x}, {"hub": x, "hole": order})
+    return None
 
 
 def find_wheel(g: Graph) -> PatternWitness | None:
     """Hole plus an outside vertex with at least three neighbors on it."""
-    for order in enumerate_holes(g):
-        hmask = mask_of(order)
-        for x in range(g.n):
-            if hmask >> x & 1:
-                continue
-            if (g.mask(x) & hmask).bit_count() >= 3:
-                return PatternWitness("wheel", frozenset(order) | {x}, {"hub": x, "hole": order})
-    return None
+    return _find_hub(g, "wheel")
 
 
 def find_boat(g: Graph) -> PatternWitness | None:
     """Hole plus an outside vertex with exactly four consecutive neighbors on it."""
-    for order in enumerate_holes(g):
-        hmask = mask_of(order)
-        for x in range(g.n):
-            if hmask >> x & 1:
-                continue
-            nbrs = g.mask(x) & hmask
-            if nbrs.bit_count() != 4:
-                continue
-            positions = [i for i, v in enumerate(order) if nbrs >> v & 1]
-            if _consecutive_on_hole(order, positions):
-                return PatternWitness("boat", frozenset(order) | {x}, {"hub": x, "hole": order})
-    return None
+    return _find_hub(g, "boat")
 
 
 def find_four_wheel(g: Graph) -> PatternWitness | None:
     """Induced C4 plus an outside vertex complete to it."""
-    for order in enumerate_holes(g, 4, 4):
-        hmask = mask_of(order)
-        for x in range(g.n):
-            if hmask >> x & 1:
-                continue
-            if g.mask(x) & hmask == hmask:
-                return PatternWitness("four_wheel", frozenset(order) | {x}, {"hub": x, "hole": order})
-    return None
+    return _find_hub(g, "four_wheel", 4)
 
 
 # ---------------------------------------------------------------------------
@@ -517,44 +514,28 @@ def verify_witness(g: Graph, w: PatternWitness) -> bool:
         order = chordless_order(g, vs, hole=True)
         return order is not None and (w.kind != "c4" or len(order) == 4)
     if w.kind == "k33":
-        return _check_k33_set(g, vs)
+        return _check_multipartite_set(g, vs, 9, [3, 3])
     if w.kind == "k222":
-        return _check_k222_set(g, vs)
+        return _check_multipartite_set(g, vs, 12, [2, 2, 2])
     if w.kind == "prism":
         return check_prism(g, vs) is not None
-    if w.kind in ("wheel", "boat", "four_wheel"):
+    if w.kind in _HUB_TESTS:
         hub = w.extra["hub"]
         order = chordless_order(g, set(vs) - {hub}, hole=True)
-        if order is None:
-            return False
-        count = (g.mask(hub) & mask_of(order)).bit_count()
-        if w.kind == "wheel":
-            return count >= 3
-        positions = [i for i, v in enumerate(order) if g.has_edge(hub, v)]
-        if w.kind == "boat":
-            return count == 4 and _consecutive_on_hole(order, positions)
-        return len(order) == 4 and count == 4
+        return order is not None and _HUB_TESTS[w.kind](order, g.mask(hub) & mask_of(order))
     if w.kind == "rich_square":
         square = tuple(w.extra["square"])
         return set(vs) == set(range(g.n)) and check_rich_square(g, square) is not None
     raise ValueError(f"unknown witness kind {w.kind!r}")
 
 
-def _check_k33_set(g: Graph, vs) -> bool:
-    if len(vs) != 6:
+def _check_multipartite_set(g: Graph, vs, edges: int, sizes: list[int]) -> bool:
+    """``vs`` induces the complete multipartite graph with these part sizes
+    (sorted), which has ``edges`` edges."""
+    if len(vs) != sum(sizes):
         return False
     sub, _ = induced_subgraph(g, vs)
-    if sub.m != 9:
+    if sub.m != edges:
         return False
     shape = recognize_thick_multipartite(sub)
-    return shape is not None and sorted(len(p) for p in shape.parts) == [3, 3]
-
-
-def _check_k222_set(g: Graph, vs) -> bool:
-    if len(vs) != 6:
-        return False
-    sub, _ = induced_subgraph(g, vs)
-    if sub.m != 12:
-        return False
-    shape = recognize_thick_multipartite(sub)
-    return shape is not None and sorted(len(p) for p in shape.parts) == [2, 2, 2]
+    return shape is not None and sorted(len(p) for p in shape.parts) == sizes

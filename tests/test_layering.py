@@ -1,8 +1,11 @@
+import hashlib
+import json
 import random
+from itertools import combinations
 
 import pytest
 
-from isk4color.graph import Graph, Coloring, bfs_layering, is_proper_coloring
+from isk4color.graph import Graph, Coloring, bfs_layering, is_connected, is_proper_coloring
 from isk4color.families import (
     complete_graph,
     cycle_graph,
@@ -10,6 +13,7 @@ from isk4color.families import (
     random_connected_graph,
 )
 from isk4color.layering import (
+    ConfluenceSearchError,
     classify_confluence,
     combine_layer_colorings,
     find_confluence,
@@ -17,6 +21,11 @@ from isk4color.layering import (
 )
 from isk4color.patterns import find_triangle
 from suite_helpers import validate_upstairs
+
+# sha256 of the JSON list of confluence results over the exhaustive n <= 6
+# corpus; any change to the confluence layer must leave them byte-identical
+CLASSIFY_DIGEST = "4e5d79ff366c24705f2a4281f320ca4ff7594a32871a47f7b9e9a5f89cd0fec8"
+FIND_DIGEST = "b236bf4751364b230ff1e460c40330efb571d6c347d83fa5dc41704551d07475"
 
 
 def test_upstairs_examples():
@@ -270,3 +279,45 @@ def test_combine_layer_colorings_random_property():
         odd = max((c.palette_size for i, c in enumerate(per) if i % 2), default=0)
         even = max((c.palette_size for i, c in enumerate(per) if not i % 2), default=0)
         assert combined.palette_size == odd + even
+
+
+def _confluence_digest(records) -> str:
+    return hashlib.sha256(json.dumps(records).encode()).hexdigest()
+
+
+def _confluence_record(conf):
+    return None if conf is None else [conf.kind, conf.paths, conf.center]
+
+
+def test_classify_confluence_pinned(all_graphs_7):
+    # every vertex subset and every sorted tip triple inside it, n <= 6
+    records = []
+    for n in range(1, 7):
+        for g in all_graphs_7[n]:
+            for tips in combinations(range(n), 3):
+                rest = [v for v in range(n) if v not in tips]
+                for size in range(len(rest) + 1):
+                    for extra in combinations(rest, size):
+                        conf = classify_confluence(g, tips + extra, tips)
+                        records.append(_confluence_record(conf))
+    assert len(records) == 26_412
+    assert _confluence_digest(records) == CLASSIFY_DIGEST
+
+
+def test_find_confluence_pinned(all_graphs_7):
+    # every root, layer and sorted triple of the connected graphs, n <= 6
+    records = []
+    for n in range(3, 7):
+        for g in all_graphs_7[n]:
+            if not is_connected(g):
+                continue
+            for root in range(n):
+                lay = bfs_layering(g, root)
+                for i in range(1, len(lay.layers)):
+                    for tips in combinations(sorted(lay.layers[i]), 3):
+                        try:
+                            records.append(_confluence_record(find_confluence(g, lay, i, *tips)))
+                        except ConfluenceSearchError as exc:
+                            records.append(["error", str(exc)])
+    assert len(records) == 1_612
+    assert _confluence_digest(records) == FIND_DIGEST
