@@ -4,18 +4,18 @@ palette combination.
 
 Every search keeps the vertex ids of the host graph, so no id is mapped
 back: ``upstairs_path`` passes the vertices it may not use to ``bfs_path``
-as a blocked mask, and ``find_confluence`` drops every edge that leaves
-the tips and the upper layers.  A confluence is recognized by suppressing
-the chains between its branch vertices with ``graph.suppress_chains`` and
-reading the shape that is left (``classify_confluence``); ``_sweep`` is the
-one minimum-size subset search, used on the union of the heuristic's
-candidate paths and, as the exact fallback, on the whole region.
+as a blocked mask, and ``find_confluence`` works on vertex masks of g.
+``find_confluence`` returns an inclusion-minimal confluence, found by one
+deletion pass in increasing id order.  A confluence is recognized by
+suppressing the chains between its branch vertices with
+``graph.suppress_chains`` and reading the shape that is left
+(``classify_confluence``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, permutations
+from itertools import combinations
 
 from .graph import (
     Graph,
@@ -23,22 +23,11 @@ from .graph import (
     Layering,
     bfs_path,
     bits,
+    component_masks,
     is_proper_coloring,
     mask_of,
     suppress_chains,
-    triangles,
 )
-
-
-class ConfluenceSearchError(RuntimeError):
-    """The heuristic search failed and the region is too large for the exact
-    subset sweep; the result would be unverified."""
-
-
-EXACT_SWEEP_REGION_CAP = 20
-# the heuristic sweeps the subsets of a candidate path union only up to this
-# many non-tip vertices
-_UNION_SWEEP_CAP = 18
 
 
 @dataclass
@@ -155,115 +144,40 @@ def classify_confluence(g: Graph, candidate, tips) -> Confluence | None:
 
 
 def find_confluence(g: Graph, layering: Layering, i: int, x: int, y: int, z: int) -> Confluence:
-    """A subset of layers 0..i-1 that joins the three tips as a confluence.
+    """An inclusion-minimal subset of layers 0..i-1 that joins the three tips
+    as a confluence, found by one deletion pass in increasing id order.
 
-    The search runs on g with every edge that leaves the tips and layers
-    0..i-1 dropped; vertex ids stay those of g.  It tries centers (vertices,
-    then triangles) in order of summed BFS distance, builds three nearly
-    disjoint shortest paths and sweeps the subsets of their union; on
-    failure it sweeps the subsets of the whole region when that has at most
-    EXACT_SWEEP_REGION_CAP vertices.  Either sweep returns the first
-    confluence among the smallest subsets.
+    The pass starts from the component of G[layers 0..i-1 + tips] that holds
+    the tips and drops each region vertex whose removal leaves the tips in
+    one component, shrinking to that component.  A vertex kept once stays
+    needed, because the set only shrinks; a minimal connected induced
+    subgraph holding three vertices is a confluence (the three-in-a-tree
+    lemma, Chudnovsky-Seymour 2010), so the result always classifies.
+    Vertex ids stay those of g.
     """
     _check_layer_args(layering, i, (x, y, z))
-    region = mask_of(v for layer in layering.layers[:i] for v in layer)
     tips = (x, y, z)
-    allowed = region | mask_of(tips)
-    # the same ids as g, with every edge that leaves ``allowed`` dropped
-    h = Graph.from_masks(g.mask(v) & allowed if allowed >> v & 1 else 0 for v in range(g.n))
-    hit = _heuristic_confluence(h, tips)
-    if hit is None:
-        size = region.bit_count()
-        if size > EXACT_SWEEP_REGION_CAP:
-            raise ConfluenceSearchError(
-                f"heuristic search failed for tips {tips} and the region "
-                f"({size} vertices) exceeds the exact sweep cap "
-                f"{EXACT_SWEEP_REGION_CAP}; result would be unverified"
-            )
-        hit = _sweep(h, tips, list(bits(region)))
-        if hit is None:
-            raise ConfluenceSearchError(
-                f"exhaustive sweep found no confluence for tips {tips}; "
-                "the layering input is inconsistent"
-            )
-    return hit
-
-
-def _heuristic_confluence(h: Graph, tips) -> Confluence | None:
     tipmask = mask_of(tips)
-    dists = [_bfs_dists(h, t, tipmask & ~(1 << t)) for t in tips]
-    candidates: list[tuple[int, int, tuple[int, ...]]] = []
-    for m in range(h.n):
-        ds = [d[m] for d in dists]
-        if None not in ds:
-            candidates.append((sum(ds), 0, (m, m, m)))
-    for tri in triangles(h):
-        for perm in permutations(tri):
-            ds = [dists[k][perm[k]] for k in range(3)]
-            if None not in ds:
-                candidates.append((sum(ds), 1, perm))
-    candidates.sort()
-    for _, is_tri, targets in candidates[:60]:
-        union = _collect_union(h, tips, targets)
-        if union is None:
-            continue
-        pool = sorted(union - set(tips))
-        if len(pool) <= _UNION_SWEEP_CAP:
-            hit = _sweep(h, tips, pool)
-            if hit is not None:
-                return hit
-    return None
+    region = mask_of(v for layer in layering.layers[:i] for v in layer)
+    keep = _tip_component(g, region | tipmask, tipmask)
+    if not keep:
+        raise ValueError(f"layering is inconsistent: layers 0..{i - 1} do not join the tips {tips}")
+    for v in bits(region & keep):
+        if keep >> v & 1:
+            # 0 when the tips split without v: v stays
+            keep = _tip_component(g, keep & ~(1 << v), tipmask) or keep
+    conf = classify_confluence(g, bits(keep), tips)
+    if conf is None:
+        raise AssertionError(f"internal error: minimal set {sorted(bits(keep))} is no confluence of {tips}")
+    return conf
 
 
-def _bfs_dists(h: Graph, s: int, blocked: int) -> list[int | None]:
-    dist: list[int | None] = [None] * h.n
-    dist[s] = 0
-    frontier = [s]
-    while frontier:
-        nxt = []
-        for v in frontier:
-            for w in bits(h.mask(v) & ~blocked):
-                if dist[w] is None:
-                    dist[w] = dist[v] + 1
-                    nxt.append(w)
-        frontier = nxt
-    return dist
-
-
-def _collect_union(h: Graph, tips, targets) -> set[int] | None:
-    """Union of short tip-to-target paths built in some avoidance order;
-    None when a tip cannot reach its target.  ``targets[k]`` is the center
-    vertex tip k must reach (all equal for a single-center attempt)."""
-    for order in permutations(range(3)):
-        union = set(targets)
-        ok = True
-        for k in order:
-            t = tips[k]
-            block = (set(tips) - {t}) | (union - {targets[k]})
-            path = bfs_path(h, t, targets[k], mask_of(block))
-            if path is None:
-                ok = False
-                break
-            union.update(path)
-        if ok:
-            return union
-    return None
-
-
-def _sweep(g: Graph, tips, pool: list[int]) -> Confluence | None:
-    """The first confluence of the tips plus a subset of the sorted ``pool``,
-    smallest subsets first; a subset that leaves a tip without a neighbor
-    is skipped."""
-    base = mask_of(tips)
-    tip_masks = [g.mask(t) for t in tips]
-    for size in range(len(pool) + 1):
-        for combo in combinations(pool, size):
-            cmask = base | mask_of(combo)
-            if all(tm & cmask for tm in tip_masks):
-                hit = classify_confluence(g, tips + combo, tips)
-                if hit is not None:
-                    return hit
-    return None
+def _tip_component(g: Graph, allowed: int, tipmask: int) -> int:
+    """The component of G[allowed] that holds every tip, or 0 when none does."""
+    for comp in component_masks(g, ~allowed):
+        if comp & tipmask:
+            return comp if tipmask & ~comp == 0 else 0
+    return 0
 
 
 # ---------------------------------------------------------------------------

@@ -433,45 +433,67 @@ def recognize_line_graph_subcubic(g: Graph) -> KrauszPartition | None:
 
     seed = max(range(g.n), key=lambda v: (g.degree(v), -v))
     edge_list = sorted(g.edges(), key=lambda e: (e[0] != seed and e[1] != seed, e))
-    assignment = _krausz_search(g, edge_list, 0, {}, [0] * g.n)
+    assignment = _krausz_search(g, edge_list)
     if assignment is None:
         return None
     return _build_krausz(g, assignment)
 
 
-def _krausz_search(g, edge_list, idx, edge_clique, clique_count):
-    while idx < len(edge_list) and edge_list[idx] in edge_clique:
-        idx += 1
-    if idx == len(edge_list):
-        return dict(edge_clique)
-    u, v = edge_list[idx]
+def _krausz_search(g, edge_list):
+    """Depth-first search for the clique of each edge: the first unassigned
+    edge (u, v) of ``edge_list`` joins a triangle u, v, w (by increasing w)
+    or stays a clique of its own, and every vertex lies in at most two
+    cliques.  The search backtracks on an explicit stack, so long inputs do
+    not hit the recursion limit."""
+    edge_clique: dict[tuple[int, int], tuple[int, ...]] = {}
+    clique_count = [0] * g.n
+
+    def place(members, step):
+        for e in combinations(members, 2):
+            if step > 0:
+                edge_clique[e] = members
+            else:
+                del edge_clique[e]
+        for x in members:
+            clique_count[x] += step
+
+    stack = []  # (edge index, untried cliques) per frame
+    placed = []  # the clique each frame has placed
+    idx = 0
+    while True:
+        while idx < len(edge_list) and edge_list[idx] in edge_clique:
+            idx += 1
+        if idx == len(edge_list):
+            return dict(edge_clique)
+        stack.append((idx, iter(_krausz_candidates(g, edge_list[idx], edge_clique, clique_count))))
+        while stack:
+            if len(placed) == len(stack):
+                place(placed.pop(), -1)
+            idx, untried = stack[-1]
+            clique = next(untried, None)
+            if clique is not None:
+                place(clique, 1)
+                placed.append(clique)
+                break
+            stack.pop()
+        else:
+            return None
+
+
+def _krausz_candidates(g, edge, edge_clique, clique_count) -> list[tuple[int, ...]]:
+    """The cliques, as sorted tuples, that may take the unassigned ``edge``."""
+    u, v = edge
     if clique_count[u] >= 2 or clique_count[v] >= 2:
-        return None
+        return []
     candidates = []
     for w in bits(g.mask(u) & g.mask(v)):
         if clique_count[w] >= 2:
             continue
-        e1 = (min(u, w), max(u, w))
-        e2 = (min(v, w), max(v, w))
-        if e1 in edge_clique or e2 in edge_clique:
+        if (min(u, w), max(u, w)) in edge_clique or (min(v, w), max(v, w)) in edge_clique:
             continue
-        candidates.append((u, v, w))
+        candidates.append(tuple(sorted((u, v, w))))
     candidates.append((u, v))
-    for cl in candidates:
-        members = sorted(cl)
-        new_edges = [tuple(sorted(p)) for p in combinations(members, 2)]
-        for e in new_edges:
-            edge_clique[e] = tuple(members)
-        for x in members:
-            clique_count[x] += 1
-        res = _krausz_search(g, edge_list, idx, edge_clique, clique_count)
-        if res is not None:
-            return res
-        for e in new_edges:
-            del edge_clique[e]
-        for x in members:
-            clique_count[x] -= 1
-    return None
+    return candidates
 
 
 def _build_krausz(g, edge_clique):

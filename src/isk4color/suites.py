@@ -26,7 +26,7 @@ from .decompose import maximal_flat_paths, reduce_flat_path
 from .families import random_connected_graph
 from .formats import write_graph6_line
 from .graph import Graph, bfs_layering, girth, is_proper_coloring
-from .layering import ConfluenceSearchError, classify_confluence, find_confluence, upstairs_path
+from .layering import classify_confluence, find_confluence, upstairs_path
 from .oracle import (
     HEREDITARY_CLASSES,
     chromatic_number_exact,
@@ -253,13 +253,7 @@ def _check_tips(g, layering, root, i, pairs, triples, triangle_free) -> list[dic
                 g, f"upstairs path {path} for ({x},{y}) at layer {i} from {root}: {err}",
             ))
     for x, y, z in triples:
-        try:
-            conf = find_confluence(g, layering, i, x, y, z)
-        except ConfluenceSearchError as exc:
-            violations.append(_violation(
-                g, f"confluence search failed for ({x},{y},{z}) at layer {i} from {root}: {exc}",
-            ))
-            continue
+        conf = find_confluence(g, layering, i, x, y, z)
         if classify_confluence(g, conf.vertices, (x, y, z)) is None:
             violations.append(_violation(
                 g, f"confluence for ({x},{y},{z}) at layer {i} from {root} failed verification",

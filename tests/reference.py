@@ -270,3 +270,23 @@ def _anchored_paths(g: Graph, branch) -> Isk4Witness | None:
         return None
 
     return rec(0, 0, [])
+
+
+def _ref_joined(g: Graph, vertices: set[int], tips) -> bool:
+    """Plain BFS over Python sets: do the tips lie in one component of
+    G[vertices]?"""
+    seen = {tips[0]}
+    frontier = [tips[0]]
+    while frontier:
+        frontier = [w for v in frontier for w in g.neighbors(v) if w in vertices and w not in seen]
+        seen.update(frontier)
+    return set(tips) <= seen
+
+
+def ref_confluence_is_minimal(g: Graph, vertices, tips) -> bool:
+    """The tips are joined in G[vertices], and removing any one non-tip
+    vertex splits them."""
+    vs = set(vertices)
+    if not _ref_joined(g, vs, tips):
+        return False
+    return all(not _ref_joined(g, vs - {v}, tips) for v in vs - set(tips))

@@ -5,7 +5,7 @@ from itertools import combinations
 
 import pytest
 
-from isk4color.graph import Graph, Coloring, bfs_layering, is_connected, is_proper_coloring
+from isk4color.graph import Graph, Coloring, Layering, bfs_layering, is_connected, is_proper_coloring
 from isk4color.families import (
     complete_graph,
     cycle_graph,
@@ -13,19 +13,19 @@ from isk4color.families import (
     random_connected_graph,
 )
 from isk4color.layering import (
-    ConfluenceSearchError,
     classify_confluence,
     combine_layer_colorings,
     find_confluence,
     upstairs_path,
 )
 from isk4color.patterns import find_triangle
+from reference import ref_confluence_is_minimal
 from suite_helpers import validate_upstairs
 
 # sha256 of the JSON list of confluence results over the exhaustive n <= 6
-# corpus; any change to the confluence layer must leave them byte-identical
+# corpus; a change to either list of results must be deliberate
 CLASSIFY_DIGEST = "4e5d79ff366c24705f2a4281f320ca4ff7594a32871a47f7b9e9a5f89cd0fec8"
-FIND_DIGEST = "b236bf4751364b230ff1e460c40330efb571d6c347d83fa5dc41704551d07475"
+FIND_DIGEST = "ab81ac1c20035310f6ea4a8f4cb5d5242187bb072b784a9a158fc44b164d9f0e"
 
 
 def test_upstairs_examples():
@@ -63,12 +63,23 @@ def test_upstairs_random_graphs():
             assert validate_upstairs(g, lay, i, x, y, path) is None
 
 
-def test_confluence_spider():
-    spider = Graph(7, [(0, 1), (1, 2), (0, 3), (3, 4), (0, 5), (5, 6)])
-    lay = bfs_layering(spider, 0)
-    conf = find_confluence(spider, lay, 2, 2, 4, 6)
+@pytest.mark.parametrize("leg", [2, 8])
+def test_confluence_spider(leg):
+    # three legs of ``leg`` edges on the root 0; leg k is k*leg+1 .. k*leg+leg
+    edges = [(k * leg + j - 1 if j > 1 else 0, k * leg + j) for k in range(3) for j in range(1, leg + 1)]
+    spider = Graph(3 * leg + 1, edges)
+    tips = tuple(k * leg + leg for k in range(3))
+    conf = find_confluence(spider, bfs_layering(spider, 0), leg, *tips)
     assert conf.kind == 1 and conf.center == 0
-    assert classify_confluence(spider, conf.vertices, (2, 4, 6)) is not None
+    assert classify_confluence(spider, conf.vertices, tips) is not None
+
+
+def test_confluence_rejects_inconsistent_layering():
+    # a hand-built layering: 2 and 3 sit in layer 1 but no edge joins them to 0
+    g = Graph(4, [(0, 1)])
+    lay = Layering(0, (frozenset({0}), frozenset({1, 2, 3})))
+    with pytest.raises(ValueError, match="layering is inconsistent"):
+        find_confluence(g, lay, 1, 1, 2, 3)
 
 
 def test_confluence_triangle_tips():
@@ -117,6 +128,7 @@ def test_confluence_type1_in_triangle_free(all_graphs_7):
                     conf = find_confluence(g, lay, i, *verts)
                     assert conf.kind == 1
                     assert classify_confluence(g, conf.vertices, tuple(verts)) is not None
+                    assert ref_confluence_is_minimal(g, conf.vertices, tuple(verts))
 
 
 def test_combine_layer_colorings_examples():
@@ -315,9 +327,9 @@ def test_find_confluence_pinned(all_graphs_7):
                 lay = bfs_layering(g, root)
                 for i in range(1, len(lay.layers)):
                     for tips in combinations(sorted(lay.layers[i]), 3):
-                        try:
-                            records.append(_confluence_record(find_confluence(g, lay, i, *tips)))
-                        except ConfluenceSearchError as exc:
-                            records.append(["error", str(exc)])
+                        conf = find_confluence(g, lay, i, *tips)
+                        assert classify_confluence(g, conf.vertices, tips) is not None
+                        assert ref_confluence_is_minimal(g, conf.vertices, tips)
+                        records.append(_confluence_record(conf))
     assert len(records) == 1_612
     assert _confluence_digest(records) == FIND_DIGEST

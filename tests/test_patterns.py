@@ -177,6 +177,19 @@ def test_krausz_invariants():
     assert covered == sorted(line_graph(petersen()).edges())
 
 
+def test_recognize_deep_line_graph():
+    # L(circular ladder with k rungs): 3k vertices, one clique per ladder
+    # vertex, so the search places 2k cliques one inside the other
+    k = 600
+    ladder = [(i, (i + 1) % k) for i in range(k)] + [(k + i, k + (i + 1) % k) for i in range(k)]
+    lg = line_graph(Graph(2 * k, [(min(e), max(e)) for e in ladder] + [(i, k + i) for i in range(k)]))
+    kp = recognize_line_graph_subcubic(lg)
+    assert kp is not None and kp.root.n == 2 * k and kp.root.m == 3 * k
+    assert max(kp.root.degree(v) for v in range(kp.root.n)) == 3
+    covered = sorted(tuple(sorted(p)) for c in kp.cliques for p in combinations(c, 2))
+    assert covered == sorted(lg.edges())
+
+
 def test_line_graph_recognition_roundtrip_small(connected_corpus_8):
     for n in range(2, 8):
         for h in connected_corpus_8[n]:
