@@ -102,15 +102,14 @@ def _is_ab_path(g: Graph, vmask: int, a: int, b: int) -> bool:
 
 
 def find_proper_2cutset(g: Graph) -> Proper2Cutset | None:
-    """First (lex) non-adjacent pair {a,b} with a component grouping such that
-    neither side together with {a,b} induces an a-b path.
+    """First (lex) non-adjacent pair {a,b} with a split of the components of
+    g - {a,b} into two sides such that neither side together with {a,b}
+    induces an a-b path.
 
-    Groupings tried: each single component against the rest and, when four or
-    more components exist, each pair of components against the rest.  For up
-    to three components this covers every bipartition; beyond that, one of
-    these groupings succeeds whenever any does.  A grouping and its complement
-    make the same test, so two components need one grouping, and three need
-    no pairs.
+    Only a single component can form an a-b path.  So two components split
+    when neither is a path, three when one is no path and goes alone, and four
+    or more always split.  The first side is the first component that is no
+    path, or else the first two components.
     """
     if not is_connected(g):
         raise ValueError("input must be connected")
@@ -122,19 +121,18 @@ def find_proper_2cutset(g: Graph) -> Proper2Cutset | None:
             comps = component_masks(g, ab)
             if len(comps) < 2:
                 continue
-            rest = ((1 << g.n) - 1) & ~ab
-            k = len(comps)
-            groupings = [(i,) for i in range(k if k > 2 else 1)]
-            if k >= 4:
-                groupings += [(i, j) for i in range(k) for j in range(i + 1, k)]
-            for grouping in groupings:
-                xm = 0
-                for i in grouping:
-                    xm |= comps[i]
-                ym = rest & ~xm
-                if _is_ab_path(g, xm | ab, a, b) or _is_ab_path(g, ym | ab, a, b):
+            if len(comps) == 2:
+                if any(_is_ab_path(g, c | ab, a, b) for c in comps):
                     continue
-                return Proper2Cutset(a, b, frozenset(bits(xm)), frozenset(bits(ym)))
+                xm = comps[0]
+            else:
+                xm = next((c for c in comps if not _is_ab_path(g, c | ab, a, b)), 0)
+                if not xm:
+                    if len(comps) == 3:
+                        continue
+                    xm = comps[0] | comps[1]
+            ym = ((1 << g.n) - 1) & ~ab & ~xm
+            return Proper2Cutset(a, b, frozenset(bits(xm)), frozenset(bits(ym)))
     return None
 
 

@@ -27,19 +27,6 @@ from .graph import (
     triangles,
 )
 
-PATTERN_KINDS = (
-    "triangle",
-    "c4",
-    "hole",
-    "k33",
-    "k222",
-    "prism",
-    "boat",
-    "four_wheel",
-    "wheel",
-    "rich_square",
-)
-
 
 @dataclass
 class PatternWitness:
@@ -225,51 +212,59 @@ def check_prism(g: Graph, vertices) -> dict | None:
 
 
 def find_prism(g: Graph) -> PatternWitness | None:
+    """First induced prism: over the vertex-disjoint pairs of triangles in
+    listing order and the six matchings between them, the first prism that
+    ``_induced_prism`` grows.  The search is complete.  It is exponential in
+    the worst case (detecting an induced prism is NP-complete) and has no
+    cap."""
     tris = list(triangles(g))
     for i, t1 in enumerate(tris):
         for t2 in tris[i + 1 :]:
             if set(t1) & set(t2):
                 continue
-            w = _prism_between(g, t1, t2)
-            if w is not None:
-                return w
+            for matching in permutations(t2):
+                found = _induced_prism(g, t1, matching)
+                if found is None:
+                    continue
+                vertices = frozenset(bits(found))
+                ann = check_prism(g, vertices)
+                if ann is None:
+                    raise AssertionError(f"internal error: grown set {sorted(vertices)} is no prism")
+                return PatternWitness("prism", vertices, ann)
     return None
 
 
-def _prism_between(g: Graph, t1, t2) -> PatternWitness | None:
-    blocked_base = mask_of(t1) | mask_of(t2)
-    for perm in permutations(t2):
-        found = _prism_paths(g, t1, perm, 0, blocked_base, [])
-        if found is not None:
-            verts = set(t1) | set(t2)
-            for p in found:
-                verts.update(p)
-            ann = check_prism(g, verts)
-            if ann is not None:
-                return PatternWitness("prism", frozenset(verts), ann)
-    return None
+def _induced_prism(g: Graph, t1, t2) -> int | None:
+    """Vertex mask of an induced prism on the triangles ``t1`` and ``t2``
+    whose paths join t1[i] to t2[i], or None.
 
-
-def _prism_paths(g, t1, t2, idx, blocked, acc):
-    if idx == 3:
-        return list(acc)
-    a, b = t1[idx], t2[idx]
-    # DFS over simple a-b paths with interior outside both triangles and
-    # earlier path interiors; the final structural check rejects bad unions.
-    stack = [([a], 1 << a)]
+    The paths grow one vertex at a time, path 0 first, on an explicit stack.
+    A vertex joins path i only if its neighbours among the vertices chosen so
+    far are exactly the end of path i, plus t2[i] when it closes the path.
+    Every vertex of such a prism passes that test, so the search is complete
+    and what it returns needs no re-check.
+    """
+    if any(g.mask(a) & mask_of(t2) & ~(1 << b) for a, b in zip(t1, t2)):
+        return None
+    stack = [(0, None, mask_of(t1) | mask_of(t2))]
     while stack:
-        path, used = stack.pop()
-        last = path[-1]
-        if g.has_edge(last, b):
-            res = _prism_paths(g, t1, t2, idx + 1, blocked | used | (1 << b), acc + [path + [b]])
-        else:
-            res = None
-        if res is not None:
-            return res
-        for w in bits(g.mask(last) & ~(blocked | used)):
-            if w == b:
+        i, end, chosen = stack.pop()
+        if i == 3:
+            return chosen
+        if end is None:
+            end = t1[i]
+            if g.has_edge(end, t2[i]):
+                # any longer path would have this edge as a chord
+                stack.append((i + 1, None, chosen))
                 continue
-            stack.append((path + [w], used | (1 << w)))
+        close = (1 << end) | (1 << t2[i])
+        # pushed in decreasing order, so the smallest candidate is tried first
+        for v in reversed(list(bits(g.mask(end) & ~chosen))):
+            seen = g.mask(v) & chosen
+            if seen == 1 << end:
+                stack.append((i, v, chosen | 1 << v))
+            elif seen == close:
+                stack.append((i + 1, None, chosen | 1 << v))
     return None
 
 

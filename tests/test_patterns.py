@@ -3,7 +3,8 @@ from itertools import combinations
 
 import pytest
 
-from isk4color.graph import Graph, is_connected
+from isk4color.formats import parse_graph6_line
+from isk4color.graph import Graph, is_connected, triangles
 from isk4color.families import (
     complete_graph,
     complete_multipartite,
@@ -223,6 +224,36 @@ def test_detectors_agree_with_naive_reference(all_graphs_7):
                 )
                 if found is not None:
                     assert verify_witness(g, found)
+
+
+def _has_disjoint_triangles(g):
+    tris = [set(t) for t in triangles(g)]
+    return any(not a & b for i, a in enumerate(tris) for b in tris[i + 1 :])
+
+
+def test_find_prism_agrees_with_reference_n8(connected_corpus_8):
+    graphs = [g for g in connected_corpus_8[8] if _has_disjoint_triangles(g)]
+    assert len(graphs) == 7741
+    prisms = 0
+    for g in graphs:
+        w = find_prism(g)
+        assert (w is not None) == ref_has_prism(g), list(g.edges())
+        if w is not None:
+            assert verify_witness(g, w)
+            prisms += 1
+    assert prisms == 464
+
+
+@pytest.mark.parametrize("line", [
+    "GEqrP{", "GEhrO{", "GIBkps", "GMhPW{", "G[XOx{",
+    r"G\`Gz{", "GdYQX{", "Got`g{", "GqHXr{", "GqHXv{",
+])
+def test_find_prism_past_a_chorded_first_path(line):
+    # in each graph, the first three disjoint paths of a prism's matching in
+    # search order have a chord, so a search that stops at them misses it
+    g = parse_graph6_line(line)
+    w = find_prism(g)
+    assert w is not None and verify_witness(g, w)
 
 
 def test_hole_enumeration_matches_reference(all_graphs_7):

@@ -83,6 +83,23 @@ def test_line_graphs_of_random_subcubic_color_within_bound():
     assert checked >= 35
 
 
+def test_line_graphs_of_subdivided_ladders_color_as_line_graphs():
+    # L(circular ladder with k rungs, every edge subdivided): 6k vertices,
+    # no cutset and many induced prisms, so the trigger fires and the root
+    # is recognized
+    for k in (8, 16):
+        ladder = [(i, (i + 1) % k) for i in range(k)] + [(k + i, k + (i + 1) % k) for i in range(k)]
+        ladder += [(i, k + i) for i in range(k)]
+        root = Graph(5 * k, [(x, 2 * k + j) for j, e in enumerate(ladder) for x in e])
+        lg = line_graph(root)
+        assert lg.n == 6 * k
+        result = color_general(lg, mode="strict")
+        assert result.violations == []
+        assert is_proper_coloring(lg, result.coloring)
+        assert result.coloring.palette_size <= 4
+        assert result.trace[0]["rule"] == "line_graph_subcubic"
+
+
 def test_thick_multipartite_families():
     from isk4color.families import complete_multipartite
 
