@@ -101,6 +101,79 @@ def _is_ab_path(g: Graph, vmask: int, a: int, b: int) -> bool:
         cur = step.bit_length() - 1
 
 
+def _split_partners(g: Graph, adj, not2, a: int, partners: int) -> list[int]:
+    """The b in the ``partners`` mask for which g - {a, b} may split: two
+    components neither of which is an a-b path, three that are not all a-b
+    paths, or four or more; in ascending order.
+
+    One DFS over g - a gives Hopcroft-Tarjan low-points, and with them the
+    components of g - {a, b} for every b at once: the child subtrees of b
+    that low-points separate from b's parent, and the rest of the DFS tree
+    when b is not its root.  A component C is an a-b path exactly when every
+    vertex of C has degree 2 in g and C touches both a and b.  Each of these
+    components touches b through a tree edge, so two counts per subtree
+    decide it: the vertices whose degree in g is not 2 (``not2`` flags them)
+    and the neighbours of a.
+
+    When g - a is disconnected, a is a cut vertex of g and every b is
+    returned: a component of g - a without b is never an a-b path, so at
+    most a few pairs with this a do not split.
+    """
+    n = g.n
+    ma = g.mask(a)
+    disc = [-1] * n
+    disc[a] = n  # never entered, and never lowers a low-point
+    low = [0] * n
+    sub_not2 = list(not2)
+    sub_near = [ma >> v & 1 for v in range(n)]
+    cuts = [0] * n
+    cut_not2 = [0] * n
+    cut_near = [0] * n
+    cut_paths = [0] * n
+    r = 1 if a == 0 else 0
+    disc[r] = low[r] = 0
+    t = 1
+    stack = [(r, iter(adj[r]))]
+    while stack:
+        v, it = stack[-1]
+        for w in it:
+            if disc[w] < 0:
+                disc[w] = low[w] = t
+                t += 1
+                stack.append((w, iter(adj[w])))
+                break
+            if disc[w] < low[v]:
+                low[v] = disc[w]
+        else:
+            stack.pop()
+            if stack:
+                p = stack[-1][0]
+                if low[v] >= disc[p]:
+                    cuts[p] += 1
+                    cut_not2[p] += sub_not2[v]
+                    cut_near[p] += sub_near[v]
+                    if not sub_not2[v] and sub_near[v]:
+                        cut_paths[p] += 1
+                elif low[v] < low[p]:
+                    low[p] = low[v]
+                sub_not2[p] += sub_not2[v]
+                sub_near[p] += sub_near[v]
+    if t < n - 1:
+        return list(bits(partners))
+    out = []
+    for b in bits(partners):
+        comps = cuts[b]
+        paths = cut_paths[b]
+        if b != r:
+            # the rest of the tree: all of it but b and the separated subtrees
+            comps += 1
+            if sub_not2[r] == not2[b] + cut_not2[b] and sub_near[r] > cut_near[b]:
+                paths += 1
+        if comps >= 4 or (comps == 3 and paths < 3) or (comps == 2 and not paths):
+            out.append(b)
+    return out
+
+
 def find_proper_2cutset(g: Graph) -> Proper2Cutset | None:
     """First (lex) non-adjacent pair {a,b} with a split of the components of
     g - {a,b} into two sides such that neither side together with {a,b}
@@ -110,13 +183,28 @@ def find_proper_2cutset(g: Graph) -> Proper2Cutset | None:
     when neither is a path, three when one is no path and goes alone, and four
     or more always split.  The first side is the first component that is no
     path, or else the first two components.
+
+    For each a in ascending order, ``_split_partners`` finds in one DFS
+    the b > a that split by that rule (every b when a is a cut vertex), and
+    only those pairs go through the component sweep; a component C of
+    g - {a,b} is an a-b path exactly when all of C has degree 2 in g and C
+    touches both a and b.  Every pair that is skipped would not split, so
+    the first pair and its sides are those of a sweep over all non-adjacent
+    pairs.  Cost: O(n (n + m)) for the DFS passes, where a sweep per
+    non-adjacent pair is Theta(n^3) on sparse graphs.
     """
     if not is_connected(g):
         raise ValueError("input must be connected")
+    full = (1 << g.n) - 1
+    adj = not2 = None
     for a in range(g.n):
-        for b in range(a + 1, g.n):
-            if g.has_edge(a, b):
-                continue
+        partners = full & ~g.mask(a) & ~((2 << a) - 1)  # b > a, not adjacent
+        if not partners:
+            continue
+        if adj is None:  # once per call, and not at all on a clique
+            adj = [g.neighbors(v) for v in range(g.n)]
+            not2 = [int(len(nb) != 2) for nb in adj]
+        for b in _split_partners(g, adj, not2, a, partners):
             ab = (1 << a) | (1 << b)
             comps = component_masks(g, ab)
             if len(comps) < 2:
@@ -131,7 +219,7 @@ def find_proper_2cutset(g: Graph) -> Proper2Cutset | None:
                     if len(comps) == 3:
                         continue
                     xm = comps[0] | comps[1]
-            ym = ((1 << g.n) - 1) & ~ab & ~xm
+            ym = full & ~ab & ~xm
             return Proper2Cutset(a, b, frozenset(bits(xm)), frozenset(bits(ym)))
     return None
 

@@ -121,38 +121,65 @@ def find_hole(g: Graph, min_len: int = 4, max_len: int | None = None) -> Pattern
     return None
 
 
-def _stable_triples(g: Graph) -> Iterator[tuple[int, int, int]]:
-    full = (1 << g.n) - 1
-    for a in range(g.n):
-        non_a = full & ~g.mask(a)
-        for b in range(a + 1, g.n):
-            if g.mask(a) >> b & 1:
-                continue
-            non_ab = non_a & ~g.mask(b)
-            for c in bits(non_ab >> (b + 1)):
-                yield (a, b, b + 1 + c)
+def _partners(g: Graph, a: int, shared: int) -> list[int]:
+    """The vertices above a, not adjacent to a, that share at least
+    ``shared`` neighbours with a, in ascending order.  Sharing a neighbour
+    puts a vertex in N(N(a)), so only that set is scanned."""
+    adj = g._adj
+    ma = adj[a]
+    if ma.bit_count() < shared:
+        return []
+    reach = 0
+    for u in bits(ma):
+        reach |= adj[u]
+    reach &= ~ma & ~((2 << a) - 1)
+    return [v for v in bits(reach) if (ma & adj[v]).bit_count() >= shared]
 
 
 def find_k33(g: Graph) -> PatternWitness | None:
-    for a1, a2, a3 in _stable_triples(g):
-        common = g.mask(a1) & g.mask(a2) & g.mask(a3)
-        if common.bit_count() < 3:
-            continue
-        cverts = list(bits(common))
-        for b1, b2, b3 in combinations(cverts, 3):
-            if g.has_edge(b1, b2) or g.has_edge(b1, b3) or g.has_edge(b2, b3):
-                continue
-            verts = frozenset((a1, a2, a3, b1, b2, b3))
-            return PatternWitness("k33", verts, {"parts": ((a1, a2, a3), (b1, b2, b3))})
+    """First induced K33 in lex order of its stable side (a1, a2, a3), then
+    of the other side (b1, b2, b3) among the common neighbours.
+
+    a2 and a3 share the three b's with a1, so both come from
+    ``_partners(g, a1, 3)``: the triples visited are the stable triples with
+    that property, in the same lex order as a walk over all stable triples,
+    and the first witness is the same.  Cost on sparse graphs: O(sum deg^2)
+    big-int operations to list the partners, where the walk over all stable
+    triples is Theta(n^3).
+    """
+    for a1 in range(g.n):
+        cands = _partners(g, a1, 3)
+        for i, a2 in enumerate(cands):
+            m2 = g.mask(a2)
+            c12 = g.mask(a1) & m2
+            for a3 in cands[i + 1 :]:
+                if m2 >> a3 & 1:
+                    continue
+                common = c12 & g.mask(a3)
+                if common.bit_count() < 3:
+                    continue
+                for b1, b2, b3 in combinations(bits(common), 3):
+                    if g.has_edge(b1, b2) or g.has_edge(b1, b3) or g.has_edge(b2, b3):
+                        continue
+                    verts = frozenset((a1, a2, a3, b1, b2, b3))
+                    return PatternWitness("k33", verts, {"parts": ((a1, a2, a3), (b1, b2, b3))})
     return None
 
 
 def find_k222(g: Graph) -> PatternWitness | None:
-    n = g.n
-    for a1 in range(n):
-        for a2 in range(a1 + 1, n):
-            if g.has_edge(a1, a2):
-                continue
+    """First induced K222 in lex order of its pairs (a1, a2), (b1, b2),
+    (d1, d2), each pair non-adjacent and the b's and d's common neighbours
+    of the pairs before them.
+
+    a2 shares the four b's and d's with a1, so it comes from
+    ``_partners(g, a1, 4)``.  The pairs (a1, a2) visited are the
+    non-adjacent pairs with that property, in the same lex order as a walk
+    over all non-adjacent pairs, and the first witness is the same.  Cost on
+    sparse graphs: O(sum deg^2) big-int operations, where pairing a1 with
+    every a2 is Theta(n^2).
+    """
+    for a1 in range(g.n):
+        for a2 in _partners(g, a1, 4):
             c1 = g.mask(a1) & g.mask(a2)
             for b1 in bits(c1):
                 for b2 in bits(c1 >> (b1 + 1)):

@@ -290,3 +290,61 @@ def ref_confluence_is_minimal(g: Graph, vertices, tips) -> bool:
     if not _ref_joined(g, vs, tips):
         return False
     return all(not _ref_joined(g, vs - {v}, tips) for v in vs - set(tips))
+
+
+def _ref_components(g: Graph, vertices) -> list[set[int]]:
+    """Components of G[vertices] by plain BFS over Python sets, ordered by
+    smallest member."""
+    left = set(vertices)
+    out = []
+    while left:
+        comp = {min(left)}
+        frontier = set(comp)
+        while frontier:
+            frontier = {w for v in frontier for w in g.neighbors(v) if w in left} - comp
+            comp |= frontier
+        left -= comp
+        out.append(comp)
+    return out
+
+
+def ref_is_ab_path(g: Graph, vertices, a: int, b: int) -> bool:
+    """G[vertices] is a path with ends a and b: connected, a and b of
+    degree 1 in it, every other vertex of degree 2."""
+    vs = set(vertices)
+    for v in vs:
+        d = sum(1 for w in g.neighbors(v) if w in vs)
+        if d != (1 if v in (a, b) else 2):
+            return False
+    return len(_ref_components(g, vs)) == 1
+
+
+def ref_is_proper_2cutset(g: Graph, a: int, b: int, side_x, side_y) -> bool:
+    """The definition: a and b non-adjacent, the sides non-empty and a
+    partition of the other vertices, no edge between them, and neither side
+    together with a and b induces an a-b path."""
+    x, y = set(side_x), set(side_y)
+    if g.has_edge(a, b) or not x or not y or x & y:
+        return False
+    if x | y | {a, b} != set(range(g.n)) or {a, b} & (x | y):
+        return False
+    if any(g.has_edge(u, v) for u in x for v in y):
+        return False
+    return not ref_is_ab_path(g, x | {a, b}, a, b) and not ref_is_ab_path(g, y | {a, b}, a, b)
+
+
+def ref_proper_2cutset(g: Graph):
+    """First non-adjacent pair (a, b) in lex order that has a proper
+    2-cutset split, trying every split of the components of G - {a, b} into
+    two non-empty sides; the pair, or None."""
+    for a, b in combinations(range(g.n), 2):
+        if g.has_edge(a, b):
+            continue
+        comps = _ref_components(g, set(range(g.n)) - {a, b})
+        for k in range(1, len(comps)):
+            for chosen in combinations(range(len(comps)), k):
+                x = set().union(*(comps[i] for i in chosen))
+                y = set(range(g.n)) - x - {a, b}
+                if ref_is_proper_2cutset(g, a, b, x, y):
+                    return (a, b)
+    return None

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 
 import pytest
@@ -29,6 +31,9 @@ from isk4color.decompose import (
     reduce_flat_path,
 )
 from isk4color.oracle import are_isomorphic, contains_isk4
+from isk4color.patterns import find_k222, find_k33
+
+from reference import ref_is_proper_2cutset, ref_proper_2cutset
 
 
 def test_clique_cutset_examples():
@@ -99,6 +104,70 @@ def test_proper_2cutset_theta_has_none():
     from isk4color.families import theta_graph
 
     assert find_proper_2cutset(theta_graph(2, 2, 2)) is None
+
+
+def test_proper_2cutset_agrees_with_reference(connected_corpus_8):
+    found = 0
+    for graphs in connected_corpus_8.values():
+        for g in graphs:
+            cut = find_proper_2cutset(g)
+            ref = ref_proper_2cutset(g)
+            if cut is None:
+                assert ref is None, list(g.edges())
+                continue
+            found += 1
+            assert (cut.a, cut.b) == ref, list(g.edges())
+            assert ref_is_proper_2cutset(g, cut.a, cut.b, cut.side_x, cut.side_y)
+    assert found == 5226
+
+
+def _subdivided(rng, base):
+    """Subdivide each edge of ``base`` 0-2 times and shuffle the vertex ids."""
+    edges, n = [], base.n
+    for u, v in base.edges():
+        chain = [u] + list(range(n, n + rng.randint(0, 2))) + [v]
+        n += len(chain) - 2
+        edges += zip(chain, chain[1:])
+    perm = list(range(n))
+    rng.shuffle(perm)
+    return Graph(n, [(perm[u], perm[v]) for u, v in edges])
+
+
+def _detector_corpus(connected_corpus_8):
+    graphs = [g for n in sorted(connected_corpus_8) for g in connected_corpus_8[n]]
+    rng = random.Random(88)
+    for _ in range(150):
+        n = rng.randint(9, 40)
+        graphs.append(random_connected_graph(rng, n, rng.uniform(1 / n, 6 / n)))
+    for _ in range(100):
+        graphs.append(random_connected_graph(rng, rng.randint(9, 16), rng.uniform(0.4, 0.8)))
+    for _ in range(200):
+        g = _subdivided(rng, random_connected_graph(rng, rng.randint(4, 9), rng.uniform(0.2, 0.7)))
+        if g.n <= 40:
+            graphs.append(g)
+    return graphs
+
+
+# sha256 over the K33, K222 and proper 2-cutset answers: the lex-first
+# witness and the cutset sides of each detector must stay byte-identical
+# when its search is pruned
+_DETECTOR_DIGEST = "b66a3ba1720fcbbbc1d2ef5a4f478b15def3cbe47206e69a0ab19b6b23514b73"
+
+
+def test_detector_results_pinned(connected_corpus_8):
+    records, hits = [], [0, 0, 0]
+    for g in _detector_corpus(connected_corpus_8):
+        k33, k222, cut = find_k33(g), find_k222(g), find_proper_2cutset(g)
+        record = [
+            None if k33 is None else k33.to_dict(),
+            None if k222 is None else k222.to_dict(),
+            None if cut is None else [cut.a, cut.b, sorted(cut.side_x), sorted(cut.side_y)],
+        ]
+        hits = [h + (r is not None) for h, r in zip(hits, record)]
+        records.append(record)
+    assert hits == [277, 306, 5388]
+    payload = json.dumps(records, sort_keys=True)
+    assert hashlib.sha256(payload.encode()).hexdigest() == _DETECTOR_DIGEST
 
 
 def test_flat_path_examples():

@@ -5,7 +5,7 @@ subdivision even as a subgraph) and line graphs of subcubic graphs."""
 import random
 
 from isk4color.colorers import color_general, color_triangle_free
-from isk4color.families import line_graph
+from isk4color.families import cycle_graph, line_graph
 from isk4color.graph import Graph, is_connected, is_proper_coloring
 from isk4color.oracle import contains_isk4
 from isk4color.patterns import find_triangle
@@ -98,6 +98,17 @@ def test_line_graphs_of_subdivided_ladders_color_as_line_graphs():
         assert is_proper_coloring(lg, result.coloring)
         assert result.coloring.palette_size <= 4
         assert result.trace[0]["rule"] == "line_graph_subcubic"
+
+
+def test_long_cycle_colors_in_both_colorers():
+    # C_1000 has no cutset of either kind, so both colorers run every
+    # detector on the whole cycle before they layer it
+    g = cycle_graph(1000)
+    for colorer, bound in ((color_triangle_free, 4), (color_general, 24)):
+        result = colorer(g, mode="strict")
+        assert result.violations == []
+        assert is_proper_coloring(g, result.coloring)
+        assert result.coloring.palette_size <= bound
 
 
 def test_thick_multipartite_families():
