@@ -63,19 +63,98 @@ def _cliques_lex(g: Graph):
                 yield (a, b, b + 1 + c)
 
 
+def _cut_vertices(g: Graph) -> int:
+    """Mask of the cut vertices of g, from one iterative Hopcroft-Tarjan
+    low-point DFS from vertex 0.
+
+    A non-root vertex p is a cut vertex when some DFS child v has
+    low[v] >= disc[p]; the root when it has two or more children.  Raises
+    ValueError when the DFS does not reach every vertex.
+    """
+    n = g.n
+    if n <= 1:
+        return 0
+    disc = [-1] * n
+    low = [0] * n
+    rest = [0] * n  # neighbours of each open vertex not yet scanned
+    disc[0] = 0
+    rest[0] = g.mask(0)
+    t = 1
+    cuts = root_children = 0
+    stack = [0]
+    while stack:
+        v = stack[-1]
+        m = rest[v]
+        while m:
+            bit = m & -m
+            m ^= bit
+            w = bit.bit_length() - 1
+            if disc[w] < 0:
+                rest[v] = m
+                disc[w] = low[w] = t
+                rest[w] = g.mask(w)
+                t += 1
+                stack.append(w)
+                break
+            if disc[w] < low[v]:
+                low[v] = disc[w]
+        else:
+            stack.pop()
+            if stack:
+                p = stack[-1]
+                if low[v] >= disc[p]:
+                    if p:
+                        cuts |= 1 << p
+                    else:
+                        root_children += 1
+                elif low[v] < low[p]:
+                    low[p] = low[v]
+    if t < n:
+        raise ValueError("input must be connected")
+    if root_children >= 2:
+        cuts |= 1
+    return cuts
+
+
 def find_clique_cutset(g: Graph) -> CliqueCutset | None:
     """First (lex) clique of size <= 3 whose removal disconnects g.
 
     Callers must pass connected, K4-free graphs; both are checked.  The K4
     bound is what caps clique cutsets at three vertices.
+
+    One low-point DFS (``_cut_vertices``) gives the cut vertices, and only
+    the cliques that can split g go through the component sweep: a cut
+    vertex, an edge or triangle that holds one, an edge (a, b) with
+    deg a >= 3 and deg b >= 3, and a triangle whose vertices have at least
+    four edges leaving it, sum(deg v - 2) >= 4.  The rest cannot split g.
+    For a clique K of two or three vertices with no cut vertex, a component
+    of g - K that met K in one vertex v only would make v a cut vertex, so
+    every component meets K in at least two vertices.  Two components then
+    need two neighbours outside K at each end of an edge, and at least four
+    (vertex, component) contacts, each over its own edge leaving K, for a
+    triangle.
+
+    The cliques are walked in ``_cliques_lex`` order and every skipped one
+    would not split, so the first clique and its sides are those of a sweep
+    over all cliques.  Cost: O(n + m) for the DFS, one step per clique for
+    the walk, and one O(n + m) sweep per clique that passes.  No clique
+    passes on a cycle, the walk stops at the first cut vertex on a path or
+    tree, and on a 2-connected subcubic line graph only the edges pass.
     """
-    if not is_connected(g):
-        raise ValueError("input must be connected")
+    cuts = _cut_vertices(g)
     k4 = find_k4(g)
     if k4 is not None:
         raise ValueError(f"input contains a K4 {k4}; clique cutsets may exceed size 3")
     for clique in _cliques_lex(g):
         removed = mask_of(clique)
+        if not removed & cuts:
+            if len(clique) == 1:
+                continue
+            if len(clique) == 2:
+                if g.degree(clique[0]) < 3 or g.degree(clique[1]) < 3:
+                    continue
+            elif sum(g.degree(v) - 2 for v in clique) < 4:
+                continue
         comps = component_masks(g, removed)
         if len(comps) >= 2:
             x = frozenset(bits(comps[0]))

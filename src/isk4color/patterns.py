@@ -70,15 +70,24 @@ def find_triangle(g: Graph) -> PatternWitness | None:
 
 
 def find_k4(g: Graph) -> tuple[int, int, int, int] | None:
-    """Smallest-lex 4-clique, or None."""
-    for u, v in g.edges():
-        common = g.mask(u) & g.mask(v)
-        for w in bits(common):
-            if w <= v:
-                continue
-            for x in bits(common & g.mask(w)):
-                if x > w:
-                    return (u, v, w, x)
+    """Smallest-lex 4-clique, or None.
+
+    Every vertex of a K4 has degree >= 3, so the search runs inside the mask
+    of those vertices, in lex order, and returns None at once when it holds
+    fewer than four.
+    """
+    high = mask_of(v for v in range(g.n) if g.degree(v) >= 3)
+    if high.bit_count() < 4:
+        return None
+    for u in bits(high):
+        nu = g.mask(u) & high
+        for v in bits(nu >> (u + 1)):
+            v += u + 1
+            nuv = nu & g.mask(v)
+            for w in bits(nuv >> (v + 1)):
+                w += v + 1
+                for x in bits((nuv & g.mask(w)) >> (w + 1)):
+                    return (u, v, w, w + 1 + x)
     return None
 
 

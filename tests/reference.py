@@ -348,3 +348,29 @@ def ref_proper_2cutset(g: Graph):
                 if ref_is_proper_2cutset(g, a, b, x, y):
                     return (a, b)
     return None
+
+
+def ref_find_k4(g: Graph):
+    """The first 4-clique in ``itertools.combinations`` order, or None."""
+    for quad in combinations(range(g.n), 4):
+        if all(g.has_edge(a, b) for a, b in combinations(quad, 2)):
+            return quad
+    return None
+
+
+def ref_clique_cutset(g: Graph):
+    """The smallest sorted tuple, in Python's tuple order, among the cliques
+    of 1 to 3 vertices whose removal disconnects g, with the component of
+    g minus it that holds the smallest vertex and the union of the others;
+    or None."""
+    cliques = sorted(
+        c
+        for size in (1, 2, 3)
+        for c in combinations(range(g.n), size)
+        if all(g.has_edge(a, b) for a, b in combinations(c, 2))
+    )
+    for clique in cliques:
+        comps = _ref_components(g, set(range(g.n)) - set(clique))
+        if len(comps) >= 2:
+            return clique, comps[0], set().union(*comps[1:])
+    return None

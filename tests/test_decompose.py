@@ -17,6 +17,7 @@ from isk4color.families import (
     complete_graph,
     complete_multipartite,
     cycle_graph,
+    line_graph,
     path_graph,
     random_connected_graph,
     subdivided_complete,
@@ -31,9 +32,14 @@ from isk4color.decompose import (
     reduce_flat_path,
 )
 from isk4color.oracle import are_isomorphic, contains_isk4
-from isk4color.patterns import find_k222, find_k33
+from isk4color.patterns import find_k4, find_k222, find_k33
 
-from reference import ref_is_proper_2cutset, ref_proper_2cutset
+from reference import (
+    _ref_components,
+    ref_clique_cutset,
+    ref_is_proper_2cutset,
+    ref_proper_2cutset,
+)
 
 
 def test_clique_cutset_examples():
@@ -56,6 +62,60 @@ def test_clique_cutset_lex_smallest():
     # two cut vertices 1 and 3; singleton {1} precedes everything else
     g = Graph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (1, 3)])
     assert find_clique_cutset(g).clique == (1,)
+
+
+def _ears_on_a_cycle(rng, n_max):
+    """A cycle with ears (paths through 1 to 4 new vertices between two
+    distinct old ones) added while the size allows, relabelled at random.
+    It is 2-connected, and K4-free because a new vertex has two old
+    neighbours."""
+    k = rng.randint(3, 6)
+    edges = [(i, (i + 1) % k) for i in range(k)]
+    n = k
+    while rng.random() < 0.8:
+        u, v = rng.sample(range(n), 2)
+        new = list(range(n, n + rng.randint(1, 4)))
+        if n + len(new) > n_max:
+            break
+        n += len(new)
+        chain = [u] + new + [v]
+        edges += zip(chain, chain[1:])
+    perm = list(range(n))
+    rng.shuffle(perm)
+    return Graph(n, [(perm[u], perm[v]) for u, v in edges])
+
+
+def _clique_cutset_corpus(connected_corpus_8):
+    graphs = [g for n in sorted(connected_corpus_8) for g in connected_corpus_8[n]]
+    rng = random.Random(99)
+    graphs += [_ears_on_a_cycle(rng, rng.randint(6, 40)) for _ in range(300)]
+    lines = 0
+    while lines < 100:
+        root = _subdivided(rng, random_connected_graph(rng, rng.randint(4, 10), 0.25))
+        if max(root.degree(v) for v in range(root.n)) <= 3 and 3 <= root.m <= 40:
+            graphs.append(line_graph(root))
+            lines += 1
+    return [g for g in graphs if find_k4(g) is None]
+
+
+def test_clique_cutset_agrees_with_reference(connected_corpus_8):
+    # the lex-first clique and both sides equal the brute-force answer;
+    # edges and triangles that split a 2-connected graph are the cliques
+    # the degree rule has to let through
+    found, two_connected = 0, {2: 0, 3: 0}
+    for g in _clique_cutset_corpus(connected_corpus_8):
+        cut = find_clique_cutset(g)
+        ref = ref_clique_cutset(g)
+        if cut is None:
+            assert ref is None, list(g.edges())
+            continue
+        found += 1
+        assert (cut.clique, set(cut.side_x), set(cut.side_y)) == ref, list(g.edges())
+        if len(cut.clique) > 1 and all(
+            len(_ref_components(g, set(range(g.n)) - {v})) == 1 for v in range(g.n)
+        ):
+            two_connected[len(cut.clique)] += 1
+    assert found == 4827 and two_connected == {2: 824, 3: 1117}
 
 
 def _tough_triangle_free(g):

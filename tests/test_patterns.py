@@ -33,6 +33,7 @@ from isk4color.patterns import (
     verify_witness,
 )
 from reference import (
+    ref_find_k4,
     ref_find_triangle,
     ref_has_boat,
     ref_has_four_wheel,
@@ -267,3 +268,18 @@ def test_find_k4():
     assert find_k4(complete_graph(5)) == (0, 1, 2, 3)
     assert find_k4(complete_multipartite(2, 2, 2)) is None
     assert find_k4(petersen()) is None
+
+
+def test_find_k4_agrees_with_reference(all_graphs_7):
+    graphs = [g for n in sorted(all_graphs_7) for g in all_graphs_7[n]]
+    rng = random.Random(44)
+    for _ in range(300):
+        n = rng.randint(8, 16)
+        p = rng.uniform(0.3, 0.8)
+        graphs.append(Graph(n, [e for e in combinations(range(n), 2) if rng.random() < p]))
+    hits = 0
+    for g in graphs:
+        k4 = find_k4(g)
+        assert k4 == ref_find_k4(g), list(g.edges())
+        hits += k4 is not None
+    assert hits == 638

@@ -5,6 +5,7 @@ subdivision even as a subgraph) and line graphs of subcubic graphs."""
 import random
 
 from isk4color.colorers import color_general, color_triangle_free
+from isk4color.decompose import find_clique_cutset
 from isk4color.families import cycle_graph, line_graph
 from isk4color.graph import Graph, is_connected, is_proper_coloring
 from isk4color.oracle import contains_isk4
@@ -101,14 +102,38 @@ def test_line_graphs_of_subdivided_ladders_color_as_line_graphs():
 
 
 def test_long_cycle_colors_in_both_colorers():
-    # C_1000 has no cutset of either kind, so both colorers run every
+    # a long cycle has no cutset of either kind, so both colorers run every
     # detector on the whole cycle before they layer it
-    g = cycle_graph(1000)
-    for colorer, bound in ((color_triangle_free, 4), (color_general, 24)):
+    for colorer, n, bound in ((color_triangle_free, 2240, 4), (color_general, 1000, 24)):
+        g = cycle_graph(n)
         result = colorer(g, mode="strict")
         assert result.violations == []
         assert is_proper_coloring(g, result.coloring)
         assert result.coloring.palette_size <= bound
+
+
+def test_first_clique_cutset_of_glued_cycles():
+    # C_1200 with the chord {400, 800}: two cycles glued along an edge.  With
+    # the chord {401, 800} too, two cycles glued along the triangle
+    # {400, 401, 800}, whose edge {400, 401} does not split.  Neither graph
+    # has a cut vertex, and every earlier clique leaves it connected.
+    ring = list(cycle_graph(1200).edges())
+    outer = set(range(400)) | set(range(801, 1200))
+    for chords, clique, inner, colorers in (
+        ([(400, 800)], (400, 800), set(range(401, 800)),
+         ((color_general, 24), (color_triangle_free, 4))),
+        ([(400, 800), (401, 800)], (400, 401, 800), set(range(402, 800)),
+         ((color_general, 24),)),
+    ):
+        g = Graph(1200, ring + chords)
+        cut = find_clique_cutset(g)
+        assert (cut.clique, cut.side_x, cut.side_y) == (clique, outer, inner)
+        for colorer, bound in colorers:
+            result = colorer(g, mode="strict")
+            assert result.violations == []
+            assert result.trace[0]["clique"] == list(clique)
+            assert is_proper_coloring(g, result.coloring)
+            assert result.coloring.palette_size <= bound
 
 
 def test_thick_multipartite_families():
