@@ -161,11 +161,13 @@ def _colorable(g: Graph, order, k) -> bool:
 
 
 def _refine(masks: tuple[int, ...]) -> list[int]:
-    n = len(masks)
+    # lists: tuples built here raised the peak memory of enumeration at
+    # n = 8 by about 1 MB
+    nbrs = [list(bits(m)) for m in masks]
     colors = [m.bit_count() for m in masks]
     ncls = len(set(colors))
     while True:
-        sigs = [(colors[v], tuple(sorted(colors[u] for u in bits(masks[v])))) for v in range(n)]
+        sigs = [(colors[v], tuple(sorted(colors[u] for u in nb))) for v, nb in enumerate(nbrs)]
         ranked = {s: i for i, s in enumerate(sorted(set(sigs)))}
         colors = [ranked[s] for s in sigs]
         if len(ranked) == ncls:
@@ -287,6 +289,16 @@ _EXTENSION_FILTERS: dict[str, Callable] = {
 HEREDITARY_CLASSES = tuple(_EXTENSION_FILTERS)
 
 
+def _outranked(masks: list[int], degree: int, connected: bool) -> bool:
+    """Whether some vertex that could be deleted (any vertex, or any non-cut
+    vertex when ``connected``) has degree above ``degree``."""
+    child = Graph.from_masks(masks)
+    return any(
+        m.bit_count() > degree and (not connected or len(component_masks(child, 1 << v)) == 1)
+        for v, m in enumerate(masks)
+    )
+
+
 def enumerate_graphs(
     n: int,
     *,
@@ -296,11 +308,29 @@ def enumerate_graphs(
     """All graphs on n vertices, one canonical representative per isomorphism
     class, in sorted canonical order.
 
-    Generation extends each (n-1)-vertex class by a new vertex and keeps one
-    representative per canonical form.  ``connected`` restricts to connected
-    graphs (valid because every connected graph has a non-cut vertex);
-    ``hereditary`` names one of ``HEREDITARY_CLASSES`` ("girth5" or
-    "triangle-free"), which is pruned during generation.
+    Generation extends each (n-1)-vertex class by a new vertex joined to every
+    subset of the old ones (a non-empty subset when ``connected``) and keeps
+    one representative per canonical form.  ``hereditary`` names one of
+    ``HEREDITARY_CLASSES`` ("girth5" or "triangle-free"); extensions whose new
+    vertex leaves the class are dropped before anything else.
+
+    Acceptance rule: an extension is canonicalised only when no deletable
+    vertex has a strictly higher degree than the new vertex.  Deletable means
+    any vertex, or any non-cut vertex when ``connected``; the new vertex of a
+    connected extension is never a cut vertex, since its parent is connected.
+    Completeness: let w be a deletable vertex of maximum degree in a graph G
+    of the class.  G - w is connected when G is (w is not a cut vertex) and
+    lies in the hereditary class, so its class was kept one level down, and
+    extending that representative by w's neighbourhood gives a copy of G whose
+    new vertex no deletable vertex outranks.  Degree and cut-vertex status are
+    isomorphism invariants, so the rule never depends on the labeling.  Ties
+    and automorphic extensions still reach the same class more than once; the
+    canonical form removes those duplicates.
+
+    Cost: one canonical labeling per accepted extension.  Every extension
+    also pays a degree scan and, when ``connected``, one connectivity sweep
+    per outranking vertex up to the first that is not a cut vertex.  At
+    n = 8 connected, 26,497 of the 116,146 extensions are canonicalised.
     """
     if n > ENUMERATION_CAP:
         raise SizeLimitError(f"enumeration is capped at n={ENUMERATION_CAP}")
@@ -321,6 +351,8 @@ def enumerate_graphs(
                     continue
                 grown = [m | ((new_mask >> v & 1) << (size - 1)) for v, m in enumerate(masks)]
                 grown.append(new_mask)
+                if _outranked(grown, new_mask.bit_count(), connected):
+                    continue
                 rows = _min_encoding(tuple(grown))
                 if rows not in nxt:
                     nxt[rows] = tuple(grown)

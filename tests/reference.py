@@ -374,3 +374,19 @@ def ref_clique_cutset(g: Graph):
         if len(comps) >= 2:
             return clique, comps[0], set().union(*comps[1:])
     return None
+
+
+def ref_refine(masks: tuple[int, ...]) -> list[int]:
+    """Colour refinement: degrees first, then each vertex's colour with the
+    sorted colours of its neighbours, re-read with ``bits()`` every round,
+    until the number of colours stops growing."""
+    n = len(masks)
+    colors = [m.bit_count() for m in masks]
+    ncls = len(set(colors))
+    while True:
+        sigs = [(colors[v], tuple(sorted(colors[u] for u in bits(masks[v])))) for v in range(n)]
+        ranked = {s: i for i, s in enumerate(sorted(set(sigs)))}
+        colors = [ranked[s] for s in sigs]
+        if len(ranked) == ncls:
+            return colors
+        ncls = len(ranked)

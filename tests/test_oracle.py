@@ -1,9 +1,10 @@
+import hashlib
 import random
 from itertools import combinations
 
 import pytest
 
-from isk4color.graph import Graph
+from isk4color.graph import Graph, girth
 from isk4color.families import (
     complete_graph,
     complete_multipartite,
@@ -15,6 +16,7 @@ from isk4color.families import (
     random_graph,
     subdivided_complete,
 )
+from isk4color import oracle
 from isk4color.oracle import (
     SizeLimitError,
     are_isomorphic,
@@ -33,6 +35,7 @@ from reference import (
     ref_isomorphic,
     ref_labeled_connected_classes,
     ref_labeled_iso_classes,
+    ref_refine,
 )
 
 
@@ -120,11 +123,56 @@ def test_enumeration_counts():
         list(enumerate_graphs(10))
 
 
+def _stream_digest(corpus) -> str:
+    h = hashlib.sha256()
+    for n in sorted(corpus):
+        for g in corpus[n]:
+            h.update(repr(g._adj).encode())
+    return h.hexdigest()
+
+
+def test_enumeration_stream_is_pinned(all_graphs_7, connected_corpus_8):
+    # the exact yielded sequence: counts per order and the adjacency masks
+    # of every representative, in order
+    assert [len(all_graphs_7[n]) for n in range(1, 8)] == [1, 2, 4, 11, 34, 156, 1044]
+    assert [len(connected_corpus_8[n]) for n in range(1, 9)] == [1, 1, 2, 6, 21, 112, 853, 11117]
+    assert _stream_digest(all_graphs_7) == "05503197f51ca9ded9d3167967de5180a5a7df63a5e6674ee70d593710cfbad1"
+    assert _stream_digest(connected_corpus_8) == "32fe44cfd2d50d44ff9a9de7b40ff8daf0f8208076b3d7568e4e18fe8543eae4"
+
+
 def test_enumeration_triangle_free_variant():
-    for n in range(1, 7):
-        direct = [g for g in enumerate_graphs(n) if find_triangle(g) is None]
-        fast = list(enumerate_graphs(n, hereditary="triangle-free"))
-        assert {canonical_form(g) for g in direct} == {canonical_form(g) for g in fast}
+    # a hereditary class yields exactly the filtered full stream, in order
+    members = {"triangle-free": lambda g: find_triangle(g) is None, "girth5": lambda g: girth(g) >= 5}
+    for connected in (False, True):
+        for n in range(1, 8):
+            full = list(enumerate_graphs(n, connected=connected))
+            for name, member in members.items():
+                pruned = list(enumerate_graphs(n, connected=connected, hereditary=name))
+                assert pruned == [g for g in full if member(g)], (name, connected, n)
+
+
+def test_enumeration_canonicalises_few_extensions(monkeypatch):
+    # an extension is canonicalised only when no deletable vertex outranks
+    # the new one by degree: 2,173 of the 7,815 connected extensions up to
+    # n = 7
+    calls = 0
+    min_encoding = oracle._min_encoding
+
+    def counted(masks):
+        nonlocal calls
+        calls += 1
+        return min_encoding(masks)
+
+    monkeypatch.setattr(oracle, "_min_encoding", counted)
+    assert sum(1 for _ in enumerate_graphs(7, connected=True)) == 853
+    assert calls <= 2_173
+
+
+def test_refine_agrees_with_reference():
+    rng = random.Random(29)
+    for _ in range(2_000):
+        g = random_graph(rng, rng.randint(0, 9), rng.uniform(0.1, 0.9))
+        assert oracle._refine(g._adj) == ref_refine(g._adj), list(g.edges())
 
 
 def test_enumeration_rejects_unknown_hereditary_class():
