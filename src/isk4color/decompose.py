@@ -4,6 +4,20 @@ recombination: the recursion skeleton of the two bounded colorers.
 All searches return the lexicographically smallest witness (by sorted vertex
 ids) so that decomposition traces are reproducible.
 
+Both cutset searches read their candidates off one structure, ``_Blocks``.
+One iterative low-point DFS (``_low_points``) gives the cut vertices and the
+blocks of the graph.  On demand, the SPQR tree of each block with four or
+more vertices (``_triconnected_components``: Hopcroft-Tarjan with the
+Gutwenger-Mutzel corrections, on explicit stacks) gives every separation
+pair {a, b} of the block, with the number of components of B - {a, b} and
+how many of them are bare a-b paths.  In a block, a 2-clique cutset is an
+adjacent separation pair, the real edge of a P-node.  A proper 2-cutset is a
+non-adjacent pair whose components are not all bare paths, or a pair with a
+cut vertex in it.  Each search then runs the component sweep once, on its
+winner, so the witness and its sides are those of a sweep over every
+candidate.  Apart from the sweeps of the cut-vertex cliques and the
+triangles that a degree bound lets through, each search is O(n + m).
+
 Both kinds of cutset give two blocks, each missing a non-empty side of the
 cut, so every block is smaller than its parent and the colorers' recursion
 terminates without a depth guard.
@@ -11,6 +25,7 @@ terminates without a depth guard.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 
 from .graph import (
@@ -63,57 +78,537 @@ def _cliques_lex(g: Graph):
                 yield (a, b, b + 1 + c)
 
 
-def _cut_vertices(g: Graph) -> int:
-    """Mask of the cut vertices of g, from one iterative Hopcroft-Tarjan
-    low-point DFS from vertex 0.
+def _low_points(masks) -> tuple:
+    """One iterative Hopcroft-Tarjan DFS over the neighbour masks ``masks``
+    from vertex 0, each vertex's neighbours taken in increasing order.
 
-    A non-root vertex p is a cut vertex when some DFS child v has
-    low[v] >= disc[p]; the root when it has two or more children.  Raises
-    ValueError when the DFS does not reach every vertex.
+    Returns ``(order, num, parent, low1, low2, nd, cuts)``: the vertices in
+    preorder; each vertex's preorder number from 1 (0 when the DFS misses
+    it); its tree parent (-1 at the root); the smallest and the second
+    smallest number among the vertex and the ends of the back edges that
+    leave its subtree (both the vertex's own number when there are none);
+    the size of its subtree; and the mask of cut vertices.  A non-root
+    vertex v opens a block under its parent p when low1[v] >= num[p]; the
+    cut vertices are the parents that open one, except the root, which is
+    one when it opens two.  Each vertex keeps a scan position, not a copy of
+    its mask, so the DFS allocates O(n) words.
     """
-    n = g.n
-    if n <= 1:
-        return 0
-    disc = [-1] * n
-    low = [0] * n
-    rest = [0] * n  # neighbours of each open vertex not yet scanned
-    disc[0] = 0
-    rest[0] = g.mask(0)
-    t = 1
-    cuts = root_children = 0
+    n = len(masks)
+    num = [0] * n
+    parent = [-1] * n
+    low1 = [0] * n
+    low2 = [0] * n
+    nd = [1] * n
+    if not n:
+        return [], num, parent, low1, low2, nd, 0
+    pos = [0] * n  # the next neighbour of each open vertex is at or above this
+    num[0] = low1[0] = low2[0] = 1
+    order = [0]
+    stack = [0]
+    v = 0
+    cuts = 0
+    while True:
+        rest = masks[v] >> pos[v]
+        if rest:
+            w = pos[v] + (rest & -rest).bit_length() - 1
+            pos[v] = w + 1
+            x = num[w]
+            if not x:
+                order.append(w)
+                num[w] = low1[w] = low2[w] = len(order)
+                parent[w] = v
+                stack.append(w)
+                v = w
+            elif x < low2[v] and w != parent[v]:  # a back edge up from v
+                if x < low1[v]:
+                    low2[v] = low1[v]
+                    low1[v] = x
+                elif x > low1[v]:
+                    low2[v] = x
+            continue
+        stack.pop()
+        if not stack:
+            if len(order) > 1 and nd[0] > nd[order[1]] + 1:  # the root opens two blocks
+                cuts |= 1
+            return order, num, parent, low1, low2, nd, cuts
+        p = stack[-1]
+        nd[p] += nd[v]
+        l1, l2 = low1[v], low2[v]
+        if l1 >= num[p] and p:
+            cuts |= 1 << p
+        if l1 < low1[p]:
+            low2[p] = min(low1[p], l2)
+            low1[p] = l1
+        elif l1 == low1[p]:
+            if l2 < low2[p]:
+                low2[p] = l2
+        elif l1 < low2[p]:
+            low2[p] = l1
+        v = p
+
+
+_BOND, _POLYGON, _RIGID = 0, 1, 2
+
+
+def _find(root: list[int], c: int) -> int:
+    """Union-find root of c, halving the path on the way."""
+    while root[c] != c:
+        root[c] = c = root[root[c]]
+    return c
+
+
+def _triconnected_components(adj, tree) -> tuple[list[int], list[int], list, int]:
+    """The triconnected components of a 2-connected simple graph with at
+    least three vertices, given by adjacency lists and a DFS tree of it as
+    ``(num, parent, low1, low2, nd)`` (see ``_low_points``): Hopcroft-Tarjan
+    ("Dividing a graph into triconnected components", SIAM J. Comput. 1973)
+    with the corrections of Gutwenger-Mutzel ("A linear time implementation
+    of SPQR-trees", Graph Drawing 2000), on explicit stacks.
+
+    Returns ``(src, dst, nodes, m)``.  Edge e joins src[e] and dst[e]; the
+    ids below m are the graph's edges, the others virtual edges.  ``nodes``
+    lists the components as ``(kind, edges)``: a bond (two vertices, three or
+    more parallel edges), a polygon (a cycle) or a rigid simple 3-connected
+    graph, with no two bonds and no two polygons sharing a virtual edge.
+    Every virtual edge lies in exactly two nodes, and the nodes and virtual
+    edges form the SPQR tree.  Time and memory O(n + m).
+    """
+    k = len(adj)
+    num, parent, low1, low2, nd = tree
+    parent = parent[:]  # the type-2 splits re-hang vertices
+    # the palm tree: tree arcs parent -> child, fronds from a vertex up to
+    # an ancestor
+    src: list[int] = []
+    dst: list[int] = []
+    is_tree: list[bool] = []
+    tree_arc = [-1] * k
+    for v in range(k):
+        for w in adj[v]:
+            if parent[w] == v:
+                tree_arc[w] = len(src)
+                src.append(v)
+                dst.append(w)
+                is_tree.append(True)
+            elif num[w] < num[v] and w != parent[v]:
+                src.append(v)
+                dst.append(w)
+                is_tree.append(False)
+    m = len(src)
+    # acceptable adjacency structure: out-edges bucket-sorted by phi
+    buckets: list[list[int]] = [[] for _ in range(3 * k + 3)]
+    for e in range(m):
+        w = dst[e]
+        if not is_tree[e]:
+            buckets[3 * num[w] + 1].append(e)
+        elif low2[w] < num[src[e]]:
+            buckets[3 * low1[w]].append(e)
+        else:
+            buckets[3 * low1[w] + 2].append(e)
+    out: list[list[int]] = [[] for _ in range(k)]  # -1 marks a removed edge
+    slot = [0] * m
+    for bucket in buckets:
+        for e in bucket:
+            row = out[src[e]]
+            slot[e] = len(row)
+            row.append(e)
+    # renumber in the order of the sorted lists (a vertex's subtree is then
+    # newnum[v] .. newnum[v] + nd[v] - 1), mark the first edge of each path,
+    # and list the fronds into each vertex, first visited last
+    newnum = [0] * k
+    starts = bytearray(m)
+    high_src: list[int] = []  # entries of the frond lists: source number
+    high_live = bytearray()
+    in_high = [-1] * m
+    highs: list[list[int]] = [[] for _ in range(k)]
+    count = k
+    new_path = True
+    newnum[0] = 1
+    nxt = [0] * k
     stack = [0]
     while stack:
         v = stack[-1]
-        m = rest[v]
-        while m:
-            bit = m & -m
-            m ^= bit
-            w = bit.bit_length() - 1
-            if disc[w] < 0:
-                rest[v] = m
-                disc[w] = low[w] = t
-                rest[w] = g.mask(w)
-                t += 1
+        i = nxt[v]
+        if i < len(out[v]):
+            nxt[v] = i + 1
+            e = out[v][i]
+            if new_path:
+                new_path = False
+                starts[e] = 1
+            w = dst[e]
+            if is_tree[e]:
+                newnum[w] = count - nd[w] + 1
                 stack.append(w)
-                break
-            if disc[w] < low[v]:
-                low[v] = disc[w]
-        else:
+            else:
+                in_high[e] = len(high_src)
+                highs[w].append(len(high_src))
+                high_src.append(newnum[v])
+                high_live.append(1)
+                new_path = True
+            continue
+        stack.pop()
+        count -= 1
+    for h in highs:
+        h.reverse()
+    old2new = [0] * (k + 1)
+    at = [0] * (k + 1)  # vertex by new number
+    for v in range(k):
+        old2new[num[v]] = newnum[v]
+        at[newnum[v]] = v
+    low1 = [old2new[x] for x in low1]
+    low2 = [old2new[x] for x in low2]
+
+    def new_edge(a, b):  # a virtual edge, in no out-list and no frond list yet
+        src.append(a)
+        dst.append(b)
+        slot.append(-1)
+        in_high.append(-1)
+        return len(src) - 1
+
+    def unlink(e):  # take e out of its out-list and its frond list
+        out[src[e]][slot[e]] = -1
+        if in_high[e] >= 0:
+            high_live[in_high[e]] = 0
+
+    def high(u):  # the source of the first visited frond into u still there
+        hu = highs[u]
+        while hu and not high_live[hu[-1]]:
+            hu.pop()
+        return high_src[hu[-1]] if hu else 0
+
+    deg = [len(nbrs) for nbrs in adj]
+    first = [0] * k  # lower bound on the first live slot of each out-list
+    estack: list[int] = []
+    # triples (h, a, b) of possible type-2 pairs; a == -1 marks end of stack
+    eos = (0, -1, 0)
+    tstack = [eos]
+    comps: list[tuple[int, list[int]]] = []
+    via = [-1] * k  # the edge a vertex descended through, while below it
+    nxt = [0] * k
+    stack = [0]
+    while stack:
+        v = stack[-1]
+        vnum = newnum[v]
+        row = out[v]
+        i = nxt[v]
+        e = via[v]
+        if e >= 0:  # back from the child w reached over slot i - 1
+            via[v] = -1
+            idx = i - 1
+            w = dst[e]
+            estack.append(tree_arc[w])
+            wnum = newnum[w]
+            # type-2 pairs
+            while vnum != 1:
+                h, a, b = tstack[-1]
+                deg2 = False
+                if deg[w] == 2:
+                    rw = out[w]
+                    j = first[w]
+                    while j < len(rw) and rw[j] < 0:
+                        j += 1
+                    first[w] = j
+                    deg2 = j < len(rw) and newnum[dst[rw[j]]] > wnum
+                if a != vnum and not deg2:
+                    break
+                if a == vnum and parent[at[b]] == v:
+                    tstack.pop()
+                    continue
+                e_ab = -1
+                if deg2:
+                    e1 = estack.pop()
+                    e2 = estack.pop()
+                    unlink(e2)
+                    x = dst[e2]
+                    ev = new_edge(v, x)
+                    deg[x] -= 1
+                    deg[v] -= 1
+                    comps.append((_POLYGON, [e1, e2, ev]))
+                    if estack and src[estack[-1]] == x and dst[estack[-1]] == v:
+                        e_ab = estack.pop()
+                        unlink(e_ab)
+                else:
+                    tstack.pop()
+                    comp = []
+                    while estack:
+                        xy = estack[-1]
+                        xn, yn = newnum[src[xy]], newnum[dst[xy]]
+                        if not (a <= xn <= h and a <= yn <= h):
+                            break
+                        estack.pop()
+                        if (xn == a and yn == b) or (yn == a and xn == b):
+                            e_ab = xy
+                            unlink(xy)
+                            continue
+                        if xy != row[idx]:
+                            unlink(xy)
+                        comp.append(xy)
+                        deg[src[xy]] -= 1
+                        deg[dst[xy]] -= 1
+                    x = at[b]
+                    ev = new_edge(v, x)
+                    comp.append(ev)
+                    comps.append((_RIGID if len(comp) > 3 else _POLYGON, comp))
+                if e_ab >= 0:
+                    ev2 = new_edge(v, x)
+                    comps.append((_BOND, [e_ab, ev, ev2]))
+                    deg[x] -= 1
+                    deg[v] -= 1
+                    ev = ev2
+                estack.append(ev)
+                row[idx] = ev
+                slot[ev] = idx
+                deg[x] += 1
+                deg[v] += 1
+                parent[x] = v
+                tree_arc[x] = ev
+                w = x
+                wnum = newnum[w]
+            # a type-1 pair {low1(w), v}
+            l1 = low1[w]
+            if low2[w] >= vnum and l1 < vnum and (parent[v] != 0 or idx + 1 < len(row)):
+                comp = []
+                xn = yn = 0
+                end = wnum + nd[w]
+                while estack:
+                    xy = estack[-1]
+                    xn, yn = newnum[src[xy]], newnum[dst[xy]]
+                    if not (wnum <= xn < end or wnum <= yn < end):
+                        break
+                    estack.pop()
+                    comp.append(xy)
+                    if in_high[xy] >= 0:
+                        high_live[in_high[xy]] = 0
+                    deg[src[xy]] -= 1
+                    deg[dst[xy]] -= 1
+                u = at[l1]
+                ev = new_edge(v, u)
+                comp.append(ev)
+                comps.append((_RIGID if len(comp) > 3 else _POLYGON, comp))
+                if (xn == vnum and yn == l1) or (yn == vnum and xn == l1):
+                    eh = estack.pop()
+                    if eh != row[idx]:
+                        out[src[eh]][slot[eh]] = -1
+                    ev2 = new_edge(v, u)
+                    in_high[ev2] = in_high[eh]  # the frond list keeps its place
+                    comps.append((_BOND, [eh, ev, ev2]))
+                    deg[v] -= 1
+                    deg[u] -= 1
+                    ev = ev2
+                if u != parent[v]:
+                    estack.append(ev)
+                    row[idx] = ev
+                    slot[ev] = idx
+                    if in_high[ev] < 0 and high(u) < vnum:  # now the first into u
+                        in_high[ev] = len(high_src)
+                        highs[u].append(len(high_src))
+                        high_src.append(vnum)
+                        high_live.append(1)
+                    deg[v] += 1
+                    deg[u] += 1
+                else:
+                    row[idx] = -1
+                    ev2 = new_edge(u, v)
+                    eh = tree_arc[v]
+                    slot[ev2] = slot[eh]
+                    comps.append((_BOND, [ev, ev2, eh]))
+                    tree_arc[v] = ev2
+                    out[u][slot[eh]] = ev2
+            if starts[e]:
+                while tstack.pop() is not eos:
+                    pass
+            high_v = high(v)
+            while tstack[-1] is not eos:
+                h, a, b = tstack[-1]
+                if a == vnum or b == vnum or high_v <= h:
+                    break
+                tstack.pop()
+        if i == len(row):
             stack.pop()
-            if stack:
-                p = stack[-1]
-                if low[v] >= disc[p]:
-                    if p:
-                        cuts |= 1 << p
-                    else:
-                        root_children += 1
-                elif low[v] < low[p]:
-                    low[p] = low[v]
-    if t < n:
-        raise ValueError("input must be connected")
-    if root_children >= 2:
-        cuts |= 1
-    return cuts
+            continue
+        nxt[v] = i + 1
+        e = row[i]
+        w = dst[e]
+        if is_tree[e]:
+            if starts[e]:
+                l1 = low1[w]
+                h = newnum[w] + nd[w] - 1
+                b = vnum
+                while tstack[-1][1] > l1:
+                    h = max(h, tstack[-1][0])
+                    b = tstack.pop()[2]
+                tstack.append((h, l1, b))
+                tstack.append(eos)
+            via[v] = e
+            stack.append(w)
+        else:
+            if starts[e]:
+                wnum = newnum[w]
+                if tstack[-1][1] > wnum:
+                    h = 0
+                    while tstack[-1][1] > wnum:
+                        h = max(h, tstack[-1][0])
+                        b = tstack.pop()[2]
+                    tstack.append((h, wnum, b))
+                else:
+                    tstack.append((vnum, wnum, vnum))
+            estack.append(e)
+    comps.append((_RIGID if len(estack) > 3 else _POLYGON, estack))
+    # merge bonds that share a virtual edge, and polygons likewise
+    root = list(range(len(comps)))
+    holder = [-1] * (len(src) - m)
+    merged = bytearray(len(src) - m)
+    for c, (kind, edges) in enumerate(comps):
+        for e in edges:
+            if e < m:
+                continue
+            d = holder[e - m]
+            if d < 0:
+                holder[e - m] = c
+            elif kind != _RIGID and comps[d][0] == kind:
+                merged[e - m] = 1
+                root[_find(root, c)] = _find(root, d)
+    nodes: dict[int, tuple[int, list[int]]] = {}
+    for c, (kind, edges) in enumerate(comps):
+        node = nodes.setdefault(_find(root, c), (kind, []))
+        node[1].extend(e for e in edges if e < m or not merged[e - m])
+    return src, dst, list(nodes.values()), m
+
+
+def _spqr_pairs(adj, tree, ids, host_deg, pairs: dict, cycles: list) -> None:
+    """Add the separation pairs of one 2-connected block to ``pairs`` and
+    ``cycles`` (see ``_Blocks.separations``).  The block is given by local
+    adjacency lists ``adj``, a DFS tree of it as ``_triconnected_components``
+    takes it, the host id of each local vertex and the host degrees."""
+    src, dst, nodes, m = _triconnected_components(adj, tree)
+    deg = [host_deg[v] for v in ids]
+    holder = [[] for _ in range(len(src) - m)]
+    odd = []  # per node: its vertices whose host degree is not 2
+    for c, (kind, edges) in enumerate(nodes):
+        ends = 0
+        for e in edges:
+            ends += (deg[src[e]] != 2) + (deg[dst[e]] != 2)
+            if e >= m:
+                holder[e - m].append(c)
+        odd.append(ends // 2 if kind == _POLYGON else -1)
+
+    def bare(c, a, b):  # the side of the tree at node c is a bare a-b path
+        return odd[c] == (deg[a] != 2) + (deg[b] != 2)
+
+    for c, (kind, edges) in enumerate(nodes):
+        if kind == _BOND:
+            a, b = src[edges[0]], dst[edges[0]]
+            sides = [d for e in edges if e >= m for d in holder[e - m] if d != c]
+            pairs[min(ids[a], ids[b]), max(ids[a], ids[b])] = (
+                len(sides), sum(bare(d, a, b) for d in sides))
+        elif kind == _POLYGON:
+            nbrs = {}
+            for e in edges:
+                nbrs.setdefault(src[e], []).append(dst[e])
+                nbrs.setdefault(dst[e], []).append(src[e])
+            prev = start = src[edges[0]]
+            cycle = [ids[start]]
+            cur = nbrs[start][0]
+            while cur != start:
+                cycle.append(ids[cur])
+                x, y = nbrs[cur]
+                prev, cur = cur, y if x == prev else x
+            cycles.append(cycle)
+    for e in range(m, len(src)):  # virtual edges not merged away, between two non-bonds
+        if len(holder[e - m]) == 2:
+            c, d = holder[e - m]
+            if nodes[c][0] != _BOND and nodes[d][0] != _BOND:
+                a, b = src[e], dst[e]
+                pairs[min(ids[a], ids[b]), max(ids[a], ids[b])] = (
+                    2, bare(c, a, b) + bare(d, a, b))
+
+
+class _Blocks:
+    """The cut vertices of a connected graph from one ``_low_points`` DFS,
+    and on demand the separation pairs of its blocks.
+
+    Raises ValueError when the graph is not connected.
+    """
+
+    __slots__ = ("g", "tree", "cuts")
+
+    def __init__(self, g: Graph):
+        self.g = g
+        self.tree = _low_points(g._adj)
+        if len(self.tree[0]) < g.n:
+            raise ValueError("input must be connected")
+        self.cuts = self.tree[6]
+
+    def separations(self) -> tuple[dict, list]:
+        """The separation pairs of every block B with four or more vertices,
+        from its triconnected components (SPQR tree): ``(pairs, cycles)``.
+
+        ``pairs`` maps each pair (a, b), a < b, that is the two ends of a
+        virtual edge to ``(components, bare)``: how many components B - {a, b}
+        has (the virtual edges of the P-node at {a, b}, or 2), and how many of
+        them are bare a-b paths.  ``cycles`` lists the cycle of every S-node;
+        its non-adjacent pairs are the other separation pairs, each with the
+        two arcs as its components.  A component is a bare path when every
+        vertex of it has degree 2 in g: it is then an S-node arc of real
+        edges.  There are no other separation pairs: an R-node skeleton is
+        3-connected and a P-node has only its two poles, so any other pair
+        leaves every skeleton, and with them B, connected.
+
+        The DFS of g serves every block: restricted to a block, it is a DFS
+        of the block from the vertex the block hangs from, with the same low
+        points, since back edges from the blocks below a vertex end at or
+        under it.  O(n + m) time and memory.
+        """
+        g = self.g
+        n = g.n
+        order, num, parent, low1, low2, nd, _ = self.tree
+        deg = [mask.bit_count() for mask in g._adj]
+        pairs: dict[tuple[int, int], tuple[int, int]] = {}
+        cycles: list[list[int]] = []
+        block = [-1] * n  # block of the tree edge into each non-root vertex
+        members: list[list[int]] = []  # per block: its vertices in preorder
+        for v in order[1:]:
+            p = parent[v]
+            if low1[v] >= num[p]:
+                block[v] = len(members)
+                members.append([p])
+            else:
+                block[v] = block[p]
+            members[block[v]].append(v)
+        if len(members) == 1 and n >= 4:  # g is 2-connected: its own block
+            adj = [list(bits(mask)) for mask in g._adj]
+            _spqr_pairs(adj, (num, parent, low1, low2, nd), range(n), deg, pairs, cycles)
+            return pairs, cycles
+        loc = [0] * n
+        for b, ids in enumerate(members):
+            k = len(ids)
+            if k < 4:
+                continue
+            for i, v in enumerate(ids):
+                loc[v] = i
+            head = ids[0]
+            adj = [[loc[w] for w in bits(g.mask(v)) if block[w] == b or w == head] for v in ids]
+            adj[0] = [loc[w] for w in bits(g.mask(head)) if block[w] == b]
+            up = [-1] + [loc[parent[v]] for v in ids[1:]]
+            size = [1] * k
+            for i in range(k - 1, 0, -1):
+                size[up[i]] += size[i]
+            tree = (
+                list(range(1, k + 1)),
+                up,
+                [1] + [loc[order[low1[v] - 1]] + 1 for v in ids[1:]],
+                [1] + [loc[order[low2[v] - 1]] + 1 for v in ids[1:]],
+                size,
+            )
+            _spqr_pairs(adj, tree, ids, deg, pairs, cycles)
+        return pairs, cycles
+
+
+# The clique walk sweeps this many candidate edges itself before it builds
+# the SPQR trees for the rest.  The trees cost about as much as 10 sweeps
+# (3,072-vertex line graph) to 80 (8 vertices), and on most blocks that the
+# colorers see the winner comes within the first few candidates; where it
+# does not, the walk pays at most this many sweeps on top of the trees.
+_EDGE_SWEEPS = 32
 
 
 def find_clique_cutset(g: Graph) -> CliqueCutset | None:
@@ -122,29 +617,39 @@ def find_clique_cutset(g: Graph) -> CliqueCutset | None:
     Callers must pass connected, K4-free graphs; both are checked.  The K4
     bound is what caps clique cutsets at three vertices.
 
-    One low-point DFS (``_cut_vertices``) gives the cut vertices, and only
-    the cliques that can split g go through the component sweep: a cut
-    vertex, an edge or triangle that holds one, an edge (a, b) with
-    deg a >= 3 and deg b >= 3, and a triangle whose vertices have at least
-    four edges leaving it, sum(deg v - 2) >= 4.  The rest cannot split g.
-    For a clique K of two or three vertices with no cut vertex, a component
-    of g - K that met K in one vertex v only would make v a cut vertex, so
-    every component meets K in at least two vertices.  Two components then
-    need two neighbours outside K at each end of an edge, and at least four
-    (vertex, component) contacts, each over its own edge leaving K, for a
-    triangle.
+    The cliques are walked in ``_cliques_lex`` order, and a clique goes
+    through the component sweep only when it can split g:
+    - one that holds a cut vertex (``_Blocks`` finds them in one DFS);
+    - an edge ab with deg a >= 3 and deg b >= 3 that is a separation pair
+      of its block B.  With neither end a cut vertex, g - {a, b} is
+      disconnected exactly when B - {a, b} is, that is, when ab is the
+      real edge of a P-node of B's SPQR tree (``_Blocks.separations``).
+      The first ``_EDGE_SWEEPS`` such edges are swept without asking, as
+      sweeps cost less than the SPQR trees on the small blocks that most
+      calls see; the trees are built once, for the edges after those;
+    - a triangle whose vertices have at least four edges leaving it,
+      sum(deg v - 2) >= 4.
+    Every other clique leaves g connected.  For a clique K of two or three
+    vertices with no cut vertex, a component of g - K that met K in one
+    vertex v only would make v a cut vertex, so every component meets K in
+    at least two vertices.  Two components then need two neighbours
+    outside K at each end of an edge, and at least four (vertex, component)
+    contacts, each over its own edge leaving K, for a triangle.
 
-    The cliques are walked in ``_cliques_lex`` order and every skipped one
-    would not split, so the first clique and its sides are those of a sweep
-    over all cliques.  Cost: O(n + m) for the DFS, one step per clique for
-    the walk, and one O(n + m) sweep per clique that passes.  No clique
-    passes on a cycle, the walk stops at the first cut vertex on a path or
-    tree, and on a 2-connected subcubic line graph only the edges pass.
+    So the first clique and its sides are those of a sweep over all
+    cliques.  Cost: O(n + m) for the DFS and for the SPQR trees, one step
+    per clique for the walk, and one component sweep for each cut-vertex
+    clique and triangle that passes, for the first ``_EDGE_SWEEPS`` edges
+    that pass and for the winner.  The walk stops at the first cut vertex on a path or tree,
+    and on a cycle no edge passes the degree bound.
     """
-    cuts = _cut_vertices(g)
+    blocks = _Blocks(g)
+    cuts = blocks.cuts
     k4 = find_k4(g)
     if k4 is not None:
         raise ValueError(f"input contains a K4 {k4}; clique cutsets may exceed size 3")
+    pairs = None
+    edges_swept = 0
     for clique in _cliques_lex(g):
         removed = mask_of(clique)
         if not removed & cuts:
@@ -153,6 +658,13 @@ def find_clique_cutset(g: Graph) -> CliqueCutset | None:
             if len(clique) == 2:
                 if g.degree(clique[0]) < 3 or g.degree(clique[1]) < 3:
                     continue
+                if edges_swept == _EDGE_SWEEPS:
+                    if pairs is None:
+                        pairs = blocks.separations()[0]
+                    if clique not in pairs:
+                        continue
+                else:
+                    edges_swept += 1
             elif sum(g.degree(v) - 2 for v in clique) < 4:
                 continue
         comps = component_masks(g, removed)
@@ -180,77 +692,88 @@ def _is_ab_path(g: Graph, vmask: int, a: int, b: int) -> bool:
         cur = step.bit_length() - 1
 
 
-def _split_partners(g: Graph, adj, not2, a: int, partners: int) -> list[int]:
-    """The b in the ``partners`` mask for which g - {a, b} may split: two
-    components neither of which is an a-b path, three that are not all a-b
-    paths, or four or more; in ascending order.
+def _cycle_pair(cycle: list[int], deg: list[int]) -> tuple[int, int] | None:
+    """Lex-first pair of an S-node cycle whose two arcs are both no bare
+    path, that is, both hold a vertex of degree other than 2.
 
-    One DFS over g - a gives Hopcroft-Tarjan low-points, and with them the
-    components of g - {a, b} for every b at once: the child subtrees of b
-    that low-points separate from b's parent, and the rest of the DFS tree
-    when b is not its root.  A component C is an a-b path exactly when every
-    vertex of C has degree 2 in g and C touches both a and b.  Each of these
-    components touches b through a tree edge, so two counts per subtree
-    decide it: the vertices whose degree in g is not 2 (``not2`` flags them)
-    and the neighbours of a.
+    For the vertex at position p, let f and l be the first such vertex after
+    p and the last one before it (p itself not counted).  Its partners are
+    exactly the positions strictly between f and l on the side away from p.
+    The relation is symmetric, so the smallest vertex that has a partner
+    comes first, with its smallest partner.  O(len(cycle)).
+    """
+    k = len(cycle)
+    branch = [i for i, v in enumerate(cycle) if deg[v] != 2]
+    if len(branch) < 2:
+        return None
+    after = [0] * k
+    before = [0] * k
+    q = branch[0]
+    for t in range(1, k + 1):  # positions branch[0] - 1, ..., branch[0]
+        p = (branch[0] - t) % k
+        after[p] = q
+        if deg[cycle[p]] != 2:
+            q = p
+    q = branch[-1]
+    for t in range(1, k + 1):
+        p = (branch[-1] + t) % k
+        before[p] = q
+        if deg[cycle[p]] != 2:
+            q = p
+    best = None
+    for p in range(k):
+        if (before[p] - after[p]) % k >= 2 and (best is None or cycle[p] < cycle[best]):
+            best = p
+    if best is None:
+        return None
+    f, gap = after[best], (before[best] - after[best]) % k
+    return cycle[best], min(cycle[(f + t) % k] for t in range(1, gap))
 
-    When g - a is disconnected, a is a cut vertex of g and every b is
-    returned: a component of g - a without b is never an a-b path, so at
-    most a few pairs with this a do not split.
+
+def _cut_pair(g: Graph, blocks: _Blocks) -> tuple[int, int] | None:
+    """Lex-first non-adjacent pair {a, b} with a cut vertex in it that has a
+    proper split.
+
+    Such a pair always splits properly, except when one of its vertices is
+    a leaf y, and the other is a cut vertex x with g - x in two components,
+    two or more steps along the path of degree-2 vertices that leads from y.
+    Say a is a cut vertex, and b lies in the component D of g - a.  The
+    other components of g - a do not touch b, so none is a bare path, and
+    g - {a, b} has them and the components of D - b.  Only two components,
+    one of them bare, fail: g - a has two components and D - b is an a-b
+    path of degree-2 vertices, so b has degree 1 and D is a pendant path.
+    If b is a cut vertex too, that cannot happen.  O(n + m).
     """
     n = g.n
-    ma = g.mask(a)
-    disc = [-1] * n
-    disc[a] = n  # never entered, and never lowers a low-point
-    low = [0] * n
-    sub_not2 = list(not2)
-    sub_near = [ma >> v & 1 for v in range(n)]
-    cuts = [0] * n
-    cut_not2 = [0] * n
-    cut_near = [0] * n
-    cut_paths = [0] * n
-    r = 1 if a == 0 else 0
-    disc[r] = low[r] = 0
-    t = 1
-    stack = [(r, iter(adj[r]))]
-    while stack:
-        v, it = stack[-1]
-        for w in it:
-            if disc[w] < 0:
-                disc[w] = low[w] = t
-                t += 1
-                stack.append((w, iter(adj[w])))
+    cuts = blocks.cuts
+    order, num, parent, low1 = blocks.tree[:4]
+    splits = [1] * n  # components of g - v: the side above v, and
+    splits[0] = 0
+    for v in order[1:]:  # one for each block that v opens
+        if low1[v] >= num[parent[v]]:
+            splits[parent[v]] += 1
+    bad = set()
+    for y in range(n):
+        if g.degree(y) != 1:
+            continue
+        prev, cur, steps = y, g.neighbors(y)[0], 1
+        while True:
+            if steps >= 2 and cuts >> cur & 1 and splits[cur] == 2:
+                bad.add((min(y, cur), max(y, cur)))
+            if g.degree(cur) != 2:
                 break
-            if disc[w] < low[v]:
-                low[v] = disc[w]
+            x, z = g.neighbors(cur)
+            prev, cur, steps = cur, z if x == prev else x, steps + 1
+    cut_list = list(bits(cuts))
+    for a in range(n):
+        if cuts >> a & 1:
+            partners = range(a + 1, n)
         else:
-            stack.pop()
-            if stack:
-                p = stack[-1][0]
-                if low[v] >= disc[p]:
-                    cuts[p] += 1
-                    cut_not2[p] += sub_not2[v]
-                    cut_near[p] += sub_near[v]
-                    if not sub_not2[v] and sub_near[v]:
-                        cut_paths[p] += 1
-                elif low[v] < low[p]:
-                    low[p] = low[v]
-                sub_not2[p] += sub_not2[v]
-                sub_near[p] += sub_near[v]
-    if t < n - 1:
-        return list(bits(partners))
-    out = []
-    for b in bits(partners):
-        comps = cuts[b]
-        paths = cut_paths[b]
-        if b != r:
-            # the rest of the tree: all of it but b and the separated subtrees
-            comps += 1
-            if sub_not2[r] == not2[b] + cut_not2[b] and sub_near[r] > cut_near[b]:
-                paths += 1
-        if comps >= 4 or (comps == 3 and paths < 3) or (comps == 2 and not paths):
-            out.append(b)
-    return out
+            partners = map(cut_list.__getitem__, range(bisect_right(cut_list, a), len(cut_list)))
+        for b in partners:
+            if not g.mask(a) >> b & 1 and (a, b) not in bad:
+                return a, b
+    return None
 
 
 def find_proper_2cutset(g: Graph) -> Proper2Cutset | None:
@@ -258,49 +781,59 @@ def find_proper_2cutset(g: Graph) -> Proper2Cutset | None:
     g - {a,b} into two sides such that neither side together with {a,b}
     induces an a-b path.
 
-    Only a single component can form an a-b path.  So two components split
-    when neither is a path, three when one is no path and goes alone, and four
-    or more always split.  The first side is the first component that is no
-    path, or else the first two components.
+    Only a single component can form an a-b path, and it does exactly when
+    all of it has degree 2 in g and it touches both a and b (a bare path).
+    So two components split when neither is bare, three when one is not
+    bare and goes alone, and four or more always split.  The first side is
+    the first component that is not bare, or else the first two components.
 
-    For each a in ascending order, ``_split_partners`` finds in one DFS
-    the b > a that split by that rule (every b when a is a cut vertex), and
-    only those pairs go through the component sweep; a component C of
-    g - {a,b} is an a-b path exactly when all of C has degree 2 in g and C
-    touches both a and b.  Every pair that is skipped would not split, so
-    the first pair and its sides are those of a sweep over all non-adjacent
-    pairs.  Cost: O(n (n + m)) for the DFS passes, where a sweep per
-    non-adjacent pair is Theta(n^3) on sparse graphs.
+    The candidates come in two kinds, and the first pair is the smaller of
+    the first of each:
+    - a pair with a cut vertex in it: ``_cut_pair`` names the few that fail;
+    - a separation pair of a block with four or more vertices, from the
+      block's SPQR tree (``_Blocks.separations``): the ends of a virtual
+      edge with the number of components of B - {a, b} and of bare ones,
+      and the non-adjacent pairs of each S-node cycle (``_cycle_pair``).
+    When neither vertex is a cut vertex, the components of g - {a, b} are
+    those of B - {a, b} with the rest of g hanging off them at cut vertices,
+    which have degree >= 3; every other pair of non-cut vertices leaves g
+    connected.  A block pair with a cut vertex that the SPQR rule accepts
+    is accepted by the cut rule as well, since a leaf is in no block of
+    four vertices.  So every skipped pair would not split, and the one
+    component sweep on the winner gives the sides of a sweep over all
+    non-adjacent pairs.  Cost: O(n + m) for the DFS, the SPQR trees and the
+    candidates, plus that sweep.  Cliques and graphs with fewer than four
+    vertices (no non-adjacent pair splits) and cycles (every component is a
+    bare path) build no SPQR tree.
     """
     if not is_connected(g):
         raise ValueError("input must be connected")
-    full = (1 << g.n) - 1
-    adj = not2 = None
-    for a in range(g.n):
-        partners = full & ~g.mask(a) & ~((2 << a) - 1)  # b > a, not adjacent
-        if not partners:
-            continue
-        if adj is None:  # once per call, and not at all on a clique
-            adj = [g.neighbors(v) for v in range(g.n)]
-            not2 = [int(len(nb) != 2) for nb in adj]
-        for b in _split_partners(g, adj, not2, a, partners):
-            ab = (1 << a) | (1 << b)
-            comps = component_masks(g, ab)
-            if len(comps) < 2:
-                continue
-            if len(comps) == 2:
-                if any(_is_ab_path(g, c | ab, a, b) for c in comps):
-                    continue
-                xm = comps[0]
-            else:
-                xm = next((c for c in comps if not _is_ab_path(g, c | ab, a, b)), 0)
-                if not xm:
-                    if len(comps) == 3:
-                        continue
-                    xm = comps[0] | comps[1]
-            ym = full & ~ab & ~xm
-            return Proper2Cutset(a, b, frozenset(bits(xm)), frozenset(bits(ym)))
-    return None
+    n = g.n
+    if n < 4 or g.m == n * (n - 1) // 2 or all(g.degree(v) == 2 for v in range(n)):
+        return None
+    blocks = _Blocks(g)
+    best = _cut_pair(g, blocks) if blocks.cuts else None
+    pairs, cycles = blocks.separations()
+    for (a, b), (comps, bare) in pairs.items():
+        if (
+            (comps >= 4 or (comps == 3 and bare < 3) or (comps == 2 and not bare))
+            and not g.mask(a) >> b & 1
+            and (best is None or (a, b) < best)
+        ):
+            best = a, b
+    deg = [mask.bit_count() for mask in g._adj]
+    for cycle in cycles:
+        pair = _cycle_pair(cycle, deg)
+        if pair is not None and (best is None or pair < best):
+            best = pair
+    if best is None:
+        return None
+    a, b = best
+    ab = (1 << a) | (1 << b)
+    comps = component_masks(g, ab)
+    xm = next((c for c in comps if not _is_ab_path(g, c | ab, a, b)), comps[0] | comps[1])
+    ym = ((1 << n) - 1) & ~ab & ~xm
+    return Proper2Cutset(a, b, frozenset(bits(xm)), frozenset(bits(ym)))
 
 
 # ---------------------------------------------------------------------------

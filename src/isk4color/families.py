@@ -102,15 +102,14 @@ def subdivided_complete(k: int, times: dict[tuple[int, int], int] | int = 0) -> 
 
 
 def line_graph(g: Graph) -> Graph:
-    """Line graph: one vertex per edge of g, adjacent when edges share an endpoint."""
+    """Line graph: one vertex per edge of g (in ``g.edges()`` order), adjacent
+    when edges share an endpoint; the pairs are taken per endpoint."""
     edge_list = list(g.edges())
-    n = len(edge_list)
-    out = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            if set(edge_list[i]) & set(edge_list[j]):
-                out.append((i, j))
-    return Graph(n, out)
+    at: list[list[int]] = [[] for _ in range(g.n)]
+    for i, (u, v) in enumerate(edge_list):
+        at[u].append(i)
+        at[v].append(i)
+    return Graph(len(edge_list), [(i, j) for ids in at for k, i in enumerate(ids) for j in ids[k + 1:]])
 
 
 def disjoint_union(g: Graph, h: Graph) -> Graph:

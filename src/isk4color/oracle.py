@@ -332,6 +332,20 @@ def enumerate_graphs(
     per outranking vertex up to the first that is not a cut vertex.  At
     n = 8 connected, 26,497 of the 116,146 extensions are canonicalised.
     """
+    graphs: Iterator[Graph] = iter(())
+    for graphs in _levels(n, connected=connected, hereditary=hereditary):
+        pass
+    yield from graphs
+
+
+def _levels(
+    n: int,
+    *,
+    connected: bool = False,
+    hereditary: str | None = None,
+) -> Iterator[Iterator[Graph]]:
+    """The orders 1..n of ``enumerate_graphs`` in turn, each grown from the
+    one before: for each order, its graphs in sorted canonical order."""
     if n > ENUMERATION_CAP:
         raise SizeLimitError(f"enumeration is capped at n={ENUMERATION_CAP}")
     if hereditary is not None and hereditary not in _EXTENSION_FILTERS:
@@ -342,6 +356,7 @@ def enumerate_graphs(
         return
     keep = _EXTENSION_FILTERS.get(hereditary)
     level = {(0,): (0,)}  # canonical rows -> masks
+    yield map(_graph_from_rows, sorted(level))
     for size in range(2, n + 1):
         nxt: dict[tuple[int, ...], tuple[int, ...]] = {}
         lo = 1 if connected else 0
@@ -357,8 +372,7 @@ def enumerate_graphs(
                 if rows not in nxt:
                     nxt[rows] = tuple(grown)
         level = nxt
-    for rows in sorted(level):
-        yield _graph_from_rows(rows)
+        yield map(_graph_from_rows, sorted(level))
 
 
 # ---------------------------------------------------------------------------

@@ -29,6 +29,7 @@ from .graph import Graph, bfs_layering, girth, is_proper_coloring
 from .layering import find_confluence, upstairs_path
 from .oracle import (
     HEREDITARY_CLASSES,
+    _levels,
     chromatic_number_exact,
     classify_hole_attachment,
     contains_isk4,
@@ -421,10 +422,10 @@ def run_suite(
     jobs = min(jobs, os.cpu_count() or 1)
     pool = ProcessPoolExecutor(max_workers=jobs) if jobs > 1 else None
     try:
-        for n in range(1, n_max + 1):
+        for n, source in enumerate(_graph_sources(n_max, connected, filters, corpus), 1):
             enumerated = 0
             graphs = []
-            for g in _graph_source(n, connected, filters, corpus):
+            for g in source:
                 enumerated += 1
                 if all(FILTERS[f](g) for f in runtime):
                     graphs.append(g)
@@ -504,14 +505,22 @@ def run_suite(
     )
 
 
-def _graph_source(n, connected, filters, corpus):
-    """Stream of graphs already in the hereditary classes that ``filters``
-    names, so counts agree between direct enumeration and an injected corpus.
-    Enumeration prunes by the strictest of them, which implies the others."""
+def _graph_sources(n_max, connected, filters, corpus):
+    """For n = 1..n_max, the stream of graphs already in the hereditary
+    classes that ``filters`` names, so counts agree between direct
+    enumeration and an injected corpus.  Enumeration prunes by the strictest
+    of them, which implies the others.  Without a corpus the orders come
+    from one pass of ``oracle._levels``, each grown from the one before."""
     classes = [c for c in HEREDITARY_CLASSES if c in filters]
-    if corpus is not None and n in corpus:
-        return [g for g in corpus[n] if all(FILTERS[c](g) for c in classes)]
-    return enumerate_graphs(n, connected=connected, hereditary=classes[0] if classes else None)
+    hereditary = classes[0] if classes else None
+    if corpus is None:
+        yield from _levels(n_max, connected=connected, hereditary=hereditary)
+        return
+    for n in range(1, n_max + 1):
+        if n in corpus:
+            yield [g for g in corpus[n] if all(FILTERS[c](g) for c in classes)]
+        else:
+            yield enumerate_graphs(n, connected=connected, hereditary=hereditary)
 
 
 def _run_random_upstairs(seed, count, violations):

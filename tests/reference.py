@@ -7,9 +7,11 @@ search paths.
 
 from itertools import combinations, permutations
 
-from isk4color.graph import Graph, bits, induced_subgraph, mask_of
+from isk4color.decompose import CliqueCutset, Proper2Cutset, _cliques_lex, _is_ab_path
+from isk4color.graph import Graph, bits, component_masks, induced_subgraph, is_connected, mask_of
 from isk4color.families import prism_graph
 from isk4color.oracle import Isk4Witness, _subdivision_witness
+from isk4color.patterns import find_k4
 
 
 def ref_isomorphic(g: Graph, h: Graph) -> bool:
@@ -390,3 +392,251 @@ def ref_refine(masks: tuple[int, ...]) -> list[int]:
         if len(ranked) == ncls:
             return colors
         ncls = len(ranked)
+
+
+def ref_separation_pairs(g: Graph) -> dict[tuple[int, int], tuple[int, int]]:
+    """Every pair (a, b), a < b, for which G - {a, b} is disconnected, with
+    the number of components and the number of bare ones: every vertex of
+    degree 2 in G, touching both a and b.  One component sweep per pair."""
+    out = {}
+    for a, b in combinations(range(g.n), 2):
+        comps = component_masks(g, (1 << a) | (1 << b))
+        if len(comps) >= 2:
+            bare = sum(
+                all(g.degree(v) == 2 for v in bits(c))
+                and bool(g.mask(a) & c) and bool(g.mask(b) & c)
+                for c in comps
+            )
+            out[a, b] = (len(comps), bare)
+    return out
+
+
+# ---------------------------------------------------------------------------
+# Mid-size oracles: the two cutset searches as they were before the SPQR
+# pass, kept verbatim apart from the names of the entry points.  They sweep
+# one component per candidate edge and run one DFS per vertex,
+# Theta(n (n + m)) in all: too slow for thousands of vertices, fast enough
+# for a few hundred, and independent of the triconnected components.
+
+
+def _cut_vertices(g: Graph) -> int:
+    """Mask of the cut vertices of g, from one iterative Hopcroft-Tarjan
+    low-point DFS from vertex 0.
+
+    A non-root vertex p is a cut vertex when some DFS child v has
+    low[v] >= disc[p]; the root when it has two or more children.  Raises
+    ValueError when the DFS does not reach every vertex.
+    """
+    n = g.n
+    if n <= 1:
+        return 0
+    disc = [-1] * n
+    low = [0] * n
+    rest = [0] * n  # neighbours of each open vertex not yet scanned
+    disc[0] = 0
+    rest[0] = g.mask(0)
+    t = 1
+    cuts = root_children = 0
+    stack = [0]
+    while stack:
+        v = stack[-1]
+        m = rest[v]
+        while m:
+            bit = m & -m
+            m ^= bit
+            w = bit.bit_length() - 1
+            if disc[w] < 0:
+                rest[v] = m
+                disc[w] = low[w] = t
+                rest[w] = g.mask(w)
+                t += 1
+                stack.append(w)
+                break
+            if disc[w] < low[v]:
+                low[v] = disc[w]
+        else:
+            stack.pop()
+            if stack:
+                p = stack[-1]
+                if low[v] >= disc[p]:
+                    if p:
+                        cuts |= 1 << p
+                    else:
+                        root_children += 1
+                elif low[v] < low[p]:
+                    low[p] = low[v]
+    if t < n:
+        raise ValueError("input must be connected")
+    if root_children >= 2:
+        cuts |= 1
+    return cuts
+
+
+def dfs_clique_cutset(g: Graph) -> CliqueCutset | None:
+    """First (lex) clique of size <= 3 whose removal disconnects g.
+
+    Callers must pass connected, K4-free graphs; both are checked.  The K4
+    bound is what caps clique cutsets at three vertices.
+
+    One low-point DFS (``_cut_vertices``) gives the cut vertices, and only
+    the cliques that can split g go through the component sweep: a cut
+    vertex, an edge or triangle that holds one, an edge (a, b) with
+    deg a >= 3 and deg b >= 3, and a triangle whose vertices have at least
+    four edges leaving it, sum(deg v - 2) >= 4.  The rest cannot split g.
+    For a clique K of two or three vertices with no cut vertex, a component
+    of g - K that met K in one vertex v only would make v a cut vertex, so
+    every component meets K in at least two vertices.  Two components then
+    need two neighbours outside K at each end of an edge, and at least four
+    (vertex, component) contacts, each over its own edge leaving K, for a
+    triangle.
+
+    The cliques are walked in ``_cliques_lex`` order and every skipped one
+    would not split, so the first clique and its sides are those of a sweep
+    over all cliques.  Cost: O(n + m) for the DFS, one step per clique for
+    the walk, and one O(n + m) sweep per clique that passes.  No clique
+    passes on a cycle, the walk stops at the first cut vertex on a path or
+    tree, and on a 2-connected subcubic line graph only the edges pass.
+    """
+    cuts = _cut_vertices(g)
+    k4 = find_k4(g)
+    if k4 is not None:
+        raise ValueError(f"input contains a K4 {k4}; clique cutsets may exceed size 3")
+    for clique in _cliques_lex(g):
+        removed = mask_of(clique)
+        if not removed & cuts:
+            if len(clique) == 1:
+                continue
+            if len(clique) == 2:
+                if g.degree(clique[0]) < 3 or g.degree(clique[1]) < 3:
+                    continue
+            elif sum(g.degree(v) - 2 for v in clique) < 4:
+                continue
+        comps = component_masks(g, removed)
+        if len(comps) >= 2:
+            x = frozenset(bits(comps[0]))
+            y = frozenset(v for c in comps[1:] for v in bits(c))
+            return CliqueCutset(clique, x, y)
+    return None
+
+
+def _split_partners(g: Graph, adj, not2, a: int, partners: int) -> list[int]:
+    """The b in the ``partners`` mask for which g - {a, b} may split: two
+    components neither of which is an a-b path, three that are not all a-b
+    paths, or four or more; in ascending order.
+
+    One DFS over g - a gives Hopcroft-Tarjan low-points, and with them the
+    components of g - {a, b} for every b at once: the child subtrees of b
+    that low-points separate from b's parent, and the rest of the DFS tree
+    when b is not its root.  A component C is an a-b path exactly when every
+    vertex of C has degree 2 in g and C touches both a and b.  Each of these
+    components touches b through a tree edge, so two counts per subtree
+    decide it: the vertices whose degree in g is not 2 (``not2`` flags them)
+    and the neighbours of a.
+
+    When g - a is disconnected, a is a cut vertex of g and every b is
+    returned: a component of g - a without b is never an a-b path, so at
+    most a few pairs with this a do not split.
+    """
+    n = g.n
+    ma = g.mask(a)
+    disc = [-1] * n
+    disc[a] = n  # never entered, and never lowers a low-point
+    low = [0] * n
+    sub_not2 = list(not2)
+    sub_near = [ma >> v & 1 for v in range(n)]
+    cuts = [0] * n
+    cut_not2 = [0] * n
+    cut_near = [0] * n
+    cut_paths = [0] * n
+    r = 1 if a == 0 else 0
+    disc[r] = low[r] = 0
+    t = 1
+    stack = [(r, iter(adj[r]))]
+    while stack:
+        v, it = stack[-1]
+        for w in it:
+            if disc[w] < 0:
+                disc[w] = low[w] = t
+                t += 1
+                stack.append((w, iter(adj[w])))
+                break
+            if disc[w] < low[v]:
+                low[v] = disc[w]
+        else:
+            stack.pop()
+            if stack:
+                p = stack[-1][0]
+                if low[v] >= disc[p]:
+                    cuts[p] += 1
+                    cut_not2[p] += sub_not2[v]
+                    cut_near[p] += sub_near[v]
+                    if not sub_not2[v] and sub_near[v]:
+                        cut_paths[p] += 1
+                elif low[v] < low[p]:
+                    low[p] = low[v]
+                sub_not2[p] += sub_not2[v]
+                sub_near[p] += sub_near[v]
+    if t < n - 1:
+        return list(bits(partners))
+    out = []
+    for b in bits(partners):
+        comps = cuts[b]
+        paths = cut_paths[b]
+        if b != r:
+            # the rest of the tree: all of it but b and the separated subtrees
+            comps += 1
+            if sub_not2[r] == not2[b] + cut_not2[b] and sub_near[r] > cut_near[b]:
+                paths += 1
+        if comps >= 4 or (comps == 3 and paths < 3) or (comps == 2 and not paths):
+            out.append(b)
+    return out
+
+
+def dfs_proper_2cutset(g: Graph) -> Proper2Cutset | None:
+    """First (lex) non-adjacent pair {a,b} with a split of the components of
+    g - {a,b} into two sides such that neither side together with {a,b}
+    induces an a-b path.
+
+    Only a single component can form an a-b path.  So two components split
+    when neither is a path, three when one is no path and goes alone, and four
+    or more always split.  The first side is the first component that is no
+    path, or else the first two components.
+
+    For each a in ascending order, ``_split_partners`` finds in one DFS
+    the b > a that split by that rule (every b when a is a cut vertex), and
+    only those pairs go through the component sweep; a component C of
+    g - {a,b} is an a-b path exactly when all of C has degree 2 in g and C
+    touches both a and b.  Every pair that is skipped would not split, so
+    the first pair and its sides are those of a sweep over all non-adjacent
+    pairs.  Cost: O(n (n + m)) for the DFS passes, where a sweep per
+    non-adjacent pair is Theta(n^3) on sparse graphs.
+    """
+    if not is_connected(g):
+        raise ValueError("input must be connected")
+    full = (1 << g.n) - 1
+    adj = not2 = None
+    for a in range(g.n):
+        partners = full & ~g.mask(a) & ~((2 << a) - 1)  # b > a, not adjacent
+        if not partners:
+            continue
+        if adj is None:  # once per call, and not at all on a clique
+            adj = [g.neighbors(v) for v in range(g.n)]
+            not2 = [int(len(nb) != 2) for nb in adj]
+        for b in _split_partners(g, adj, not2, a, partners):
+            ab = (1 << a) | (1 << b)
+            comps = component_masks(g, ab)
+            if len(comps) < 2:
+                continue
+            if len(comps) == 2:
+                if any(_is_ab_path(g, c | ab, a, b) for c in comps):
+                    continue
+                xm = comps[0]
+            else:
+                xm = next((c for c in comps if not _is_ab_path(g, c | ab, a, b)), 0)
+                if not xm:
+                    if len(comps) == 3:
+                        continue
+                    xm = comps[0] | comps[1]
+            ym = full & ~ab & ~xm
+            return Proper2Cutset(a, b, frozenset(bits(xm)), frozenset(bits(ym)))
+    return None

@@ -1,12 +1,14 @@
 import hashlib
 import json
 import random
+from collections import Counter
 
 import pytest
 
 from isk4color.graph import (
     Graph,
     Coloring,
+    component_masks,
     connected_components,
     greedy_coloring,
     induced_subgraph,
@@ -23,6 +25,8 @@ from isk4color.families import (
     subdivided_complete,
 )
 from isk4color.decompose import (
+    _EDGE_SWEEPS,
+    _Blocks,
     build_2cutset_blocks,
     find_clique_cutset,
     find_proper_2cutset,
@@ -36,10 +40,14 @@ from isk4color.patterns import find_k4, find_k222, find_k33
 
 from reference import (
     _ref_components,
+    dfs_clique_cutset,
+    dfs_proper_2cutset,
     ref_clique_cutset,
     ref_is_proper_2cutset,
     ref_proper_2cutset,
+    ref_separation_pairs,
 )
+from test_stress import _subdivided_ladder_line_graph
 
 
 def test_clique_cutset_examples():
@@ -179,6 +187,153 @@ def test_proper_2cutset_agrees_with_reference(connected_corpus_8):
             assert (cut.a, cut.b) == ref, list(g.edges())
             assert ref_is_proper_2cutset(g, cut.a, cut.b, cut.side_x, cut.side_y)
     assert found == 5226
+
+
+def _all_separation_pairs(g):
+    """Expand ``_Blocks.separations``: each virtual-edge pair as given, and
+    each non-adjacent pair of an S-node cycle with its two arcs, an arc bare
+    when every vertex on it has degree 2."""
+    pairs, cycles = _Blocks(g).separations()
+    out = dict(pairs)
+    for cycle in cycles:
+        k = len(cycle)
+        for i in range(k):
+            for j in range(i + 2, k - (i == 0)):
+                arcs = (cycle[i + 1:j], cycle[j + 1:] + cycle[:i])
+                bare = sum(all(g.degree(v) == 2 for v in arc) for arc in arcs)
+                key = (min(cycle[i], cycle[j]), max(cycle[i], cycle[j]))
+                assert key not in out, (key, list(g.edges()))
+                out[key] = (2, bare)
+    return out
+
+
+def test_separation_pairs_match_brute_force(connected_corpus_8):
+    # every pair that disconnects a 2-connected graph, with its number of
+    # components and of bare paths among them, comes out of the SPQR trees
+    checked, kinds = 0, Counter()
+    for n in range(3, 9):
+        for g in connected_corpus_8[n]:
+            if any(len(component_masks(g, 1 << v)) > 1 for v in range(n)):
+                continue
+            checked += 1
+            expected = ref_separation_pairs(g)
+            assert _all_separation_pairs(g) == expected, list(g.edges())
+            kinds.update(expected.values())
+    # (components, bare components) -> pairs of that kind
+    assert checked == 7661 and kinds == {
+        (2, 0): 1861, (2, 1): 7942, (2, 2): 59, (3, 0): 12, (3, 1): 116,
+        (3, 2): 512, (3, 3): 14, (4, 2): 8, (4, 3): 46, (4, 4): 8,
+        (5, 4): 4, (5, 5): 4, (6, 6): 2,
+    }
+
+
+def _series_parallel(rng, n):
+    """A 2-connected series-parallel graph on n vertices: from a triangle,
+    subdivide an edge or add a path of length 2 beside it, relabelled at
+    random."""
+    edges, k = [(0, 1), (1, 2), (0, 2)], 3
+    while k < n:
+        i = rng.randrange(len(edges))
+        u, v = edges[i]
+        if rng.random() < 0.5:  # subdivide uv
+            edges[i] = (u, k)
+            edges.append((k, v))
+        else:  # a path u-k-v beside uv
+            edges += [(u, k), (k, v)]
+        k += 1
+    perm = list(range(n))
+    rng.shuffle(perm)
+    return Graph(n, [(perm[u], perm[v]) for u, v in edges])
+
+
+def _glued(rng, pieces, size):
+    """Identify an edge or a triangle of each piece with one of the graph
+    so far, relabelled at random."""
+    n, edges = pieces[0].n, list(pieces[0].edges())
+    for piece in pieces[1:]:
+        if size == 3:
+            host = [t for t in _all_cliques(Graph(n, edges)) if len(t) == 3]
+            mine = [t for t in _all_cliques(piece) if len(t) == 3]
+        else:
+            host, mine = list(Graph(n, edges).edges()), list(piece.edges())
+        if not host or not mine:
+            continue
+        shared = dict(zip(rng.choice(mine), rng.choice(host)))
+        for v in range(piece.n):
+            if v not in shared:
+                shared[v], n = n, n + 1
+        edges += [(shared[u], shared[v]) for u, v in piece.edges()]
+    perm = list(range(n))
+    rng.shuffle(perm)
+    return Graph(n, [(perm[u], perm[v]) for u, v in edges])
+
+
+def _two_connected(g):
+    return g.n >= 3 and all(len(component_masks(g, 1 << v)) == 1 for v in range(g.n))
+
+
+def _mid_size_corpus():
+    """Seeded 2-connected K4-free graphs with 20 to 150 vertices: 12 each of
+    series-parallel graphs, ears on a cycle, line graphs of subdivided
+    subcubic graphs, and the three glued along an edge or a triangle."""
+    rng = random.Random(111)
+
+    def subcubic_line_graph():
+        root = _subdivided(rng, random_connected_graph(rng, rng.randint(6, 16), 0.3))
+        return line_graph(root) if max(map(root.degree, range(root.n))) <= 3 else Graph(0)
+
+    families = {
+        "series-parallel": lambda: _series_parallel(rng, rng.randint(20, 150)),
+        "ears": lambda: _ears_on_a_cycle(rng, rng.randint(20, 150)),
+        "line": subcubic_line_graph,
+    }
+    pieces = {name: [] for name in families}
+    for name, make in families.items():
+        while len(pieces[name]) < 12:
+            g = make()
+            if 20 <= g.n <= 150 and _two_connected(g):
+                pieces[name].append(g)
+    glued = []
+    while len(glued) < 12:
+        parts = [rng.choice(pieces["line"]), _series_parallel(rng, rng.randint(8, 30)),
+                 _ears_on_a_cycle(rng, rng.randint(8, 30))]
+        g = _glued(rng, parts, 2 + len(glued) % 2)
+        if g.n <= 150:
+            glued.append(g)
+    return [g for name in families for g in pieces[name]] + glued
+
+
+def test_cutset_searches_agree_with_dfs_oracle_mid_size():
+    # both searches give the same witness and sides as the searches they
+    # replaced, on 2-connected graphs too large for the brute force
+    graphs = _mid_size_corpus()
+    hits = [0, 0]
+    for g in graphs:
+        assert 20 <= g.n <= 150 and find_k4(g) is None
+        cut, cut2 = find_clique_cutset(g), find_proper_2cutset(g)
+        assert cut == dfs_clique_cutset(g), list(g.edges())
+        assert cut2 == dfs_proper_2cutset(g), list(g.edges())
+        hits[0] += cut is not None
+        hits[1] += cut2 is not None
+    assert len(graphs) == 48 and hits == [30, 32], hits
+
+
+def test_clique_cutset_found_by_spqr_after_the_swept_edges():
+    # a cycle glued along one late edge, in no triangle, of the 3-connected
+    # L(subdivided ladder): every earlier edge is a candidate that does not
+    # split, so the walk runs past the edges it sweeps and finds the P-node
+    # edge in the SPQR tree
+    core = _subdivided_ladder_line_graph(16)
+    late = [(u, v) for u, v in core.edges() if u > 60 and not core.mask(u) & core.mask(v)]
+    assert len(late) >= 6
+    for u, v in late[:6]:
+        ring = [u] + list(range(96, 104)) + [v]
+        g = Graph(104, list(core.edges()) + list(zip(ring, ring[1:])))
+        candidates = [e for e in g.edges() if e < (u, v) and min(map(g.degree, e)) >= 3]
+        assert len(candidates) > _EDGE_SWEEPS
+        cut = find_clique_cutset(g)
+        assert cut == dfs_clique_cutset(g)
+        assert cut.clique == (u, v) and cut.side_y == set(range(96, 104))
 
 
 def _subdivided(rng, base):

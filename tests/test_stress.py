@@ -4,7 +4,7 @@ subdivision even as a subgraph) and line graphs of subcubic graphs."""
 
 import random
 
-from isk4color.colorers import color_general, color_triangle_free
+from isk4color.colorers import BOUND_GENERAL, color_general, color_triangle_free
 from isk4color.decompose import find_clique_cutset
 from isk4color.families import cycle_graph, line_graph
 from isk4color.graph import Graph, is_connected, is_proper_coloring
@@ -84,15 +84,19 @@ def test_line_graphs_of_random_subcubic_color_within_bound():
     assert checked >= 35
 
 
+def _subdivided_ladder_line_graph(k):
+    """L(circular ladder with k rungs, every edge subdivided): 6k vertices,
+    3-connected, with no cutset of either kind."""
+    ladder = [(i, (i + 1) % k) for i in range(k)] + [(k + i, k + (i + 1) % k) for i in range(k)]
+    ladder += [(i, k + i) for i in range(k)]
+    return line_graph(Graph(5 * k, [(x, 2 * k + j) for j, e in enumerate(ladder) for x in e]))
+
+
 def test_line_graphs_of_subdivided_ladders_color_as_line_graphs():
-    # L(circular ladder with k rungs, every edge subdivided): 6k vertices,
     # no cutset and many induced prisms, so the trigger fires and the root
     # is recognized
     for k in (8, 16):
-        ladder = [(i, (i + 1) % k) for i in range(k)] + [(k + i, k + (i + 1) % k) for i in range(k)]
-        ladder += [(i, k + i) for i in range(k)]
-        root = Graph(5 * k, [(x, 2 * k + j) for j, e in enumerate(ladder) for x in e])
-        lg = line_graph(root)
+        lg = _subdivided_ladder_line_graph(k)
         assert lg.n == 6 * k
         result = color_general(lg, mode="strict")
         assert result.violations == []
@@ -145,3 +149,34 @@ def test_thick_multipartite_families():
         assert result.violations == []
         assert result.coloring.palette_size <= len(parts)
         assert is_proper_coloring(g, result.coloring)
+
+
+# Three large inputs for the SPQR pass that both cutset searches share: a
+# single S-node, a single R-node, and a tree of many P- and S-nodes.  Each
+# colors in about a second in strict mode.
+
+
+def _assert_strict_general(g):
+    result = color_general(g, mode="strict")
+    assert result.violations == []
+    assert is_proper_coloring(g, result.coloring)
+    assert result.coloring.palette_size <= BOUND_GENERAL
+    return result
+
+
+def test_cycle_of_10000_colors_in_general_colorer():
+    _assert_strict_general(cycle_graph(10000))
+
+
+def test_line_graph_of_3072_vertices_colors_as_line_graph():
+    lg = _subdivided_ladder_line_graph(512)
+    assert lg.n == 3072
+    result = _assert_strict_general(lg)
+    assert result.trace[0]["rule"] == "line_graph_subcubic"
+
+
+def test_series_parallel_graph_of_2000_vertices_colors_in_general_colorer():
+    g, _, _ = series_parallel(random.Random(2), 4000)
+    assert g.n == 1977
+    rules = {entry["rule"] for entry in _assert_strict_general(g).trace}
+    assert {"clique_cutset", "proper_2cutset"} <= rules

@@ -4,7 +4,7 @@ import os
 
 import pytest
 
-from isk4color import suites
+from isk4color import oracle, suites
 from isk4color.suites import FILTERS, SUITES, SUITE_ALIASES, resolve_suite, run_suite
 
 
@@ -117,6 +117,18 @@ def test_extra_filters_and_unknown_filter():
     with pytest.raises(ValueError):
         run_suite("layer-forests", 5, extra_filters=("shiny",))
     assert set(FILTERS) >= {"triangle-free", "isk4-free", "girth5"}
+
+
+def test_suite_grows_each_order_once(monkeypatch):
+    # without a corpus, run_suite takes every order from one pass of the
+    # enumeration: as many canonical labelings as enumerate_graphs(8) alone
+    # (29,005 when each order was enumerated from scratch)
+    calls = []
+    min_encoding = oracle._min_encoding
+    monkeypatch.setattr(oracle, "_min_encoding", lambda masks: calls.append(1) or min_encoding(masks))
+    monkeypatch.setitem(FILTERS, "isk4-free", lambda g: False)  # enumeration only
+    report = run_suite("general-bound", 8)
+    assert report.counts["total"]["enumerated"] == 12113 and len(calls) == 26497
 
 
 def test_corpus_injection_matches_enumeration(connected_corpus_8):
