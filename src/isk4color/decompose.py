@@ -16,7 +16,9 @@ non-adjacent pair whose components are not all bare paths, or a pair with a
 cut vertex in it.  Each search then runs the component sweep once, on its
 winner, so the witness and its sides are those of a sweep over every
 candidate.  Apart from the sweeps of the cut-vertex cliques and the
-triangles that a degree bound lets through, each search is O(n + m).
+triangles that a degree bound lets through, each search is O(n + m).  The
+colorers ask both searches about the same block in turn, so the second
+reuses the DFS and the SPQR trees of the first.
 
 Both kinds of cutset give two blocks, each missing a non-empty side of the
 cut, so every block is smaller than its parent and the colorers' recursion
@@ -34,7 +36,6 @@ from .graph import (
     bits,
     component_masks,
     induced_subgraph,
-    is_connected,
     is_proper_coloring,
     mask_of,
 )
@@ -524,12 +525,13 @@ def _spqr_pairs(adj, tree, ids, host_deg, pairs: dict, cycles: list) -> None:
 
 class _Blocks:
     """The cut vertices of a connected graph from one ``_low_points`` DFS,
-    and on demand the separation pairs of its blocks.
+    and on demand the separation pairs of its blocks.  ``separations`` also
+    fills ``deg``, the degree of each vertex.
 
     Raises ValueError when the graph is not connected.
     """
 
-    __slots__ = ("g", "tree", "cuts")
+    __slots__ = ("g", "tree", "cuts", "deg", "_separations")
 
     def __init__(self, g: Graph):
         self.g = g
@@ -537,10 +539,13 @@ class _Blocks:
         if len(self.tree[0]) < g.n:
             raise ValueError("input must be connected")
         self.cuts = self.tree[6]
+        self.deg = None
+        self._separations = None
 
     def separations(self) -> tuple[dict, list]:
         """The separation pairs of every block B with four or more vertices,
         from its triconnected components (SPQR tree): ``(pairs, cycles)``.
+        Built on the first call, then kept.
 
         ``pairs`` maps each pair (a, b), a < b, that is the two ends of a
         virtual edge to ``(components, bare)``: how many components B - {a, b}
@@ -556,15 +561,20 @@ class _Blocks:
         The DFS of g serves every block: restricted to a block, it is a DFS
         of the block from the vertex the block hangs from, with the same low
         points, since back edges from the blocks below a vertex end at or
-        under it.  O(n + m) time and memory.
+        under it.  Each edge belongs to the block of the tree edge into its
+        deeper end, so one pass over the edges gives every block its
+        adjacency lists.  O(n + m) time and memory.
         """
+        if self._separations is not None:
+            return self._separations
         g = self.g
         n = g.n
         order, num, parent, low1, low2, nd, _ = self.tree
-        deg = [mask.bit_count() for mask in g._adj]
+        self.deg = [mask.bit_count() for mask in g._adj]
         pairs: dict[tuple[int, int], tuple[int, int]] = {}
         cycles: list[list[int]] = []
         block = [-1] * n  # block of the tree edge into each non-root vertex
+        loc = [0] * n  # place of each non-root vertex in that block
         members: list[list[int]] = []  # per block: its vertices in preorder
         for v in order[1:]:
             p = parent[v]
@@ -573,42 +583,52 @@ class _Blocks:
                 members.append([p])
             else:
                 block[v] = block[p]
+            loc[v] = len(members[block[v]])
             members[block[v]].append(v)
         if len(members) == 1 and n >= 4:  # g is 2-connected: its own block
             adj = [list(bits(mask)) for mask in g._adj]
-            _spqr_pairs(adj, (num, parent, low1, low2, nd), range(n), deg, pairs, cycles)
-            return pairs, cycles
-        loc = [0] * n
-        for b, ids in enumerate(members):
-            k = len(ids)
-            if k < 4:
-                continue
-            for i, v in enumerate(ids):
-                loc[v] = i
-            head = ids[0]
-            adj = [[loc[w] for w in bits(g.mask(v)) if block[w] == b or w == head] for v in ids]
-            adj[0] = [loc[w] for w in bits(g.mask(head)) if block[w] == b]
-            up = [-1] + [loc[parent[v]] for v in ids[1:]]
-            size = [1] * k
-            for i in range(k - 1, 0, -1):
-                size[up[i]] += size[i]
-            tree = (
-                list(range(1, k + 1)),
-                up,
-                [1] + [loc[order[low1[v] - 1]] + 1 for v in ids[1:]],
-                [1] + [loc[order[low2[v] - 1]] + 1 for v in ids[1:]],
-                size,
-            )
-            _spqr_pairs(adj, tree, ids, deg, pairs, cycles)
+            _spqr_pairs(adj, (num, parent, low1, low2, nd), range(n), self.deg, pairs, cycles)
+        elif len(members) > 1:
+            # a block's head, the vertex it hangs from, is its vertex 0
+            adjs = [[[] for _ in ids] if len(ids) >= 4 else None for ids in members]
+            for v in range(n):
+                for w in bits(g._adj[v]):
+                    b = block[v] if num[w] < num[v] else block[w]
+                    if adjs[b] is not None:
+                        adjs[b][loc[v] if block[v] == b else 0].append(loc[w] if block[w] == b else 0)
+            for b, ids in enumerate(members):
+                if adjs[b] is None:
+                    continue
+                k = len(ids)
+                up = [-1] + [loc[parent[v]] if block[parent[v]] == b else 0 for v in ids[1:]]
+                size = [1] * k
+                for i in range(k - 1, 0, -1):
+                    size[up[i]] += size[i]
+                lows = []
+                for low in (low1, low2):
+                    ends = (order[low[v] - 1] for v in ids[1:])
+                    lows.append([1] + [loc[u] + 1 if block[u] == b else 1 for u in ends])
+                tree = (list(range(1, k + 1)), up, lows[0], lows[1], size)
+                _spqr_pairs(adjs[b], tree, ids, self.deg, pairs, cycles)
+        self._separations = pairs, cycles
         return pairs, cycles
 
 
-# The clique walk sweeps this many candidate edges itself before it builds
-# the SPQR trees for the rest.  The trees cost about as much as 10 sweeps
-# (3,072-vertex line graph) to 80 (8 vertices), and on most blocks that the
-# colorers see the winner comes within the first few candidates; where it
-# does not, the walk pays at most this many sweeps on top of the trees.
-_EDGE_SWEEPS = 32
+# (graph, its _Blocks) of the last search.  The colorers ask both searches
+# about the same block in turn, so they share one DFS and one set of SPQR
+# trees.  Graphs are immutable and the entry holds its graph, so identity
+# finds the right one; it is replaced whole, so threads cannot pair one
+# graph with another's blocks, and it keeps one graph alive at most.
+_last_blocks: tuple = (None, None)
+
+
+def _blocks_of(g: Graph) -> _Blocks:
+    global _last_blocks
+    last_g, blocks = _last_blocks
+    if last_g is not g:
+        blocks = _Blocks(g)
+        _last_blocks = g, blocks
+    return blocks
 
 
 def find_clique_cutset(g: Graph) -> CliqueCutset | None:
@@ -623,10 +643,8 @@ def find_clique_cutset(g: Graph) -> CliqueCutset | None:
     - an edge ab with deg a >= 3 and deg b >= 3 that is a separation pair
       of its block B.  With neither end a cut vertex, g - {a, b} is
       disconnected exactly when B - {a, b} is, that is, when ab is the
-      real edge of a P-node of B's SPQR tree (``_Blocks.separations``).
-      The first ``_EDGE_SWEEPS`` such edges are swept without asking, as
-      sweeps cost less than the SPQR trees on the small blocks that most
-      calls see; the trees are built once, for the edges after those;
+      real edge of a P-node of B's SPQR tree (``_Blocks.separations``,
+      built when the walk first reaches such an edge);
     - a triangle whose vertices have at least four edges leaving it,
       sum(deg v - 2) >= 4.
     Every other clique leaves g connected.  For a clique K of two or three
@@ -639,17 +657,15 @@ def find_clique_cutset(g: Graph) -> CliqueCutset | None:
     So the first clique and its sides are those of a sweep over all
     cliques.  Cost: O(n + m) for the DFS and for the SPQR trees, one step
     per clique for the walk, and one component sweep for each cut-vertex
-    clique and triangle that passes, for the first ``_EDGE_SWEEPS`` edges
-    that pass and for the winner.  The walk stops at the first cut vertex on a path or tree,
-    and on a cycle no edge passes the degree bound.
+    clique and triangle that passes and for the winner.  The walk stops at
+    the first cut vertex on a path or tree, and on a cycle no edge passes
+    the degree bound, so neither builds an SPQR tree.
     """
-    blocks = _Blocks(g)
+    blocks = _blocks_of(g)
     cuts = blocks.cuts
     k4 = find_k4(g)
     if k4 is not None:
         raise ValueError(f"input contains a K4 {k4}; clique cutsets may exceed size 3")
-    pairs = None
-    edges_swept = 0
     for clique in _cliques_lex(g):
         removed = mask_of(clique)
         if not removed & cuts:
@@ -658,13 +674,8 @@ def find_clique_cutset(g: Graph) -> CliqueCutset | None:
             if len(clique) == 2:
                 if g.degree(clique[0]) < 3 or g.degree(clique[1]) < 3:
                     continue
-                if edges_swept == _EDGE_SWEEPS:
-                    if pairs is None:
-                        pairs = blocks.separations()[0]
-                    if clique not in pairs:
-                        continue
-                else:
-                    edges_swept += 1
+                if clique not in blocks.separations()[0]:
+                    continue
             elif sum(g.degree(v) - 2 for v in clique) < 4:
                 continue
         comps = component_masks(g, removed)
@@ -802,30 +813,33 @@ def find_proper_2cutset(g: Graph) -> Proper2Cutset | None:
     four vertices.  So every skipped pair would not split, and the one
     component sweep on the winner gives the sides of a sweep over all
     non-adjacent pairs.  Cost: O(n + m) for the DFS, the SPQR trees and the
-    candidates, plus that sweep.  Cliques and graphs with fewer than four
-    vertices (no non-adjacent pair splits) and cycles (every component is a
-    bare path) build no SPQR tree.
+    candidates, plus that sweep; the DFS and the trees are those of
+    ``find_clique_cutset`` when it was asked about g just before.  Cliques
+    and graphs with fewer than four vertices (no non-adjacent pair splits),
+    cycles (every component is a bare path), and graphs whose first cut pair
+    comes before every non-cut vertex build no SPQR tree.
     """
-    if not is_connected(g):
-        raise ValueError("input must be connected")
+    blocks = _blocks_of(g)
     n = g.n
     if n < 4 or g.m == n * (n - 1) // 2 or all(g.degree(v) == 2 for v in range(n)):
         return None
-    blocks = _Blocks(g)
-    best = _cut_pair(g, blocks) if blocks.cuts else None
-    pairs, cycles = blocks.separations()
-    for (a, b), (comps, bare) in pairs.items():
-        if (
-            (comps >= 4 or (comps == 3 and bare < 3) or (comps == 2 and not bare))
-            and not g.mask(a) >> b & 1
-            and (best is None or (a, b) < best)
-        ):
-            best = a, b
-    deg = [mask.bit_count() for mask in g._adj]
-    for cycle in cycles:
-        pair = _cycle_pair(cycle, deg)
-        if pair is not None and (best is None or pair < best):
-            best = pair
+    cuts = blocks.cuts
+    best = _cut_pair(g, blocks) if cuts else None
+    # a pair that only the SPQR rule accepts has no cut vertex in it, so it
+    # comes after best when best[0] is below the smallest non-cut vertex
+    if best is None or best[0] >= ((cuts + 1) & ~cuts).bit_length() - 1:
+        pairs, cycles = blocks.separations()
+        for (a, b), (comps, bare) in pairs.items():
+            if (
+                (comps >= 4 or (comps == 3 and bare < 3) or (comps == 2 and not bare))
+                and not g.mask(a) >> b & 1
+                and (best is None or (a, b) < best)
+            ):
+                best = a, b
+        for cycle in cycles:
+            pair = _cycle_pair(cycle, blocks.deg)
+            if pair is not None and (best is None or pair < best):
+                best = pair
     if best is None:
         return None
     a, b = best

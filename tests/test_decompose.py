@@ -8,6 +8,7 @@ import pytest
 from isk4color.graph import (
     Graph,
     Coloring,
+    bits,
     component_masks,
     connected_components,
     greedy_coloring,
@@ -25,7 +26,6 @@ from isk4color.families import (
     subdivided_complete,
 )
 from isk4color.decompose import (
-    _EDGE_SWEEPS,
     _Blocks,
     build_2cutset_blocks,
     find_clique_cutset,
@@ -227,6 +227,51 @@ def test_separation_pairs_match_brute_force(connected_corpus_8):
     }
 
 
+def test_separation_pairs_of_blocks_behind_cut_vertices():
+    # 2-connected pieces hung off each other at a shared vertex or by a
+    # bridge: each piece is a block, and its pairs come out of its own SPQR
+    # tree, with bare components judged by the degrees in the whole graph
+    rng = random.Random(5)
+    for _ in range(60):
+        edges, n, pieces = [], 0, []
+        for _ in range(rng.randint(2, 5)):
+            kind = rng.randrange(3)
+            if kind == 0:
+                piece = _series_parallel(rng, rng.randint(3, 12))
+            elif kind == 1:
+                piece = _ears_on_a_cycle(rng, 12)
+            else:
+                piece = cycle_graph(rng.randint(3, 7))
+            ids = list(range(n, n + piece.n))
+            if n and rng.random() < 0.5:  # share a vertex with the graph so far
+                ids = [rng.randrange(n)] + ids[:-1]
+            elif n:
+                edges.append((rng.randrange(n), ids[0]))
+            edges += [(ids[u], ids[v]) for u, v in piece.edges()]
+            n = max(n, max(ids) + 1)
+            pieces.append(ids)
+        perm = list(range(n))
+        rng.shuffle(perm)
+        g = Graph(n, [(perm[u], perm[v]) for u, v in edges])
+        expected = {}
+        for ids in pieces:
+            if len(ids) < 4:
+                continue
+            outside = (1 << n) - 1 & ~sum(1 << perm[v] for v in ids)
+            for a, b in ((perm[x], perm[y]) for i, x in enumerate(ids) for y in ids[i + 1:]):
+                comps = component_masks(g, outside | (1 << a) | (1 << b))
+                if len(comps) >= 2:
+                    bare = sum(
+                        all(g.degree(v) == 2 for v in bits(c))
+                        and bool(g.mask(a) & c) and bool(g.mask(b) & c)
+                        for c in comps
+                    )
+                    expected[min(a, b), max(a, b)] = (len(comps), bare)
+        assert _all_separation_pairs(g) == expected, list(g.edges())
+        assert find_clique_cutset(g) == dfs_clique_cutset(g), list(g.edges())
+        assert find_proper_2cutset(g) == dfs_proper_2cutset(g), list(g.edges())
+
+
 def _series_parallel(rng, n):
     """A 2-connected series-parallel graph on n vertices: from a triangle,
     subdivide an edge or add a path of length 2 beside it, relabelled at
@@ -318,11 +363,11 @@ def test_cutset_searches_agree_with_dfs_oracle_mid_size():
     assert len(graphs) == 48 and hits == [30, 32], hits
 
 
-def test_clique_cutset_found_by_spqr_after_the_swept_edges():
+def test_clique_cutset_found_by_spqr_after_many_candidates():
     # a cycle glued along one late edge, in no triangle, of the 3-connected
     # L(subdivided ladder): every earlier edge is a candidate that does not
-    # split, so the walk runs past the edges it sweeps and finds the P-node
-    # edge in the SPQR tree
+    # split, so the walk looks dozens of edges up in the SPQR tree before it
+    # finds the P-node edge
     core = _subdivided_ladder_line_graph(16)
     late = [(u, v) for u, v in core.edges() if u > 60 and not core.mask(u) & core.mask(v)]
     assert len(late) >= 6
@@ -330,7 +375,7 @@ def test_clique_cutset_found_by_spqr_after_the_swept_edges():
         ring = [u] + list(range(96, 104)) + [v]
         g = Graph(104, list(core.edges()) + list(zip(ring, ring[1:])))
         candidates = [e for e in g.edges() if e < (u, v) and min(map(g.degree, e)) >= 3]
-        assert len(candidates) > _EDGE_SWEEPS
+        assert len(candidates) > 32
         cut = find_clique_cutset(g)
         assert cut == dfs_clique_cutset(g)
         assert cut.clique == (u, v) and cut.side_y == set(range(96, 104))
