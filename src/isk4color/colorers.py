@@ -2,14 +2,16 @@
 
 ``color_triangle_free`` colors {K4-subdivision, triangle}-free graphs with at
 most 4 colors; ``color_general`` colors K4-subdivision-free graphs with at
-most 24.  Both recurse on clique cutsets and proper 2-cutsets, dispatch the
-structured leaf cases (thick complete multipartite, line graph of a subcubic
-root, rich square), and otherwise color by nested BFS layerings whose layers
-are progressively simpler (4-wheel-free, then boat-free, then girth >= 5).
+most 24.  Each colorer is a table of rules, and one driver, ``_drive``,
+colors a connected block by the first rule whose detector finds a witness.
+The rules split on clique cutsets and proper 2-cutsets, color the structured
+leaf cases (thick complete multipartite, line graph of a subcubic root, rich
+square), and otherwise color by nested BFS layerings whose layers are
+progressively simpler (4-wheel-free, then boat-free, then girth >= 5).
 
 The recursion terminates because every cutset block misses a non-empty
 side of its cut and so is smaller than its parent; each cutset level costs
-two Python frames.
+two Python frames, ``_drive`` and the rule's handler.
 
 Class assumptions are checked operationally along the way.  In strict mode
 the first failure raises ``ClassViolationError`` with a witness; in tolerant
@@ -408,35 +410,111 @@ def greedy_fallback(g: Graph) -> Coloring:
 
 
 # ---------------------------------------------------------------------------
-# nested layering chain (boat-free, 4-wheel-free, K222-free classes)
+# rules and the driver
 
 
-def _per_component(g: Graph, ids, run: _Run, fn) -> Coloring:
+def _drive(g: Graph, ids, run: _Run, rules) -> Coloring:
+    """Color the connected graph ``g`` by the first of ``rules`` that applies.
+
+    A rule is ``(detector, handler, *params)``.  The detector names a function
+    of this module, looked up at call time so that rebinding the module
+    attribute (as a tracer does) reaches every call; None always applies.
+    The handler is called as ``handler(g, ids, run, witness, rules[i:])`` and
+    reads its params from its own rule, ``rules[0]`` (a fixed-arity call is
+    cheaper than ``*params`` on the deep recursion of the cutsets).
+    """
+    for i, rule in enumerate(rules):
+        detector = rule[0]
+        witness = globals()[detector](g) if detector else None
+        if witness is not None or not detector:
+            return rule[1](g, ids, run, witness, rules[i:])
+
+
+def _per_component(g: Graph, ids, run: _Run, rules) -> Coloring:
     comps = connected_components(g)
     if len(comps) == 1:
-        return fn(g, ids, run)
+        return _drive(g, ids, run, rules)
     if g.n == 0:
         return Coloring((), 0)
     assign = [-1] * g.n
     palette = 0
     for comp in comps:
         sub, sub_ids = induced_subgraph(g, comp)
-        c = fn(sub, _map_ids(ids, sub_ids), run)
+        c = _drive(sub, _map_ids(ids, sub_ids), run, rules)
         for k, v in enumerate(sub_ids):
             assign[v] = c.assignment[k]
         palette = max(palette, c.palette_size)
     return Coloring(tuple(assign), max(palette, 1))
 
 
-def _layered(g: Graph, ids, run: _Run, layer_fn, rule: str) -> Coloring:
+def _fallback(g: Graph, ids, run: _Run, vertices, rules) -> Coloring:
+    """Record the violation ``rules[0]`` ends with (kind, message), color greedily."""
+    kind, message = rules[0][-2:]
+    run.violate(kind, message, _map_ids(ids, vertices))
+    run.note("greedy_fallback", ids)
+    return greedy_fallback(g)
+
+
+def _recurse_clique_cutset(g, ids, run, cut, rules) -> Coloring:
+    """Split on a clique cutset.  The blocks are induced, so they keep what
+    the rules before this one ruled out, and restart at this rule."""
+    run.note("clique_cutset", ids, clique=[ids[v] for v in cut.clique],
+             sides=[len(cut.side_x), len(cut.side_y)])
+    bx, ids_x = induced_subgraph(g, cut.side_x | set(cut.clique))
+    by, ids_y = induced_subgraph(g, cut.side_y | set(cut.clique))
+    cx = _drive(bx, _map_ids(ids, ids_x), run, rules)
+    cy = _drive(by, _map_ids(ids, ids_y), run, rules)
+    return merge_colorings(g, cx, ids_x, cy, ids_y, cut.clique)
+
+
+def _recurse_2cutset(g, ids, run, cut2, _rules) -> Coloring:
+    """Split on a proper 2-cutset.  The marker edge of a block can close a
+    K4, so both blocks restart at the first rule of ``_GENERAL``."""
+    run.note("proper_2cutset", ids, cut=[ids[cut2.a], ids[cut2.b]],
+             sides=[len(cut2.side_x), len(cut2.side_y)])
+    bx, ids_x, by, ids_y = build_2cutset_blocks(g, cut2)
+    cx = _drive(bx, _map_ids(ids, ids_x), run, _GENERAL)
+    cy = _drive(by, _map_ids(ids, ids_y), run, _GENERAL)
+    return merge_colorings(g, cx, ids_x, cy, ids_y, (cut2.a, cut2.b))
+
+
+def _thick(g, ids, run, k33, rules) -> Coloring:
+    """A block with a K33 and no clique cutset must be a thick complete
+    multipartite graph with at most the rule's ``max_parts`` parts."""
+    rule, max_parts = rules[0][2:4]
+    shape = recognize_thick_multipartite(g)
+    if shape is not None and shape.thick and len(shape.parts) <= max_parts:
+        run.note(rule, ids, parts=[len(p) for p in shape.parts])
+        return color_thick_multipartite(shape)
+    return _fallback(g, ids, run, k33.vertices, rules)
+
+
+def _structured(g, ids, run, trigger, rules) -> Coloring:
+    """A block with a K222 or a prism and no cutset must be a line graph of
+    a subcubic root or a rich square."""
+    kp = recognize_line_graph_subcubic(g)
+    if kp is not None:
+        run.note("line_graph_subcubic", ids, root_n=kp.root.n, cliques=len(kp.cliques))
+        return color_line_graph(g, kp)
+    rs = find_rich_square(g)
+    if rs is not None:
+        run.note("rich_square", ids, square=[ids[v] for v in rs.extra["square"]],
+                 links=len(rs.extra["links"]))
+        return color_rich_square(g, rs)
+    return _fallback(g, ids, run, trigger.vertices, rules)
+
+
+def _layered(g: Graph, ids, run: _Run, _witness, rules) -> Coloring:
     """Layer a connected graph from its lowest vertex and color each layer
-    with ``layer_fn``, combining odd and even palettes."""
+    with ``color_layer(layer, ids, run, layer_rules)``, combining odd and
+    even palettes."""
+    rule, color_layer, layer_rules = rules[0][2:]
     layering = bfs_layering(g, 0)
     per_layer = []
     layer_palettes = []
     for layer in layering.layers:
         sub, sub_ids = induced_subgraph(g, layer)
-        per_layer.append(layer_fn(sub, _map_ids(ids, sub_ids), run))
+        per_layer.append(color_layer(sub, _map_ids(ids, sub_ids), run, layer_rules))
         layer_palettes.append(per_layer[-1].palette_size)
     combined = combine_layer_colorings(g, layering, per_layer)
     run.note(
@@ -450,7 +528,7 @@ def _layered(g: Graph, ids, run: _Run, layer_fn, rule: str) -> Coloring:
     return combined
 
 
-def _c1_layer(g: Graph, ids, run: _Run) -> Coloring:
+def _c1_layer(g: Graph, ids, run: _Run, _rules) -> Coloring:
     """Color one innermost layer, which is girth >= 5 for inputs in class C1."""
     cyc = shortest_cycle(g)
     if cyc is not None and len(cyc) < 5:
@@ -471,24 +549,54 @@ def _c1_layer(g: Graph, ids, run: _Run) -> Coloring:
         return greedy_fallback(g)
 
 
-def _c1_connected(g: Graph, ids, run: _Run) -> Coloring:
-    return _layered(g, ids, run, _c1_layer, "layering_girth5")
+def _tf_layer(g: Graph, ids, run: _Run, _rules) -> Coloring:
+    try:
+        return color_forest(g)
+    except NotAForestError as exc:
+        run.violate(
+            "cycle_in_layer",
+            "a layer induces a cycle; the input is outside the triangle-free class",
+            _map_ids(ids, exc.cycle),
+        )
+        return greedy_fallback(g)
 
 
-def _c2_connected(g: Graph, ids, run: _Run) -> Coloring:
-    return _layered(g, ids, run, lambda s, si, r: _per_component(s, si, r, _c1_connected), "layering_boat_free")
+# The nested layering chain (K222-free, 4-wheel-free, boat-free classes): the
+# components of a layer go to the next table, the innermost layers to _c1_layer.
+_C1 = ((None, _layered, "layering_girth5", _c1_layer, None),)
+_C2 = ((None, _layered, "layering_boat_free", _per_component, _C1),)
+_C3 = ((None, _layered, "layering_4wheel_free", _per_component, _C2),)
+
+_NOT_DECOMPOSABLE = ("graph contains a %s but is neither a subcubic line graph "
+                     "nor a rich square, and has no cutset")
+
+# After the K4 rule, a complete multipartite block has at most 3 parts.
+_GENERAL = (
+    ("find_k4", _fallback, "k4", "graph contains K4, so it is not K4-subdivision-free"),
+    ("find_clique_cutset", _recurse_clique_cutset),
+    ("find_k33", _thick, "thick_multipartite", 3, "k33_not_multipartite",
+     "graph contains K33 but is neither thick complete multipartite "
+     "nor clique-cutset decomposable"),
+    ("find_proper_2cutset", _recurse_2cutset),
+    ("find_k222", _structured, "k222_not_decomposable", _NOT_DECOMPOSABLE % "k222"),
+    ("find_prism", _structured, "prism_not_decomposable", _NOT_DECOMPOSABLE % "prism"),
+) + _C3
+
+_TRIANGLE_FREE = (
+    ("find_clique_cutset", _recurse_clique_cutset),
+    ("find_k33", _thick, "thick_bipartite", 2, "k33_not_bipartite",
+     "graph contains K33 but is not a thick complete bipartite graph "
+     "and has no clique cutset"),
+    (None, _layered, "layering_forest", _tf_layer, None),
+)
 
 
-def _c3_connected(g: Graph, ids, run: _Run) -> Coloring:
-    return _layered(g, ids, run, lambda s, si, r: _per_component(s, si, r, _c2_connected), "layering_4wheel_free")
-
-
-def _color(g: Graph, mode: str, connected, bound: int) -> ColoringResult:
-    """Color each component with ``connected`` and check the certificate
-    once: the coloring is proper, and it stays within ``bound`` unless a
-    class violation was recorded."""
+def _color(g: Graph, mode: str, rules, bound: int) -> ColoringResult:
+    """Color each component by ``rules`` and check the certificate once: the
+    coloring is proper, and it stays within ``bound`` unless a class
+    violation was recorded."""
     run = _Run(mode)
-    coloring = _per_component(g, tuple(range(g.n)), run, connected)
+    coloring = _per_component(g, tuple(range(g.n)), run, rules)
     if not is_proper_coloring(g, coloring):
         raise AssertionError("internal error: produced an improper coloring")
     if not run.violations and coloring.palette_size > bound:
@@ -501,128 +609,19 @@ def _color(g: Graph, mode: str, connected, bound: int) -> ColoringResult:
 def color_c1(g: Graph, mode: str = "strict") -> ColoringResult:
     """Layered coloring for {K4-subdivision, K33, prism, boat}-free graphs:
     every layer has girth >= 5, so 3 colors per parity class suffice (<= 6)."""
-    return _color(g, mode, _c1_connected, BOUND_C1)
+    return _color(g, mode, _C1, BOUND_C1)
 
 
 def color_c2(g: Graph, mode: str = "strict") -> ColoringResult:
     """{K4-subdivision, K33, prism, 4-wheel}-free graphs: layers are boat-free,
     so each colors with 6 and the whole graph with <= 12."""
-    return _color(g, mode, _c2_connected, BOUND_C2)
+    return _color(g, mode, _C2, BOUND_C2)
 
 
 def color_c3(g: Graph, mode: str = "strict") -> ColoringResult:
     """{K4-subdivision, K33, prism, K222}-free graphs: layers are 4-wheel-free,
     so each colors with 12 and the whole graph with <= 24."""
-    return _color(g, mode, _c3_connected, BOUND_C3)
-
-
-# ---------------------------------------------------------------------------
-# the two main colorers
-
-
-def _fallback(g: Graph, ids, run: _Run, kind: str, message: str, vertices) -> Coloring:
-    """Record a class violation on ``vertices`` and color the block greedily."""
-    run.violate(kind, message, _map_ids(ids, vertices))
-    run.note("greedy_fallback", ids)
-    return greedy_fallback(g)
-
-
-def _tf_connected(g: Graph, ids, run: _Run) -> Coloring:
-    cut = find_clique_cutset(g)
-    if cut is not None:
-        return _recurse_clique_cutset(g, ids, run, cut, _tf_connected)
-    k33 = find_k33(g)
-    if k33 is not None:
-        shape = recognize_thick_multipartite(g)
-        if shape is not None and len(shape.parts) == 2 and shape.thick:
-            run.note("thick_bipartite", ids, parts=[len(p) for p in shape.parts])
-            return color_thick_multipartite(shape)
-        return _fallback(
-            g, ids, run, "k33_not_bipartite",
-            "graph contains K33 but is not a thick complete bipartite graph "
-            "and has no clique cutset",
-            k33.vertices,
-        )
-    return _layered(g, ids, run, _tf_layer, "layering_forest")
-
-
-def _tf_layer(g: Graph, ids, run: _Run) -> Coloring:
-    try:
-        return color_forest(g)
-    except NotAForestError as exc:
-        run.violate(
-            "cycle_in_layer",
-            "a layer induces a cycle; the input is outside the triangle-free class",
-            _map_ids(ids, exc.cycle),
-        )
-        return greedy_fallback(g)
-
-
-def _recurse_clique_cutset(g, ids, run, cut, rec) -> Coloring:
-    run.note("clique_cutset", ids, clique=[ids[v] for v in cut.clique],
-             sides=[len(cut.side_x), len(cut.side_y)])
-    bx, ids_x = induced_subgraph(g, cut.side_x | set(cut.clique))
-    by, ids_y = induced_subgraph(g, cut.side_y | set(cut.clique))
-    cx = rec(bx, _map_ids(ids, ids_x), run)
-    cy = rec(by, _map_ids(ids, ids_y), run)
-    return merge_colorings(g, cx, ids_x, cy, ids_y, cut.clique)
-
-
-def _general_connected(g: Graph, ids, run: _Run) -> Coloring:
-    k4 = find_k4(g)
-    if k4 is not None:
-        return _fallback(g, ids, run, "k4",
-                         "graph contains K4, so it is not K4-subdivision-free", k4)
-    return _general_k4_free(g, ids, run)
-
-
-def _general_k4_free(g: Graph, ids, run: _Run) -> Coloring:
-    """The general case split on a connected K4-free block.  Clique-cutset
-    blocks are induced subgraphs, so they stay K4-free and recurse here;
-    the marker edge of a 2-cutset block can close a K4, so those blocks go
-    back through the K4 test."""
-    cut = find_clique_cutset(g)
-    if cut is not None:
-        return _recurse_clique_cutset(g, ids, run, cut, _general_k4_free)
-    k33 = find_k33(g)
-    if k33 is not None:
-        shape = recognize_thick_multipartite(g)
-        if shape is not None and shape.thick:
-            run.note("thick_multipartite", ids, parts=[len(p) for p in shape.parts])
-            return color_thick_multipartite(shape)
-        return _fallback(
-            g, ids, run, "k33_not_multipartite",
-            "graph contains K33 but is neither thick complete multipartite "
-            "nor clique-cutset decomposable",
-            k33.vertices,
-        )
-    cut2 = find_proper_2cutset(g)
-    if cut2 is not None:
-        run.note("proper_2cutset", ids, cut=[ids[cut2.a], ids[cut2.b]],
-                 sides=[len(cut2.side_x), len(cut2.side_y)])
-        bx, ids_x, by, ids_y = build_2cutset_blocks(g, cut2)
-        cx = _general_connected(bx, _map_ids(ids, ids_x), run)
-        cy = _general_connected(by, _map_ids(ids, ids_y), run)
-        return merge_colorings(g, cx, ids_x, cy, ids_y, (cut2.a, cut2.b))
-    trigger = find_k222(g) or find_prism(g)
-    if trigger is not None:
-        kp = recognize_line_graph_subcubic(g)
-        if kp is not None:
-            run.note("line_graph_subcubic", ids, root_n=kp.root.n,
-                     cliques=len(kp.cliques))
-            return color_line_graph(g, kp)
-        rs = find_rich_square(g)
-        if rs is not None:
-            run.note("rich_square", ids, square=[ids[v] for v in rs.extra["square"]],
-                     links=len(rs.extra["links"]))
-            return color_rich_square(g, rs)
-        return _fallback(
-            g, ids, run, f"{trigger.kind}_not_decomposable",
-            f"graph contains a {trigger.kind} but is neither a subcubic line "
-            "graph nor a rich square, and has no cutset",
-            trigger.vertices,
-        )
-    return _c3_connected(g, ids, run)
+    return _color(g, mode, _C3, BOUND_C3)
 
 
 def color_triangle_free(g: Graph, mode: str = "strict") -> ColoringResult:
@@ -634,12 +633,12 @@ def color_triangle_free(g: Graph, mode: str = "strict") -> ColoringResult:
         raise ClassViolationError(
             Violation("triangle", "input contains a triangle", tuple(sorted(tri.vertices)))
         )
-    return _color(g, mode, _tf_connected, BOUND_TRIANGLE_FREE)
+    return _color(g, mode, _TRIANGLE_FREE, BOUND_TRIANGLE_FREE)
 
 
 def color_general(g: Graph, mode: str = "strict") -> ColoringResult:
     """Proper coloring of a K4-subdivision-free graph with at most 24 colors."""
-    return _color(g, mode, _general_connected, BOUND_GENERAL)
+    return _color(g, mode, _GENERAL, BOUND_GENERAL)
 
 
 def color_auto(g: Graph, mode: str = "strict") -> tuple[str, ColoringResult]:

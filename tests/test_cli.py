@@ -101,7 +101,8 @@ def test_usage_errors(files, capsys):
 
 def test_internal_failure_exit(tmp_path, capsys, monkeypatch):
     # a failed certificate check is neither a usage error nor a class violation
-    monkeypatch.setattr(colorers, "_c3_connected", lambda g, ids, run: Coloring((0,) * g.n, 1))
+    monkeypatch.setattr(colorers, "_GENERAL",
+                        ((None, lambda g, ids, run, witness, rules: Coloring((0,) * g.n, 1)),))
     k2 = tmp_path / "k2.col"
     k2.write_text(write_graph(complete_graph(2), "dimacs-col"))
     assert cli_main(["color", "--algorithm", "general", str(k2)]) == 3

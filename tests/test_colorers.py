@@ -325,7 +325,7 @@ def test_certificate_check_survives_optimize_flag():
         from isk4color.families import complete_graph
         from isk4color.graph import Coloring
 
-        colorers._c3_connected = lambda g, ids, run: Coloring((0,) * g.n, 1)
+        colorers._GENERAL = ((None, lambda g, ids, run, witness, rules: Coloring((0,) * g.n, 1)),)
         try:
             colorers.color_general(complete_graph(2))
         except AssertionError as exc:
@@ -380,3 +380,55 @@ _PINNED_RESULTS = [
 def test_result_bytes_pinned(colorer, make, digest):
     payload = json.dumps(colorer(make()).to_dict(), sort_keys=True)
     assert hashlib.sha256(payload.encode()).hexdigest() == digest
+
+
+# sha256 over every tolerant-mode result of the five colorers on the connected
+# graphs with up to 7 vertices.  This corpus reaches every rule and every
+# violation kind except layer_degeneracy, so it pins the fallback paths that
+# the strict inputs above do not reach.
+_TOLERANT_DIGEST = "18a1c6e9c772e341df115ccd19363eacc43e4b19030299ad1791cac84d006850"
+
+
+def test_tolerant_results_pinned(connected_corpus_8):
+    h = hashlib.sha256()
+    for n in range(1, 8):
+        for g in connected_corpus_8[n]:
+            for colorer in (color_general, color_triangle_free, color_c3, color_c2, color_c1):
+                try:
+                    payload = colorer(g, mode="tolerant").to_dict()
+                except ClassViolationError as exc:  # a triangle, at the root
+                    payload = exc.violation.to_dict()
+                h.update(json.dumps(payload, sort_keys=True).encode() + b"\n")
+    assert h.hexdigest() == _TOLERANT_DIGEST
+
+
+def test_detectors_looked_up_at_call_time(monkeypatch):
+    # a tracer rebinds module attributes; a rule table that captured the
+    # detector functions at import would bypass the rebinding
+    from isk4color import colorers
+
+    calls = {}
+
+    def counting(name, fn):
+        def wrapper(g):
+            calls[name] = calls.get(name, 0) + 1
+            return fn(g)
+        return wrapper
+
+    names = ("find_k4", "find_clique_cutset", "find_k33", "find_proper_2cutset",
+             "find_k222", "find_prism")
+    for name in names:
+        monkeypatch.setattr(colorers, name, counting(name, getattr(colorers, name)))
+    color_general(complete_graph(4), mode="tolerant")
+    color_general(theta_graph(3, 4, 5))
+    color_general(complete_multipartite(3, 3, 3))
+    color_general(line_graph(petersen()))
+    assert sorted(calls) == sorted(names)
+
+
+def test_long_path_within_default_recursion_limit():
+    # each cutset level costs two frames; a third would exhaust the default
+    # limit before P_400
+    g = path_graph(400)
+    for colorer in (color_general, color_triangle_free):
+        assert is_proper_coloring(g, colorer(g).coloring)
