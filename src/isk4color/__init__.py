@@ -37,14 +37,11 @@ from .patterns import (
 )
 from .decompose import (
     CliqueCutset,
-    FlatPath,
     Proper2Cutset,
     build_2cutset_blocks,
     find_clique_cutset,
     find_proper_2cutset,
-    maximal_flat_paths,
     merge_colorings,
-    reduce_flat_path,
 )
 from .layering import (
     Confluence,

@@ -1,5 +1,5 @@
-"""Cutset discovery, block construction, flat-path reduction, and coloring
-recombination: the recursion skeleton of the two bounded colorers.
+"""Cutset discovery, block construction and coloring recombination: the
+recursion skeleton of the two bounded colorers.
 
 All searches return the lexicographically smallest witness (by sorted vertex
 ids) so that decomposition traces are reproducible.
@@ -34,8 +34,9 @@ from .graph import (
     Graph,
     Coloring,
     bits,
+    chordless_order,
     component_masks,
-    induced_subgraph,
+    induced_plus_edge,
     is_proper_coloring,
     mask_of,
 )
@@ -55,17 +56,6 @@ class Proper2Cutset:
     b: int
     side_x: frozenset[int]
     side_y: frozenset[int]
-
-
-@dataclass(frozen=True)
-class FlatPath:
-    """Induced path whose interior vertices have degree exactly 2 in the host."""
-
-    vertices: tuple[int, ...]
-
-    @property
-    def length(self) -> int:
-        return len(self.vertices) - 1
 
 
 def _cliques_lex(g: Graph):
@@ -686,23 +676,6 @@ def find_clique_cutset(g: Graph) -> CliqueCutset | None:
     return None
 
 
-def _is_ab_path(g: Graph, vmask: int, a: int, b: int) -> bool:
-    """Does the vertex mask ``vmask`` induce a path graph whose two ends are
-    a and b?  Walks from a, leaving each vertex by its one unvisited
-    neighbour; the walk must end at b with every vertex of ``vmask`` seen."""
-    seen = 0
-    cur = a
-    while True:
-        seen |= 1 << cur
-        nbrs = g.mask(cur) & vmask
-        if cur == b:
-            return nbrs.bit_count() == 1 and seen == vmask
-        step = nbrs & ~seen
-        if nbrs.bit_count() != (1 if cur == a else 2) or step.bit_count() != 1:
-            return False
-        cur = step.bit_length() - 1
-
-
 def _cycle_pair(cycle: list[int], deg: list[int]) -> tuple[int, int] | None:
     """Lex-first pair of an S-node cycle whose two arcs are both no bare
     path, that is, both hold a vertex of degree other than 2.
@@ -844,107 +817,15 @@ def find_proper_2cutset(g: Graph) -> Proper2Cutset | None:
         return None
     a, b = best
     ab = (1 << a) | (1 << b)
+
+    def bare(c):  # does c plus {a, b} induce a path with ends a and b?
+        order = chordless_order(g, bits(c | ab), hole=False)
+        return order is not None and {order[0], order[-1]} == {a, b}
+
     comps = component_masks(g, ab)
-    xm = next((c for c in comps if not _is_ab_path(g, c | ab, a, b)), comps[0] | comps[1])
+    xm = next((c for c in comps if not bare(c)), comps[0] | comps[1])
     ym = ((1 << n) - 1) & ~ab & ~xm
     return Proper2Cutset(a, b, frozenset(bits(xm)), frozenset(bits(ym)))
-
-
-# ---------------------------------------------------------------------------
-# flat paths
-
-
-def is_flat_path(g: Graph, vertices) -> bool:
-    vs = tuple(vertices)
-    if len(vs) != len(set(vs)) or len(vs) < 2:
-        return False
-    for i, v in enumerate(vs):
-        for j in range(i + 1, len(vs)):
-            if g.has_edge(v, vs[j]) != (j == i + 1):
-                return False
-    return all(g.degree(v) == 2 for v in vs[1:-1])
-
-
-def maximal_flat_paths(g: Graph) -> list[FlatPath]:
-    """All maximal flat paths of length >= 2, each once (canonical orientation).
-
-    Interior vertices are forced (degree exactly 2), so flat paths organize
-    into maximal degree-2 chains; only the chain ends need case analysis.
-    """
-    out: set[tuple[int, ...]] = set()
-
-    def emit(seq):
-        if len(seq) >= 3:
-            out.add(min(tuple(seq), tuple(reversed(seq))))
-
-    seen_d2 = set()
-    for v in range(g.n):
-        if g.degree(v) != 2 or v in seen_d2:
-            continue
-        chain = _chain_through(g, v)
-        closed = chain[0] == chain[-1]
-        core = chain[:-1] if closed else chain
-        seen_d2.update(u for u in core if g.degree(u) == 2)
-        if closed:
-            # pure cycle component, or a chain returning to one branch vertex:
-            # the maximal flat paths are the rotations dropping one vertex,
-            # minus those that would bury a branch vertex in the interior
-            k = len(core)
-            if k < 4:
-                continue
-            for i in range(k):
-                sub = [core[(i + t) % k] for t in range(k - 1)]
-                if all(g.degree(u) == 2 for u in sub[1:-1]):
-                    emit(sub)
-        elif g.has_edge(chain[0], chain[-1]):
-            # chord between the two ends: drop either one
-            emit(chain[:-1])
-            emit(chain[1:])
-        else:
-            emit(chain)
-    return [FlatPath(seq) for seq in sorted(out)]
-
-
-def _chain_through(g: Graph, v: int) -> list[int]:
-    """Maximal walk of degree-2 vertices through v, extended one vertex past
-    each end; for a cycle component the walk closes (first == last)."""
-    left_nbr, right_nbr = g.neighbors(v)
-    chain = [v]
-    for direction, first in ((0, left_nbr), (1, right_nbr)):
-        prev, cur = v, first
-        while True:
-            if direction == 0:
-                chain.insert(0, cur)
-            else:
-                chain.append(cur)
-            if g.degree(cur) != 2 or (chain[0] == chain[-1] and len(chain) > 1):
-                break
-            a, b = g.neighbors(cur)
-            prev, cur = cur, (b if a == prev else a)
-        if chain[0] == chain[-1]:
-            break
-    return chain
-
-
-def reduce_flat_path(g: Graph, path: FlatPath | tuple[int, ...]) -> tuple[Graph, tuple[int, ...]]:
-    """Delete the interior of a flat path of length >= 2 and join its ends.
-
-    Returns the new graph plus the map new id -> original id.
-    """
-    vs = tuple(path.vertices if isinstance(path, FlatPath) else path)
-    if len(vs) < 3:
-        raise ValueError("flat path must have length at least 2")
-    if not is_flat_path(g, vs):
-        raise ValueError(f"{vs} is not a flat path of the graph")
-    interior = set(vs[1:-1])
-    keep = [v for v in range(g.n) if v not in interior]
-    pos = {v: i for i, v in enumerate(keep)}
-    sub, ids = induced_subgraph(g, keep)
-    masks = list(sub._adj)
-    e0, e1 = pos[vs[0]], pos[vs[-1]]
-    masks[e0] |= 1 << e1
-    masks[e1] |= 1 << e0
-    return Graph.from_masks(masks), ids
 
 
 # ---------------------------------------------------------------------------
@@ -960,17 +841,8 @@ def build_2cutset_blocks(
     forces the two cut vertices to receive distinct colors.
     """
     _validate_2cutset(g, cut)
-    blocks = []
-    for side in (cut.side_x, cut.side_y):
-        verts = sorted(side | {cut.a, cut.b})
-        sub, ids = induced_subgraph(g, verts)
-        pos = {v: i for i, v in enumerate(ids)}
-        masks = list(sub._adj)
-        ia, ib = pos[cut.a], pos[cut.b]
-        masks[ia] |= 1 << ib
-        masks[ib] |= 1 << ia
-        blocks.append((Graph.from_masks(masks), ids))
-    (bx, ix), (by, iy) = blocks
+    bx, ix = induced_plus_edge(g, cut.side_x | {cut.a, cut.b}, cut.a, cut.b)
+    by, iy = induced_plus_edge(g, cut.side_y | {cut.a, cut.b}, cut.a, cut.b)
     return bx, ix, by, iy
 
 
@@ -982,9 +854,9 @@ def _validate_2cutset(g: Graph, cut: Proper2Cutset) -> None:
     all_verts = cut.side_x | cut.side_y | {cut.a, cut.b}
     if all_verts != set(range(g.n)) or cut.side_x & cut.side_y:
         raise ValueError("sides must partition the remaining vertices")
-    for u in cut.side_x:
-        if g.mask(u) & mask_of(cut.side_y):
-            raise ValueError("edge crosses the cut")
+    ym = mask_of(cut.side_y)
+    if any(g.mask(u) & ym for u in cut.side_x):
+        raise ValueError("edge crosses the cut")
 
 
 def merge_colorings(

@@ -15,7 +15,9 @@ calls it:
 - ``triangles``: every triangle, in lexicographic order;
 - ``suppress_chains``: the branch-to-branch chains of a subdivision;
 - ``k_core``: the k-core by repeated peeling;
-- ``chordless_order``: the walk along an induced path or hole.
+- ``chordless_order``: the walk along an induced path or hole;
+- ``induced_plus_edge``: an induced subgraph plus one edge (a 2-cutset
+  block with its marker edge, a graph with a flat path reduced to an edge).
 
 Each visits vertices in ascending id order, so every witness built on them
 is deterministic.
@@ -181,6 +183,16 @@ def induced_subgraph(g: Graph, s: Iterable[int]) -> tuple[Graph, tuple[int, ...]
         for w in bits(g.mask(v) & smask):
             m |= 1 << pos[w]
         masks.append(m)
+    return Graph.from_masks(masks), ids
+
+
+def induced_plus_edge(g: Graph, s: Iterable[int], a: int, b: int) -> tuple[Graph, tuple[int, ...]]:
+    """``induced_subgraph(g, s)`` plus the edge ab, for a and b in s."""
+    sub, ids = induced_subgraph(g, s)
+    masks = list(sub._adj)
+    ia, ib = ids.index(a), ids.index(b)
+    masks[ia] |= 1 << ib
+    masks[ib] |= 1 << ia
     return Graph.from_masks(masks), ids
 
 

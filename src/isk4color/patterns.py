@@ -381,11 +381,12 @@ def recognize_thick_multipartite(g: Graph) -> MultipartiteShape | None:
 # rich squares
 
 
-def _link_of(g: Graph, square: tuple[int, ...], comp: frozenset[int]) -> tuple[int, ...] | None:
-    """The component as an oriented link path of the square, or None."""
+def _link_of(g: Graph, square: tuple[int, ...], comp: int) -> tuple[int, ...] | None:
+    """The component (a vertex mask) as an oriented link path of the square,
+    or None."""
     u1, u2, u3, u4 = square
     smask = mask_of(square)
-    order = chordless_order(g, comp, hole=False)
+    order = chordless_order(g, bits(comp), hole=False)
     if order is None:
         return None
     if len(order) == 1:
@@ -416,11 +417,7 @@ def check_rich_square(g: Graph, square: tuple[int, ...]) -> tuple[tuple[int, ...
         return None
     if g.has_edge(u1, u3) or g.has_edge(u2, u4):
         return None
-    rest = set(range(g.n)) - set(square)
-    if not rest:
-        return None
-    sub, ids = induced_subgraph(g, rest)
-    comps = [frozenset(ids[v] for v in c) for c in connected_components(sub)]
+    comps = component_masks(g, mask_of(square))
     if len(comps) < 2:
         return None
     links = []

@@ -22,10 +22,18 @@ from .colorers import (
     color_girth5,
     color_triangle_free,
 )
-from .decompose import maximal_flat_paths, reduce_flat_path
-from .families import random_connected_graph
 from .formats import write_graph6_line
-from .graph import Graph, bfs_layering, girth, is_proper_coloring
+from .graph import (
+    Graph,
+    bfs_layering,
+    bits,
+    chordless_order,
+    component_masks,
+    girth,
+    induced_plus_edge,
+    is_proper_coloring,
+    mask_of,
+)
 from .layering import find_confluence, upstairs_path
 from .oracle import (
     HEREDITARY_CLASSES,
@@ -105,6 +113,57 @@ def _violation(g: Graph, detail: str) -> dict:
     return {"graph6": write_graph6_line(g), "n": g.n, "detail": detail}
 
 
+def is_flat_path(g: Graph, vertices) -> bool:
+    """Do ``vertices``, in this order, form an induced path of at least two
+    vertices whose interior vertices have degree 2 in g (a flat path)?"""
+    vs = tuple(vertices)
+    order = chordless_order(g, vs, hole=False)
+    return len(vs) >= 2 and order in (vs, vs[::-1]) and all(g.degree(v) == 2 for v in vs[1:-1])
+
+
+def maximal_flat_paths(g: Graph) -> list[tuple[int, ...]]:
+    """Every maximal flat path with at least three vertices, each read from
+    its lower end, in sorted order.
+
+    The interior of a flat path lies in a chain: a component of the
+    vertices of degree 2.  A chain that is a whole cycle component (of four
+    or more vertices) gives the cycle minus one vertex, once per vertex.
+    Any other chain is an induced path d1..dk with an outer neighbour x of
+    d1 and y of dk (the lower and the higher neighbour when k = 1).  When
+    x = y, the paths are d1..dk, x d1..dk-1 and d2..dk x; when x and y are
+    adjacent, x d1..dk and d1..dk y; otherwise x d1..dk y.  Those with
+    fewer than three vertices are dropped.
+    """
+    out = []
+    for c in component_masks(g, mask_of(v for v in range(g.n) if g.degree(v) != 2)):
+        chain = chordless_order(g, bits(c), hole=False)
+        if chain is None:  # a cycle component
+            cycle = chordless_order(g, bits(c), hole=True) or ()
+            out += [cycle[i + 1:] + cycle[:i] for i in range(len(cycle))]
+            continue
+        x = min(bits(g.mask(chain[0]) & ~c))
+        y = max(bits(g.mask(chain[-1]) & ~c))
+        if x == y:
+            out += [(x,) + chain[:-1], chain, chain[1:] + (x,)]
+        elif g.has_edge(x, y):
+            out += [(x,) + chain, chain + (y,)]
+        else:
+            out.append((x,) + chain + (y,))
+    return sorted(min(p, p[::-1]) for p in out if len(p) >= 3)
+
+
+def reduce_flat_path(g: Graph, path) -> tuple[Graph, tuple[int, ...]]:
+    """Delete the interior of a flat path of at least three vertices and
+    join its ends.  Returns the new graph plus the map new id -> original id.
+    """
+    vs = tuple(path)
+    if len(vs) < 3:
+        raise ValueError("flat path must have length at least 2")
+    if not is_flat_path(g, vs):
+        raise ValueError(f"{vs} is not a flat path of the graph")
+    return induced_plus_edge(g, set(range(g.n)) - set(vs[1:-1]), vs[0], vs[-1])
+
+
 def _check_flat_reduction(g: Graph, ctx: dict) -> dict:
     violations = []
     checks = 0
@@ -114,7 +173,7 @@ def _check_flat_reduction(g: Graph, ctx: dict) -> dict:
         w = contains_isk4(reduced)
         if w is not None:
             violations.append(_violation(
-                g, f"reducing flat path {list(fp.vertices)} created an induced K4 subdivision",
+                g, f"reducing flat path {list(fp)} created an induced K4 subdivision",
             ))
     return {"checks": checks, "violations": violations}
 
@@ -191,7 +250,7 @@ def _check_max_chi(g: Graph, ctx: dict) -> dict:
 def _check_min_degree(g: Graph, ctx: dict) -> dict:
     bound = ctx["degree_bound"]
     min_deg = min((g.degree(v) for v in range(g.n)), default=0)
-    record = {"checks": 1, "violations": [], "min_degree": min_deg}
+    record = {"checks": 1, "violations": []}
     if min_deg > bound:
         record["counterexample"] = _violation(g, f"minimum degree {min_deg} exceeds {bound}")
     return record
@@ -521,6 +580,22 @@ def _graph_sources(n_max, connected, filters, corpus):
             yield [g for g in corpus[n] if all(FILTERS[c](g) for c in classes)]
         else:
             yield enumerate_graphs(n, connected=connected, hereditary=hereditary)
+
+
+def random_connected_graph(rng: random.Random, n: int, p: float) -> Graph:
+    """Random spanning tree plus independent extra edges with probability p."""
+    edges = set()
+    order = list(range(n))
+    rng.shuffle(order)
+    for i in range(1, n):
+        u = order[i]
+        v = order[rng.randrange(i)]
+        edges.add((min(u, v), max(u, v)))
+    for u in range(n):
+        for v in range(u + 1, n):
+            if (u, v) not in edges and rng.random() < p:
+                edges.add((u, v))
+    return Graph(n, sorted(edges))
 
 
 def _run_random_upstairs(seed, count, violations):

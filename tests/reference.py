@@ -7,11 +7,12 @@ search paths.
 
 from itertools import combinations, permutations
 
-from isk4color.decompose import CliqueCutset, Proper2Cutset, _cliques_lex, _is_ab_path
+from isk4color.decompose import CliqueCutset, Proper2Cutset, _cliques_lex
 from isk4color.graph import Graph, bits, component_masks, induced_subgraph, is_connected, mask_of
-from isk4color.families import prism_graph
 from isk4color.oracle import Isk4Witness, _subdivision_witness
 from isk4color.patterns import find_k4
+
+from builders import prism_graph
 
 
 def ref_isomorphic(g: Graph, h: Graph) -> bool:
@@ -321,6 +322,36 @@ def ref_is_ab_path(g: Graph, vertices, a: int, b: int) -> bool:
     return len(_ref_components(g, vs)) == 1
 
 
+def ref_maximal_flat_paths(g: Graph) -> list[tuple[int, ...]]:
+    """Every flat path of at least three vertices (an induced path whose
+    interior vertices have degree 2 in g) that no longer flat path contains,
+    read from its lower end, in sorted order.
+
+    Grows every flat path from each of its two first vertices, one vertex at
+    a time, and keeps those that no neighbour of an end extends.
+    """
+    flat = set()
+    stack = [(u, v) for u in range(g.n) for v in g.neighbors(u)]
+    while stack:
+        p = stack.pop()
+        if len(p) >= 3:
+            flat.add(min(p, p[::-1]))
+        if g.degree(p[-1]) == 2:
+            for w in g.neighbors(p[-1]):
+                if w not in p and not any(g.has_edge(w, u) for u in p[:-1]):
+                    stack.append(p + (w,))
+
+    def extended(p, w):
+        q = p + (w,)
+        return min(q, q[::-1]) in flat
+
+    return sorted(
+        p for p in flat
+        if not any(extended(p, w) for w in g.neighbors(p[-1]))
+        and not any(extended(p[::-1], w) for w in g.neighbors(p[0]))
+    )
+
+
 def ref_is_proper_2cutset(g: Graph, a: int, b: int, side_x, side_y) -> bool:
     """The definition: a and b non-adjacent, the sides non-empty and a
     partition of the other vertices, no edge between them, and neither side
@@ -628,11 +659,11 @@ def dfs_proper_2cutset(g: Graph) -> Proper2Cutset | None:
             if len(comps) < 2:
                 continue
             if len(comps) == 2:
-                if any(_is_ab_path(g, c | ab, a, b) for c in comps):
+                if any(ref_is_ab_path(g, bits(c | ab), a, b) for c in comps):
                     continue
                 xm = comps[0]
             else:
-                xm = next((c for c in comps if not _is_ab_path(g, c | ab, a, b)), 0)
+                xm = next((c for c in comps if not ref_is_ab_path(g, bits(c | ab), a, b)), 0)
                 if not xm:
                     if len(comps) == 3:
                         continue

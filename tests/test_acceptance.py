@@ -18,8 +18,6 @@ from isk4color.colorers import (
     color_triangle_free,
     edge_color_subcubic,
 )
-from isk4color.decompose import maximal_flat_paths, reduce_flat_path
-from isk4color.families import petersen, rich_square_graph
 from isk4color.formats import write_graph
 from isk4color.graph import bfs_layering, girth, is_proper_coloring
 from isk4color.oracle import (
@@ -29,7 +27,9 @@ from isk4color.oracle import (
     verify_layer_forests,
 )
 from isk4color.patterns import find_rich_square, find_wheel
-from isk4color.suites import run_suite
+from isk4color.suites import maximal_flat_paths, reduce_flat_path, run_suite
+
+from builders import petersen, rich_square_graph
 from reference import ref_edge_chromatic
 from suite_helpers import validate_upstairs
 
@@ -135,7 +135,7 @@ def test_criterion_07_upstairs_and_confluences(connected_corpus_8):
     total = report.counts["total"]["checks"] + report.counts["random"]["checks"]
     # independent re-validation on a seeded sample of random graphs
     rng = random.Random(2024)
-    from isk4color.families import random_connected_graph
+    from isk4color.suites import random_connected_graph
     from isk4color.layering import upstairs_path
 
     for _ in range(50):

@@ -4,15 +4,11 @@ import pytest
 
 from isk4color import cli, colorers
 from isk4color.cli import cli_main
-from isk4color.families import (
-    complete_graph,
-    complete_multipartite,
-    cycle_graph,
-    path_graph,
-    petersen,
-)
+from isk4color.families import path_graph
 from isk4color.formats import write_graph
 from isk4color.graph import Coloring
+
+from builders import complete_graph, complete_multipartite, cycle_graph, petersen
 
 
 @pytest.fixture()

@@ -12,18 +12,7 @@ import pytest
 
 import isk4color
 from isk4color.graph import Graph, is_proper_coloring
-from isk4color.families import (
-    complete_graph,
-    complete_multipartite,
-    cycle_graph,
-    disjoint_union,
-    empty_graph,
-    line_graph,
-    path_graph,
-    petersen,
-    rich_square_graph,
-    theta_graph,
-)
+from isk4color.families import path_graph
 from isk4color.colorers import (
     ClassViolationError,
     NotAForestError,
@@ -46,6 +35,17 @@ from isk4color.patterns import (
     find_rich_square,
     recognize_line_graph_subcubic,
     recognize_thick_multipartite,
+)
+from builders import (
+    complete_graph,
+    complete_multipartite,
+    cycle_graph,
+    disjoint_union,
+    empty_graph,
+    line_graph,
+    petersen,
+    rich_square_graph,
+    theta_graph,
 )
 from reference import ref_edge_chromatic
 
@@ -322,12 +322,11 @@ def test_certificate_check_survives_optimize_flag():
     # the proper-coloring certificate must not be an assert that -O strips
     code = textwrap.dedent("""
         from isk4color import colorers
-        from isk4color.families import complete_graph
-        from isk4color.graph import Coloring
+        from isk4color.graph import Coloring, Graph
 
         colorers._GENERAL = ((None, lambda g, ids, run, witness, rules: Coloring((0,) * g.n, 1)),)
         try:
-            colorers.color_general(complete_graph(2))
+            colorers.color_general(Graph(2, [(0, 1)]))
         except AssertionError as exc:
             print(exc)
     """)

@@ -16,28 +16,31 @@ from isk4color.graph import (
     is_connected,
     is_proper_coloring,
 )
-from isk4color.families import (
-    complete_graph,
-    complete_multipartite,
-    cycle_graph,
-    line_graph,
-    path_graph,
-    random_connected_graph,
-    subdivided_complete,
-)
+from isk4color.families import path_graph
 from isk4color.decompose import (
+    Proper2Cutset,
     _Blocks,
     build_2cutset_blocks,
     find_clique_cutset,
     find_proper_2cutset,
-    is_flat_path,
-    maximal_flat_paths,
     merge_colorings,
-    reduce_flat_path,
 )
 from isk4color.oracle import are_isomorphic, contains_isk4
 from isk4color.patterns import find_k4, find_k222, find_k33
+from isk4color.suites import (
+    is_flat_path,
+    maximal_flat_paths,
+    random_connected_graph,
+    reduce_flat_path,
+)
 
+from builders import (
+    complete_graph,
+    complete_multipartite,
+    cycle_graph,
+    line_graph,
+    subdivided_complete,
+)
 from reference import (
     _ref_components,
     dfs_clique_cutset,
@@ -169,7 +172,7 @@ def test_proper_2cutset_examples():
 
 
 def test_proper_2cutset_theta_has_none():
-    from isk4color.families import theta_graph
+    from builders import theta_graph
 
     assert find_proper_2cutset(theta_graph(2, 2, 2)) is None
 
@@ -459,15 +462,15 @@ def test_reduce_flat_path_errors():
 def test_maximal_flat_paths_enumeration():
     c5 = cycle_graph(5)
     flats = maximal_flat_paths(c5)
-    assert len(flats) == 5 and all(len(f.vertices) == 4 for f in flats)
+    assert len(flats) == 5 and all(len(f) == 4 for f in flats)
     lolli = Graph(5, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 4)])
     flats = maximal_flat_paths(lolli)
-    assert {f.vertices for f in flats} == {(0, 1, 2), (0, 3, 2), (1, 2, 3)}
+    assert set(flats) == {(0, 1, 2), (0, 3, 2), (1, 2, 3)}
     assert maximal_flat_paths(complete_graph(4)) == []
     for g in (c5, lolli, subdivided_complete(4, 1)):
         for f in maximal_flat_paths(g):
-            assert is_flat_path(g, f.vertices)
-            assert not _extendable(g, f.vertices)
+            assert is_flat_path(g, f)
+            assert not _extendable(g, f)
 
 
 def _extendable(g, seq):
@@ -486,7 +489,7 @@ def test_flat_reduction_preserves_class_small(isk4_free_connected_8):
         for g in isk4_free_connected_8[n]:
             for fp in maximal_flat_paths(g):
                 reduced, _ = reduce_flat_path(g, fp)
-                assert contains_isk4(reduced) is None, (list(g.edges()), fp.vertices)
+                assert contains_isk4(reduced) is None, (list(g.edges()), fp)
 
 
 def test_build_2cutset_blocks():
@@ -497,6 +500,21 @@ def test_build_2cutset_blocks():
     assert are_isomorphic(bx, diamond) and are_isomorphic(by, diamond)
     assert bx.n < k24.n and by.n < k24.n
     assert set(ids_x) & set(ids_y) == {cut.a, cut.b}
+
+
+def test_build_2cutset_blocks_rejects_bad_cuts():
+    c6 = cycle_graph(6)  # 0-1-2-3-4-5-0; {0, 3} splits it into {1, 2} and {4, 5}
+    assert build_2cutset_blocks(c6, Proper2Cutset(0, 3, frozenset({1, 2}), frozenset({4, 5})))
+    bad = [
+        (Proper2Cutset(0, 1, frozenset({2, 3}), frozenset({4, 5})), "adjacent"),
+        (Proper2Cutset(0, 3, frozenset({1, 2, 4, 5}), frozenset()), "non-empty"),
+        (Proper2Cutset(0, 3, frozenset({1, 2}), frozenset({4})), "partition"),
+        (Proper2Cutset(0, 3, frozenset({1, 2, 4}), frozenset({4, 5})), "partition"),
+        (Proper2Cutset(0, 3, frozenset({1, 4}), frozenset({2, 5})), "crosses"),
+    ]
+    for cut, message in bad:
+        with pytest.raises(ValueError, match=message):
+            build_2cutset_blocks(c6, cut)
 
 
 def test_blocks_always_shrink(all_graphs_7):

@@ -1,7 +1,6 @@
 import pytest
 
 from isk4color.graph import Graph
-from isk4color.families import complete_graph, cycle_graph, petersen
 from isk4color.formats import (
     FORMATS,
     GraphParseError,
@@ -14,6 +13,8 @@ from isk4color.formats import (
 )
 from isk4color.colorers import ColoringResult, Violation
 from isk4color.graph import Coloring
+
+from builders import complete_graph, cycle_graph, petersen
 
 
 def test_parse_dimacs_triangle():

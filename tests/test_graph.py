@@ -27,12 +27,12 @@ from isk4color.graph import (
     shortest_cycle,
     triangles,
 )
-from isk4color.families import (
+from isk4color.families import path_graph
+from builders import (
     complete_graph,
     cycle_graph,
     disjoint_union,
     empty_graph,
-    path_graph,
     petersen,
     random_graph,
 )

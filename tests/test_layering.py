@@ -6,12 +6,8 @@ from itertools import combinations
 import pytest
 
 from isk4color.graph import Graph, Coloring, Layering, bfs_layering, is_connected, is_proper_coloring
-from isk4color.families import (
-    complete_graph,
-    cycle_graph,
-    path_graph,
-    random_connected_graph,
-)
+from isk4color.families import path_graph
+from isk4color.suites import random_connected_graph
 from isk4color.layering import (
     classify_confluence,
     combine_layer_colorings,
@@ -19,6 +15,7 @@ from isk4color.layering import (
     upstairs_path,
 )
 from isk4color.patterns import find_triangle
+from builders import complete_graph, cycle_graph
 from reference import ref_confluence_is_minimal
 from suite_helpers import validate_upstairs
 

@@ -5,17 +5,6 @@ from itertools import combinations
 import pytest
 
 from isk4color.graph import Graph, girth
-from isk4color.families import (
-    complete_graph,
-    complete_multipartite,
-    cycle_graph,
-    disjoint_union,
-    line_graph,
-    petersen,
-    prism_graph,
-    random_graph,
-    subdivided_complete,
-)
 from isk4color import oracle
 from isk4color.oracle import (
     SizeLimitError,
@@ -30,6 +19,17 @@ from isk4color.oracle import (
 )
 from isk4color.colorers import color_general, greedy_fallback
 from isk4color.patterns import find_triangle
+from builders import (
+    complete_graph,
+    complete_multipartite,
+    cycle_graph,
+    disjoint_union,
+    line_graph,
+    petersen,
+    prism_graph,
+    random_graph,
+    subdivided_complete,
+)
 from reference import (
     contains_isk4_anchored,
     ref_isomorphic,
@@ -55,7 +55,7 @@ def test_contains_isk4_examples():
 
 
 def test_contains_isk4_rejects_thetas():
-    from isk4color.families import theta_graph
+    from builders import theta_graph
 
     assert contains_isk4(theta_graph(2, 2, 2)) is None
 

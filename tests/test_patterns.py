@@ -5,16 +5,6 @@ import pytest
 
 from isk4color.formats import parse_graph6_line
 from isk4color.graph import Graph, is_connected, triangles
-from isk4color.families import (
-    complete_graph,
-    complete_multipartite,
-    cycle_graph,
-    line_graph,
-    petersen,
-    prism_graph,
-    rich_square_graph,
-    star_graph,
-)
 from isk4color.oracle import are_isomorphic
 from isk4color.patterns import (
     enumerate_holes,
@@ -31,6 +21,16 @@ from isk4color.patterns import (
     recognize_line_graph_subcubic,
     recognize_thick_multipartite,
     verify_witness,
+)
+from builders import (
+    complete_graph,
+    complete_multipartite,
+    cycle_graph,
+    line_graph,
+    petersen,
+    prism_graph,
+    rich_square_graph,
+    star_graph,
 )
 from reference import (
     ref_find_k4,

@@ -6,10 +6,11 @@ import random
 
 from isk4color.colorers import BOUND_GENERAL, color_general, color_triangle_free
 from isk4color.decompose import find_clique_cutset
-from isk4color.families import cycle_graph, line_graph
 from isk4color.graph import Graph, is_connected, is_proper_coloring
 from isk4color.oracle import contains_isk4
 from isk4color.patterns import find_triangle
+
+from builders import cycle_graph, line_graph
 
 
 def series_parallel(rng, ops):
@@ -141,7 +142,7 @@ def test_first_clique_cutset_of_glued_cycles():
 
 
 def test_thick_multipartite_families():
-    from isk4color.families import complete_multipartite
+    from builders import complete_multipartite
 
     for parts in [(3, 3), (4, 7), (3, 3, 3), (2, 5, 6), (1, 1, 9)]:
         g = complete_multipartite(*parts)

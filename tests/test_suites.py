@@ -1,11 +1,23 @@
 import hashlib
 import json
 import os
+import random
 
 import pytest
 
 from isk4color import oracle, suites
-from isk4color.suites import FILTERS, SUITES, SUITE_ALIASES, resolve_suite, run_suite
+from isk4color.graph import Graph
+from isk4color.suites import (
+    FILTERS,
+    SUITES,
+    SUITE_ALIASES,
+    maximal_flat_paths,
+    random_connected_graph,
+    resolve_suite,
+    run_suite,
+)
+
+from reference import ref_maximal_flat_paths
 
 
 def test_suite_registry_complete():
@@ -29,6 +41,20 @@ def test_layer_forests_small():
 def test_flat_reduction_small():
     report = run_suite("flat-reduction", 6)
     assert report.violations == []
+
+
+def test_maximal_flat_paths_agree_with_reference(connected_corpus_8):
+    graphs = [g for n in range(1, 8) for g in connected_corpus_8[n]]
+    rng = random.Random(13)
+    for _ in range(300):
+        # sparse, so that long chains of degree-2 vertices occur, and again
+        # with a cycle component beside it
+        g = random_connected_graph(rng, rng.randint(3, 40), rng.uniform(0.0, 0.1))
+        k = rng.randint(3, 8)
+        ring = [(g.n + i, g.n + (i + 1) % k) for i in range(k)]
+        graphs += [g, Graph(g.n + k, list(g.edges()) + ring)]
+    for g in graphs:
+        assert maximal_flat_paths(g) == ref_maximal_flat_paths(g), list(g.edges())
 
 
 def test_upstairs_small_with_random():
