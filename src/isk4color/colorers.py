@@ -9,9 +9,13 @@ leaf cases (thick complete multipartite, line graph of a subcubic root, rich
 square), and otherwise color by nested BFS layerings whose layers are
 progressively simpler (4-wheel-free, then boat-free, then girth >= 5).
 
-The recursion terminates because every cutset block misses a non-empty
-side of its cut and so is smaller than its parent; each cutset level costs
-two Python frames, ``_drive`` and the rule's handler.
+The decomposition terminates because every cutset block misses a non-empty
+side of its cut and so is smaller than its parent.  One call of the clique
+rule splits its block on an explicit stack, so a long chain of clique
+cutsets (a path peels one vertex per cutset) costs no Python frames; a
+proper 2-cutset still costs two, ``_drive`` and its handler.  The trace
+holds one entry per block, with the block's size and its parent entry, so
+it grows linearly with the number of blocks.
 
 Class assumptions are checked operationally along the way.  In strict mode
 the first failure raises ``ClassViolationError`` with a witness; in tolerant
@@ -38,6 +42,7 @@ from .graph import (
     shortest_cycle,
 )
 from .decompose import (
+    _align_colors,
     build_2cutset_blocks,
     find_clique_cutset,
     find_proper_2cutset,
@@ -108,20 +113,38 @@ class ColoringResult:
 
 
 class _Run:
-    """Mutable per-call context: mode, trace log, and violation collection."""
+    """Mutable per-call context: mode, trace log, and violation collection.
+
+    Every block that a rule colors has one trace entry: the rule, its
+    details, the block's vertex count ``size`` and ``parent``, the index of
+    the entry whose rule produced the block (None for a component of the
+    input).  ``enter`` reserves the entry when the block is entered, so a
+    parent comes before its children; ``slot`` is the entry of the block
+    whose rule is running.
+    """
 
     def __init__(self, mode: str):
         if mode not in ("strict", "tolerant"):
             raise ValueError(f"mode must be 'strict' or 'tolerant', got {mode!r}")
         self.mode = mode
-        self.trace: list[dict] = []
+        self.trace: list = []
         self.violations: list[Violation] = []
+        self.slot: int | None = None
 
-    def note(self, rule: str, ids, **detail):
+    def enter(self) -> int | None:
+        """Reserve the entry of a block produced by the running rule and make
+        it the running one; return the slot to restore when the block is done."""
+        outer = self.slot
+        self.slot = len(self.trace)
+        self.trace.append(outer)  # the parent, until ``note`` fills the entry
+        return outer
+
+    def note(self, rule: str, size: int, **detail):
         entry = {"rule": rule}
         entry.update(detail)
-        entry["scope"] = list(ids)
-        self.trace.append(entry)
+        entry["size"] = size
+        entry["parent"] = self.trace[self.slot]
+        self.trace[self.slot] = entry
 
     def violate(self, kind: str, message: str, vertices=()) -> None:
         violation = Violation(kind, message, tuple(sorted(vertices)))
@@ -421,13 +444,16 @@ def _drive(g: Graph, ids, run: _Run, rules) -> Coloring:
     attribute (as a tracer does) reaches every call; None always applies.
     The handler is called as ``handler(g, ids, run, witness, rules[i:])`` and
     reads its params from its own rule, ``rules[0]`` (a fixed-arity call is
-    cheaper than ``*params`` on the deep recursion of the cutsets).
+    cheaper than ``*params`` on the many small blocks of the cutsets).
     """
+    outer = run.enter()
     for i, rule in enumerate(rules):
         detector = rule[0]
         witness = globals()[detector](g) if detector else None
         if witness is not None or not detector:
-            return rule[1](g, ids, run, witness, rules[i:])
+            coloring = rule[1](g, ids, run, witness, rules[i:])
+            run.slot = outer
+            return coloring
 
 
 def _per_component(g: Graph, ids, run: _Run, rules) -> Coloring:
@@ -451,26 +477,65 @@ def _fallback(g: Graph, ids, run: _Run, vertices, rules) -> Coloring:
     """Record the violation ``rules[0]`` ends with (kind, message), color greedily."""
     kind, message = rules[0][-2:]
     run.violate(kind, message, _map_ids(ids, vertices))
-    run.note("greedy_fallback", ids)
+    run.note("greedy_fallback", g.n)
     return greedy_fallback(g)
 
 
 def _recurse_clique_cutset(g, ids, run, cut, rules) -> Coloring:
-    """Split on a clique cutset.  The blocks are induced, so they keep what
-    the rules before this one ruled out, and restart at this rule."""
-    run.note("clique_cutset", ids, clique=[ids[v] for v in cut.clique],
-             sides=[len(cut.side_x), len(cut.side_y)])
-    bx, ids_x = induced_subgraph(g, cut.side_x | set(cut.clique))
-    by, ids_y = induced_subgraph(g, cut.side_y | set(cut.clique))
-    cx = _drive(bx, _map_ids(ids, ids_x), run, rules)
-    cy = _drive(by, _map_ids(ids, ids_y), run, rules)
-    return merge_colorings(g, cx, ids_x, cy, ids_y, cut.clique)
+    """Decompose ``g`` by clique cutsets on an explicit stack.
+
+    A block is split on its first clique cutset K into the blocks induced on
+    X + K and Y + K, which keep what the rules before this one ruled out; a
+    block with no clique cutset is an atom, colored by the rest of the table.
+    ``g`` itself was entered by ``_drive``, which found ``cut``.  The
+    colorings are merged bottom-up, X's block before Y's, as a recursion
+    would; they are kept on the vertices of ``g``, so a block is dropped as
+    soon as it is split.
+    """
+    atom_rules = rules[1:]
+    todo = [(g, tuple(range(g.n)), run.slot)]  # blocks (graph, ids in g, parent entry)
+    done = []  # colorings of finished blocks: ({vertex of g: color}, palette)
+    while todo:
+        b, hids, parent = todo.pop()
+        if b is None:  # both blocks of the split on the clique ``hids`` are colored
+            done.append(_merge_blocks(done.pop(-2), done.pop(), hids))
+            continue
+        if b is not g:
+            run.slot = parent
+            cut = find_clique_cutset(b)
+            if cut is None:
+                c = _drive(b, _map_ids(ids, hids), run, atom_rules)
+                done.append((dict(zip(hids, c.assignment)), c.palette_size))
+                continue
+            run.enter()
+        run.note("clique_cutset", b.n, clique=[ids[hids[v]] for v in cut.clique],
+                 sides=[len(cut.side_x), len(cut.side_y)])
+        clique = set(cut.clique)
+        bx, ids_x = induced_subgraph(b, cut.side_x | clique)
+        by, ids_y = induced_subgraph(b, cut.side_y | clique)
+        todo.append((None, _map_ids(hids, cut.clique), None))
+        todo.append((by, _map_ids(hids, ids_y), run.slot))
+        todo.append((bx, _map_ids(hids, ids_x), run.slot))
+    colors, palette = done.pop()
+    return Coloring(tuple(colors[v] for v in range(g.n)), palette)
+
+
+def _merge_blocks(x, y, clique):
+    """``merge_colorings`` on the vertices of the decomposed graph: the
+    coloring of Y's block, renamed to agree with X's on the clique, joins
+    X's.  Whether the merge is proper is checked once, on the whole input."""
+    (colors, px), (colors_y, py) = x, y
+    palette = max(px, py)
+    perm = _align_colors([colors[v] for v in clique], [colors_y[v] for v in clique], palette)
+    for v, c in colors_y.items():
+        colors[v] = perm[c]
+    return colors, palette
 
 
 def _recurse_2cutset(g, ids, run, cut2, _rules) -> Coloring:
     """Split on a proper 2-cutset.  The marker edge of a block can close a
     K4, so both blocks restart at the first rule of ``_GENERAL``."""
-    run.note("proper_2cutset", ids, cut=[ids[cut2.a], ids[cut2.b]],
+    run.note("proper_2cutset", g.n, cut=[ids[cut2.a], ids[cut2.b]],
              sides=[len(cut2.side_x), len(cut2.side_y)])
     bx, ids_x, by, ids_y = build_2cutset_blocks(g, cut2)
     cx = _drive(bx, _map_ids(ids, ids_x), run, _GENERAL)
@@ -484,7 +549,7 @@ def _thick(g, ids, run, k33, rules) -> Coloring:
     rule, max_parts = rules[0][2:4]
     shape = recognize_thick_multipartite(g)
     if shape is not None and shape.thick and len(shape.parts) <= max_parts:
-        run.note(rule, ids, parts=[len(p) for p in shape.parts])
+        run.note(rule, g.n, parts=[len(p) for p in shape.parts])
         return color_thick_multipartite(shape)
     return _fallback(g, ids, run, k33.vertices, rules)
 
@@ -494,11 +559,11 @@ def _structured(g, ids, run, trigger, rules) -> Coloring:
     a subcubic root or a rich square."""
     kp = recognize_line_graph_subcubic(g)
     if kp is not None:
-        run.note("line_graph_subcubic", ids, root_n=kp.root.n, cliques=len(kp.cliques))
+        run.note("line_graph_subcubic", g.n, root_n=kp.root.n, cliques=len(kp.cliques))
         return color_line_graph(g, kp)
     rs = find_rich_square(g)
     if rs is not None:
-        run.note("rich_square", ids, square=[ids[v] for v in rs.extra["square"]],
+        run.note("rich_square", g.n, square=[ids[v] for v in rs.extra["square"]],
                  links=len(rs.extra["links"]))
         return color_rich_square(g, rs)
     return _fallback(g, ids, run, trigger.vertices, rules)
@@ -519,7 +584,7 @@ def _layered(g: Graph, ids, run: _Run, _witness, rules) -> Coloring:
     combined = combine_layer_colorings(g, layering, per_layer)
     run.note(
         rule,
-        ids,
+        g.n,
         root=ids[0],
         layer_sizes=[len(l) for l in layering.layers],
         layer_palettes=layer_palettes,

@@ -1,5 +1,5 @@
 """Cutset discovery, block construction and coloring recombination: the
-recursion skeleton of the two bounded colorers.
+decomposition skeleton of the two bounded colorers.
 
 All searches return the lexicographically smallest witness (by sorted vertex
 ids) so that decomposition traces are reproducible.
@@ -21,8 +21,9 @@ colorers ask both searches about the same block in turn, so the second
 reuses the DFS and the SPQR trees of the first.
 
 Both kinds of cutset give two blocks, each missing a non-empty side of the
-cut, so every block is smaller than its parent and the colorers' recursion
-terminates without a depth guard.
+cut, so every block is smaller than its parent and the colorers'
+decomposition terminates without a depth guard: the clique cutsets on an
+explicit stack, the proper 2-cutsets by recursion.
 """
 
 from __future__ import annotations
@@ -859,6 +860,22 @@ def _validate_2cutset(g: Graph, cut: Proper2Cutset) -> None:
         raise ValueError("edge crosses the cut")
 
 
+def _align_colors(shared1, shared2, palette: int) -> list[int]:
+    """The permutation of range(palette) that takes the colors ``shared2`` of
+    the shared vertices in one block to their colors ``shared1`` in the
+    other, and the remaining colors, in increasing order, to the free ones.
+    The shared vertices must be rainbow in both blocks."""
+    if palette < len(shared1):
+        raise ValueError("palette smaller than the shared overlap")
+    if len(set(shared1)) != len(shared1) or len(set(shared2)) != len(shared2):
+        raise ValueError("shared vertices are not rainbow in both blocks")
+    perm = [-1] * palette
+    for c2, c1 in zip(shared2, shared1):
+        perm[c2] = c1
+    free = iter(sorted(set(range(palette)).difference(shared1)))
+    return [next(free) if c == -1 else c for c in perm]
+
+
 def merge_colorings(
     g: Graph,
     c1: Coloring,
@@ -875,21 +892,9 @@ def merge_colorings(
     max(palette1, palette2) colors and is proper on g whenever both inputs
     are proper on their blocks.
     """
-    shared = sorted(shared)
     palette = max(c1.palette_size, c2.palette_size)
-    if palette < len(shared):
-        raise ValueError("palette smaller than the shared overlap")
-    pos1 = {v: i for i, v in enumerate(ids1)}
-    pos2 = {v: i for i, v in enumerate(ids2)}
-    col1 = {v: c1.assignment[pos1[v]] for v in shared}
-    col2 = {v: c2.assignment[pos2[v]] for v in shared}
-    if len(set(col1.values())) != len(shared) or len(set(col2.values())) != len(shared):
-        raise ValueError("shared vertices are not rainbow in both blocks")
-    perm: dict[int, int] = {col2[v]: col1[v] for v in shared}
-    free_targets = [c for c in range(palette) if c not in set(perm.values())]
-    for c in range(palette):
-        if c not in perm:
-            perm[c] = free_targets.pop(0)
+    perm = _align_colors([c1.assignment[ids1.index(v)] for v in shared],
+                         [c2.assignment[ids2.index(v)] for v in shared], palette)
     assign = [-1] * g.n
     for i, v in enumerate(ids1):
         assign[v] = c1.assignment[i]

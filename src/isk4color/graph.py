@@ -322,6 +322,7 @@ def greedy_coloring(g: Graph, order: Iterable[int] | None = None) -> Coloring:
 def component_masks(g: Graph, removed: int = 0) -> list[int]:
     """Vertex masks of the components of g minus the ``removed`` mask,
     ordered by lowest vertex."""
+    adj = g._adj
     comps = []
     left = ((1 << g.n) - 1) & ~removed
     while left:
@@ -329,8 +330,10 @@ def component_masks(g: Graph, removed: int = 0) -> list[int]:
         frontier = comp
         while frontier:
             nxt = 0
-            for u in bits(frontier):
-                nxt |= g.mask(u)
+            while frontier:
+                low = frontier & -frontier
+                nxt |= adj[low.bit_length() - 1]
+                frontier ^= low
             frontier = nxt & left & ~comp
             comp |= frontier
         comps.append(comp)
@@ -444,24 +447,28 @@ def chordless_order(g: Graph, vertices, *, hole: bool) -> tuple[int, ...] | None
     A path is read from its lower end, a hole from its lowest vertex towards
     the lower of its two neighbours.
     """
-    vs = sorted(set(vertices))
-    vmask = mask_of(vs)
+    adj = g._adj
+    vmask = mask_of(vertices)
     ends = []
-    for v in vs:
-        d = (g.mask(v) & vmask).bit_count()
+    for v in bits(vmask):
+        d = (adj[v] & vmask).bit_count()
         if d > 2:
             return None
         if d < 2:
             ends.append(v)
-    if not vs or bool(ends) == hole or (hole and len(vs) < 4):
+    size = vmask.bit_count()
+    if not size or bool(ends) == hole or (hole and size < 4):
         return None
-    start = ends[0] if ends else vs[0]
+    start = ends[0] if ends else (vmask & -vmask).bit_length() - 1
     order = [start]
-    prev = -1
+    cur, prev = start, 0  # prev: the mask of the vertex before cur
     while True:
-        nbrs = [w for w in bits(g.mask(order[-1]) & vmask) if w != prev]
-        if not nbrs or nbrs[0] == start:
+        nxt = adj[cur] & vmask & ~prev
+        if not nxt:
             break
-        prev = order[-1]
-        order.append(nbrs[0])
-    return tuple(order) if len(order) == len(vs) else None
+        w = (nxt & -nxt).bit_length() - 1
+        if w == start:
+            break
+        order.append(w)
+        cur, prev = w, 1 << cur
+    return tuple(order) if len(order) == size else None

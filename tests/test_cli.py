@@ -124,7 +124,7 @@ def test_internal_value_error_exits_internal(tmp_path, capsys, monkeypatch):
     def broken_merge(*args):
         raise ValueError("merged coloring is not proper")
 
-    monkeypatch.setattr(colorers, "merge_colorings", broken_merge)
+    monkeypatch.setattr(colorers, "_merge_blocks", broken_merge)
     p4 = tmp_path / "p4.col"
     p4.write_text(write_graph(path_graph(4), "dimacs-col"))
     assert cli_main(["color", "--algorithm", "general", str(p4)]) == 3

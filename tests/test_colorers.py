@@ -355,22 +355,22 @@ def test_no_assert_statements_in_package():
 # and violations must stay byte-identical across refactors of the colorers
 _PINNED_RESULTS = [
     ("P40-general", color_general, lambda: path_graph(40),
-     "2b71491a0f72e86be218c6f51046889fda1052167708a3039b484e88fc9c14bf"),
+     "3f96fbca4497364af859283ed81db9d86529346cda7d90efcf4c0d568882a7df"),
     ("P40-triangle-free", color_triangle_free, lambda: path_graph(40),
-     "a5f3ab0827958bc815de375381711d576cd8bf9be3d145ac5a7b12ea60840b91"),
+     "c1012a340fb54225e50964128de9e349d86eb3754c93ae03dd108ae746727e40"),
     ("C12-general", color_general, lambda: cycle_graph(12),
-     "680f905005e64962aea32e9ccdd2ce05e37a24637cc000e2191d06724d638c76"),
+     "80fed18fb1e87114e566d925fe35430c8d8effd71b04f857a9661f0ad841bf06"),
     ("theta345-general", color_general, lambda: theta_graph(3, 4, 5),
-     "98665c5cad10aa5a0392fd507620934e6ce460d1203406ab30d9bd856dbb06e2"),
+     "e2665b31a119d33a9eca171a2d4d60e9308c6517a50c7982a682d30da2ef2643"),
     ("theta345-triangle-free", color_triangle_free, lambda: theta_graph(3, 4, 5),
-     "795d133ebb92b7bd963c0f23c712065d58a84f39f02befa71256582758fab9e5"),
+     "705a50ba2b010b4d0cc49f064c8abd610f3dafc0fef52de0fbb9af26faacbb67"),
     ("L(petersen)-general", color_general, lambda: line_graph(petersen()),
-     "a134fd10171242265dd554939cdf71cde9bb47cef8a1794b07dbdce020451e03"),
+     "018e0d93fcd1494b6d34164a8d5fc371455e2f3ec352ddd1bb1a0ee54f11bb15"),
     ("K333-general", color_general, lambda: complete_multipartite(3, 3, 3),
-     "cc57317d31ea7a64dc42f3ad96bb25de3a685efa02ea2a91144e40c7da0cbde7"),
+     "6e3715224c00390c6c5b4aed40c69175d009664e19c398c3ce00dbb629afd5a8"),
     ("rich-square-general", color_general,
      lambda: rich_square_graph([(3, False), (0, True), (2, True)]),
-     "ffaf202e2d0aeab0b4356961b7ebdb35a71254341e80f7ba1d794780ef733f7d"),
+     "96a11e4421ca12424fea8a1e986bdb5305bfe724f9fbf89084e41719a70d6378"),
 ]
 
 
@@ -385,20 +385,71 @@ def test_result_bytes_pinned(colorer, make, digest):
 # graphs with up to 7 vertices.  This corpus reaches every rule and every
 # violation kind except layer_degeneracy, so it pins the fallback paths that
 # the strict inputs above do not reach.
-_TOLERANT_DIGEST = "18a1c6e9c772e341df115ccd19363eacc43e4b19030299ad1791cac84d006850"
+_TOLERANT_DIGEST = "d7f5365bfea50fa41f01b6b6252909069709605e5aa404c506167ddbbfd81dd4"
 
 
-def test_tolerant_results_pinned(connected_corpus_8):
-    h = hashlib.sha256()
+@pytest.fixture(scope="module")
+def tolerant_payloads(connected_corpus_8):
+    payloads = []
     for n in range(1, 8):
         for g in connected_corpus_8[n]:
             for colorer in (color_general, color_triangle_free, color_c3, color_c2, color_c1):
                 try:
-                    payload = colorer(g, mode="tolerant").to_dict()
+                    payloads.append(colorer(g, mode="tolerant").to_dict())
                 except ClassViolationError as exc:  # a triangle, at the root
-                    payload = exc.violation.to_dict()
-                h.update(json.dumps(payload, sort_keys=True).encode() + b"\n")
+                    payloads.append(exc.violation.to_dict())
+    return payloads
+
+
+def test_tolerant_results_pinned(tolerant_payloads):
+    h = hashlib.sha256()
+    for payload in tolerant_payloads:
+        h.update(json.dumps(payload, sort_keys=True).encode() + b"\n")
     assert h.hexdigest() == _TOLERANT_DIGEST
+
+
+def test_trace_entries_follow_their_parents(tolerant_payloads):
+    # a block's entry comes after the entry of the rule that produced it, and
+    # the blocks of a cutset are its two sides, each with the cut
+    checked = 0
+    for payload in tolerant_payloads:
+        trace = payload.get("trace", [])
+        children = {}
+        for i, entry in enumerate(trace):
+            parent = entry["parent"]
+            assert parent is None or 0 <= parent < i
+            children.setdefault(parent, []).append(entry["size"])
+        for i, entry in enumerate(trace):
+            cut = {"clique_cutset": len(entry.get("clique", ())), "proper_2cutset": 2}.get(entry["rule"])
+            if cut is not None:
+                assert sorted(children[i]) == sorted(side + cut for side in entry["sides"])
+                checked += 1
+            else:
+                assert sum(children.get(i, ())) <= entry["size"]
+        if trace:
+            assert sum(children[None]) == len(payload["assignment"])
+    assert checked > 1000
+
+
+# sha256 over (palette_size, assignment, violations) of the pinned cases and
+# the tolerant corpus, without the trace: a change of the trace format alone
+# must leave it as it is
+_COLORINGS_DIGEST = "234da402b2b036d2156d04190c174a2d86240bf93c86f423146cd4123667d70c"
+
+
+def _coloring_only(payload: dict) -> list:
+    if "assignment" not in payload:  # a violation raised at the root
+        return [payload]
+    return [payload["palette_size"], payload["assignment"], payload["violations"]]
+
+
+def test_colorings_pinned_without_trace(tolerant_payloads):
+    h = hashlib.sha256()
+    for _, colorer, make, _ in _PINNED_RESULTS:
+        h.update(json.dumps(_coloring_only(colorer(make()).to_dict()), sort_keys=True).encode() + b"\n")
+    for payload in tolerant_payloads:
+        h.update(json.dumps(_coloring_only(payload), sort_keys=True).encode() + b"\n")
+    assert h.hexdigest() == _COLORINGS_DIGEST
 
 
 def test_detectors_looked_up_at_call_time(monkeypatch):
@@ -426,8 +477,27 @@ def test_detectors_looked_up_at_call_time(monkeypatch):
 
 
 def test_long_path_within_default_recursion_limit():
-    # each cutset level costs two frames; a third would exhaust the default
-    # limit before P_400
+    # the clique cutsets of a path are split on an explicit stack, so they
+    # cost no frames
     g = path_graph(400)
     for colorer in (color_general, color_triangle_free):
         assert is_proper_coloring(g, colorer(g).coloring)
+
+
+def test_path_of_1000_within_default_recursion_limit():
+    # P_1000 peels 998 clique cutsets; two frames each would exceed the limit
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        g = path_graph(1000)
+        for colorer in (color_general, color_triangle_free):
+            result = colorer(g)
+            assert is_proper_coloring(g, result.coloring) and not result.violations
+    finally:
+        sys.setrecursionlimit(limit)
+
+
+def test_trace_grows_linearly_on_paths():
+    # an entry holds its block's size, not its vertex list
+    size = {n: len(json.dumps(color_triangle_free(path_graph(n)).to_dict())) for n in (400, 800)}
+    assert size[800] < 2.2 * size[400]
