@@ -5,7 +5,7 @@ Subcommands: ``detect`` (pattern witnesses), ``color`` (bounded colorers),
 ``enumerate`` (verification suites over exhaustively enumerated graphs).
 
 Exit codes: 0 success; 1 pattern not found or class violation in strict mode;
-2 usage or parse errors; 3 internal invariant failure, such as a failed
+2 usage, unreadable input or parse errors; 3 internal invariant failure, such as a failed
 certificate check or a ``ValueError`` raised inside a colorer (stderr reads
 ``error: internal: ...``).  JSON output is
 byte-identical for identical inputs and seeds; wall-clock timings go to
@@ -33,9 +33,9 @@ from .colorers import (
     ColoringResult,
     Violation,
 )
-from .formats import FORMATS, GraphParseError, json_report, parse_graph, serialize_coloring
+from .formats import FORMATS, json_report, parse_graph, serialize_coloring
 from .graph import Graph, is_proper_coloring
-from .oracle import SUBSET_SWEEP_CAP, SizeLimitError, chromatic_number_exact, contains_isk4
+from .oracle import SUBSET_SWEEP_CAP, chromatic_number_exact, contains_isk4
 from .patterns import (
     find_boat,
     find_four_wheel,
@@ -306,10 +306,7 @@ def cli_main(argv: list[str] | None = None) -> int:
         if args.command == "enumerate":
             return _cmd_enumerate(args, argv)
         return _cmd_suites()
-    except (GraphParseError, FileNotFoundError, IsADirectoryError) as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_USAGE
-    except (SizeLimitError, ValueError) as exc:
+    except (OSError, ValueError) as exc:  # unreadable input, parse error, size cap
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE
     except AssertionError as exc:

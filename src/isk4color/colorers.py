@@ -10,12 +10,13 @@ square), and otherwise color by nested BFS layerings whose layers are
 progressively simpler (4-wheel-free, then boat-free, then girth >= 5).
 
 The decomposition terminates because every cutset block misses a non-empty
-side of its cut and so is smaller than its parent.  One call of the clique
-rule splits its block on an explicit stack, so a long chain of clique
-cutsets (a path peels one vertex per cutset) costs no Python frames; a
-proper 2-cutset still costs two, ``_drive`` and its handler.  The trace
-holds one entry per block, with the block's size and its parent entry, so
-it grows linearly with the number of blocks.
+side of its cut and so is smaller than its parent.  A split rule returns its
+two blocks to ``_drive``, which keeps them on one explicit stack and merges
+their colorings on the cut, so a long chain of clique cutsets or proper
+2-cutsets (a path peels one vertex per cutset) costs no Python frames; only
+the layer tables call ``_drive`` again, at most three deep.  The trace holds
+one entry per block, with the block's size and its parent entry, so it grows
+linearly with the number of blocks.
 
 Class assumptions are checked operationally along the way.  In strict mode
 the first failure raises ``ClassViolationError`` with a witness; in tolerant
@@ -42,11 +43,10 @@ from .graph import (
     shortest_cycle,
 )
 from .decompose import (
-    _align_colors,
+    _merge_blocks,
     build_2cutset_blocks,
     find_clique_cutset,
     find_proper_2cutset,
-    merge_colorings,
 )
 from .layering import combine_layer_colorings
 from .patterns import (
@@ -131,13 +131,11 @@ class _Run:
         self.violations: list[Violation] = []
         self.slot: int | None = None
 
-    def enter(self) -> int | None:
-        """Reserve the entry of a block produced by the running rule and make
-        it the running one; return the slot to restore when the block is done."""
-        outer = self.slot
+    def enter(self, parent: int | None) -> None:
+        """Reserve the entry of a block produced by the rule of entry
+        ``parent`` and make it the running one."""
         self.slot = len(self.trace)
-        self.trace.append(outer)  # the parent, until ``note`` fills the entry
-        return outer
+        self.trace.append(parent)  # until ``note`` fills the entry
 
     def note(self, rule: str, size: int, **detail):
         entry = {"rule": rule}
@@ -437,23 +435,49 @@ def greedy_fallback(g: Graph) -> Coloring:
 
 
 def _drive(g: Graph, ids, run: _Run, rules) -> Coloring:
-    """Color the connected graph ``g`` by the first of ``rules`` that applies.
+    """Color the connected graph ``g`` (input ids ``ids``) by its
+    decomposition, on one explicit stack.
 
     A rule is ``(detector, handler, *params)``.  The detector names a function
     of this module, looked up at call time so that rebinding the module
     attribute (as a tracer does) reaches every call; None always applies.
-    The handler is called as ``handler(g, ids, run, witness, rules[i:])`` and
+    The handler is called as ``handler(b, ids, run, witness, rules[i:])`` and
     reads its params from its own rule, ``rules[0]`` (a fixed-arity call is
-    cheaper than ``*params`` on the many small blocks of the cutsets).
+    cheaper than ``*params`` on the many small blocks of the cutsets).  It
+    returns the block's coloring; a split ``(shared input ids, x, y)``, each
+    side a ``(block, ids, rules)``; or None, which passes on to the next rule.
+    X's subtree is colored first; Y's coloring is then renamed to agree with
+    X's on the cut (``_merge_blocks``), on input ids.
     """
-    outer = run.enter()
-    for i, rule in enumerate(rules):
-        detector = rule[0]
-        witness = globals()[detector](g) if detector else None
-        if witness is not None or not detector:
-            coloring = rule[1](g, ids, run, witness, rules[i:])
-            run.slot = outer
-            return coloring
+    outer = run.slot
+    todo = [(g, ids, rules, outer)]  # blocks (graph, ids, rules, parent entry)
+    done = []  # colorings of finished blocks, ({input id: color}, palette)
+    while todo:
+        b, bids, brules, parent = todo.pop()
+        if b is None:  # both sides of the split on the cut ``bids`` are colored
+            done.append(_merge_blocks(done.pop(-2), done.pop(), bids))
+            continue
+        run.enter(parent)
+        for i, rule in enumerate(brules):
+            detector = rule[0]
+            witness = globals()[detector](b) if detector else None
+            if witness is not None or not detector:
+                out = rule[1](b, bids, run, witness, brules[i:])
+                if out is not None:
+                    break
+        if type(out) is Coloring:
+            if not todo:  # ``g`` itself was not split
+                run.slot = outer
+                return out
+            done.append((dict(zip(bids, out.assignment)), out.palette_size))
+        else:
+            shared, x, y = out
+            todo.append((None, shared, None, None))
+            todo.append((*y, run.slot))
+            todo.append((*x, run.slot))
+    run.slot = outer
+    colors, palette = done.pop()
+    return Coloring(tuple(colors[v] for v in ids), palette)
 
 
 def _per_component(g: Graph, ids, run: _Run, rules) -> Coloring:
@@ -481,66 +505,31 @@ def _fallback(g: Graph, ids, run: _Run, vertices, rules) -> Coloring:
     return greedy_fallback(g)
 
 
-def _recurse_clique_cutset(g, ids, run, cut, rules) -> Coloring:
-    """Decompose ``g`` by clique cutsets on an explicit stack.
-
-    A block is split on its first clique cutset K into the blocks induced on
-    X + K and Y + K, which keep what the rules before this one ruled out; a
-    block with no clique cutset is an atom, colored by the rest of the table.
-    ``g`` itself was entered by ``_drive``, which found ``cut``.  The
-    colorings are merged bottom-up, X's block before Y's, as a recursion
-    would; they are kept on the vertices of ``g``, so a block is dropped as
-    soon as it is split.
-    """
-    atom_rules = rules[1:]
-    todo = [(g, tuple(range(g.n)), run.slot)]  # blocks (graph, ids in g, parent entry)
-    done = []  # colorings of finished blocks: ({vertex of g: color}, palette)
-    while todo:
-        b, hids, parent = todo.pop()
-        if b is None:  # both blocks of the split on the clique ``hids`` are colored
-            done.append(_merge_blocks(done.pop(-2), done.pop(), hids))
-            continue
-        if b is not g:
-            run.slot = parent
-            cut = find_clique_cutset(b)
-            if cut is None:
-                c = _drive(b, _map_ids(ids, hids), run, atom_rules)
-                done.append((dict(zip(hids, c.assignment)), c.palette_size))
-                continue
-            run.enter()
-        run.note("clique_cutset", b.n, clique=[ids[hids[v]] for v in cut.clique],
-                 sides=[len(cut.side_x), len(cut.side_y)])
-        clique = set(cut.clique)
-        bx, ids_x = induced_subgraph(b, cut.side_x | clique)
-        by, ids_y = induced_subgraph(b, cut.side_y | clique)
-        todo.append((None, _map_ids(hids, cut.clique), None))
-        todo.append((by, _map_ids(hids, ids_y), run.slot))
-        todo.append((bx, _map_ids(hids, ids_x), run.slot))
-    colors, palette = done.pop()
-    return Coloring(tuple(colors[v] for v in range(g.n)), palette)
+def _recurse_clique_cutset(g, ids, run, _witness, rules):
+    """Split ``g`` on its first clique cutset K into the blocks induced on
+    X + K and Y + K.  Both keep ``rules``, so what the rules before this one
+    ruled out stays ruled out; a block with no clique cutset is an atom and
+    goes on to the rest of the table."""
+    cut = find_clique_cutset(g)
+    if cut is None:
+        return None
+    run.note("clique_cutset", g.n, clique=[ids[v] for v in cut.clique],
+             sides=[len(cut.side_x), len(cut.side_y)])
+    clique = set(cut.clique)
+    bx, ids_x = induced_subgraph(g, cut.side_x | clique)
+    by, ids_y = induced_subgraph(g, cut.side_y | clique)
+    return (_map_ids(ids, cut.clique), (bx, _map_ids(ids, ids_x), rules),
+            (by, _map_ids(ids, ids_y), rules))
 
 
-def _merge_blocks(x, y, clique):
-    """``merge_colorings`` on the vertices of the decomposed graph: the
-    coloring of Y's block, renamed to agree with X's on the clique, joins
-    X's.  Whether the merge is proper is checked once, on the whole input."""
-    (colors, px), (colors_y, py) = x, y
-    palette = max(px, py)
-    perm = _align_colors([colors[v] for v in clique], [colors_y[v] for v in clique], palette)
-    for v, c in colors_y.items():
-        colors[v] = perm[c]
-    return colors, palette
-
-
-def _recurse_2cutset(g, ids, run, cut2, _rules) -> Coloring:
-    """Split on a proper 2-cutset.  The marker edge of a block can close a
-    K4, so both blocks restart at the first rule of ``_GENERAL``."""
+def _recurse_2cutset(g, ids, run, cut2, _rules):
+    """Split on a proper 2-cutset {a, b}.  The marker edge of a block can
+    close a K4, so both blocks restart at the first rule of ``_GENERAL``."""
     run.note("proper_2cutset", g.n, cut=[ids[cut2.a], ids[cut2.b]],
              sides=[len(cut2.side_x), len(cut2.side_y)])
     bx, ids_x, by, ids_y = build_2cutset_blocks(g, cut2)
-    cx = _drive(bx, _map_ids(ids, ids_x), run, _GENERAL)
-    cy = _drive(by, _map_ids(ids, ids_y), run, _GENERAL)
-    return merge_colorings(g, cx, ids_x, cy, ids_y, (cut2.a, cut2.b))
+    return ((ids[cut2.a], ids[cut2.b]), (bx, _map_ids(ids, ids_x), _GENERAL),
+            (by, _map_ids(ids, ids_y), _GENERAL))
 
 
 def _thick(g, ids, run, k33, rules) -> Coloring:
@@ -638,7 +627,7 @@ _NOT_DECOMPOSABLE = ("graph contains a %s but is neither a subcubic line graph "
 # After the K4 rule, a complete multipartite block has at most 3 parts.
 _GENERAL = (
     ("find_k4", _fallback, "k4", "graph contains K4, so it is not K4-subdivision-free"),
-    ("find_clique_cutset", _recurse_clique_cutset),
+    (None, _recurse_clique_cutset),
     ("find_k33", _thick, "thick_multipartite", 3, "k33_not_multipartite",
      "graph contains K33 but is neither thick complete multipartite "
      "nor clique-cutset decomposable"),
@@ -648,7 +637,7 @@ _GENERAL = (
 ) + _C3
 
 _TRIANGLE_FREE = (
-    ("find_clique_cutset", _recurse_clique_cutset),
+    (None, _recurse_clique_cutset),
     ("find_k33", _thick, "thick_bipartite", 2, "k33_not_bipartite",
      "graph contains K33 but is not a thick complete bipartite graph "
      "and has no clique cutset"),

@@ -22,8 +22,7 @@ reuses the DFS and the SPQR trees of the first.
 
 Both kinds of cutset give two blocks, each missing a non-empty side of the
 cut, so every block is smaller than its parent and the colorers'
-decomposition terminates without a depth guard: the clique cutsets on an
-explicit stack, the proper 2-cutsets by recursion.
+decomposition terminates without a depth guard, on one explicit stack.
 """
 
 from __future__ import annotations
@@ -876,6 +875,17 @@ def _align_colors(shared1, shared2, palette: int) -> list[int]:
     return [next(free) if c == -1 else c for c in perm]
 
 
+def _merge_blocks(x, y, shared):
+    """The union of two block colorings ``({vertex: color}, palette)`` that
+    overlap on ``shared``, Y's renamed to agree with X's (X's dict grows)."""
+    (colors, px), (colors_y, py) = x, y
+    palette = max(px, py)
+    perm = _align_colors([colors[v] for v in shared], [colors_y[v] for v in shared], palette)
+    for v, c in colors_y.items():
+        colors[v] = perm[c]
+    return colors, palette
+
+
 def merge_colorings(
     g: Graph,
     c1: Coloring,
@@ -892,17 +902,14 @@ def merge_colorings(
     max(palette1, palette2) colors and is proper on g whenever both inputs
     are proper on their blocks.
     """
-    palette = max(c1.palette_size, c2.palette_size)
-    perm = _align_colors([c1.assignment[ids1.index(v)] for v in shared],
-                         [c2.assignment[ids2.index(v)] for v in shared], palette)
-    assign = [-1] * g.n
-    for i, v in enumerate(ids1):
-        assign[v] = c1.assignment[i]
-    for i, v in enumerate(ids2):
-        assign[v] = perm[c2.assignment[i]]
-    if any(c == -1 for c in assign):
+    x = dict(zip(ids1, c1.assignment))
+    y = dict(zip(ids2, c2.assignment))
+    if any(v not in x or v not in y for v in shared):
+        raise ValueError("a shared vertex is missing from a block")
+    colors, palette = _merge_blocks((x, c1.palette_size), (y, c2.palette_size), shared)
+    if colors.keys() != set(range(g.n)):
         raise ValueError("blocks do not cover the host graph")
-    merged = Coloring(tuple(assign), palette)
+    merged = Coloring(tuple(colors[v] for v in range(g.n)), palette)
     if not is_proper_coloring(g, merged):
         raise ValueError("merged coloring is not proper; the overlap was not a clique")
     return merged

@@ -19,7 +19,6 @@ from .graph import (
     bits,
     chordless_order,
     component_masks,
-    connected_components,
     induced_subgraph,
     is_connected,
     mask_of,
@@ -358,21 +357,20 @@ def find_four_wheel(g: Graph) -> PatternWitness | None:
 
 
 def recognize_thick_multipartite(g: Graph) -> MultipartiteShape | None:
-    """Parts of a complete bipartite/tripartite split of g, or None."""
-    if g.n == 0:
-        return None
-    comp = g.complement()
-    comps = connected_components(comp)
-    if len(comps) not in (2, 3):
-        return None
+    """Parts of a complete bipartite/tripartite split of g, or None.  Each
+    part is the closed non-neighbourhood of its lowest vertex, and must be
+    that of each of its members (then non-adjacency is an equivalence)."""
+    full = (1 << g.n) - 1
+    left = full
     parts = []
-    for cset in comps:
-        cs = sorted(cset)
-        for u, v in combinations(cs, 2):
-            if not comp.has_edge(u, v):
-                return None
-        parts.append(tuple(cs))
-    parts.sort(key=lambda p: p[0])
+    while left and len(parts) < 3:
+        part = full & ~g.mask((left & -left).bit_length() - 1)
+        if any(full & ~g.mask(u) != part for u in bits(part)):
+            return None
+        parts.append(tuple(bits(part)))
+        left &= ~part
+    if left or len(parts) < 2:
+        return None
     thick = sum(1 for p in parts if len(p) >= 3) >= 2
     return MultipartiteShape(tuple(parts), thick)
 

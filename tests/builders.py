@@ -140,6 +140,17 @@ def rich_square_graph(links: list[tuple[int, bool]]) -> Graph:
     return Graph(nxt, edges)
 
 
+def ring_of_beads(k: int) -> Graph:
+    """k poles 0..k-1 in a ring, each consecutive pair joined by two paths of
+    length 2 through the vertices k + 2i and k + 2i + 1.  It is
+    series-parallel, so it has no K4 subdivision."""
+    edges = []
+    for i in range(k):
+        for mid in (k + 2 * i, k + 2 * i + 1):
+            edges += [(i, mid), (mid, (i + 1) % k)]
+    return Graph(3 * k, edges)
+
+
 def random_graph(rng: random.Random, n: int, p: float) -> Graph:
     edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
     return Graph(n, edges)

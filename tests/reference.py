@@ -158,6 +158,20 @@ def _ref_hole_plus_apex(g: Graph, predicate) -> bool:
     return False
 
 
+def ref_complete_multipartite(g: Graph):
+    """The parts of g as a complete multipartite graph, each the vertex and
+    its non-neighbours, in order of their lowest vertex; or None when
+    non-adjacency is not transitive."""
+    for u, v, w in permutations(range(g.n), 3):
+        if not g.has_edge(u, v) and not g.has_edge(v, w) and g.has_edge(u, w):
+            return None
+    parts = []
+    for v in range(g.n):
+        if all(v not in p for p in parts):
+            parts.append(tuple(u for u in range(g.n) if not g.has_edge(u, v)))
+    return tuple(parts)
+
+
 def ref_girth(g: Graph):
     """Minimum cycle length by exhaustive simple-cycle enumeration."""
     best = None

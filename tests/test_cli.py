@@ -95,6 +95,15 @@ def test_usage_errors(files, capsys):
     capsys.readouterr()
 
 
+def test_unreadable_input_is_a_usage_error(tmp_path, capsys):
+    # a file name too long to open raises an OSError that is neither
+    # FileNotFoundError nor IsADirectoryError
+    assert cli_main(["color", str(tmp_path / ("x" * 5000))]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+
+
 def test_internal_failure_exit(tmp_path, capsys, monkeypatch):
     # a failed certificate check is neither a usage error nor a class violation
     monkeypatch.setattr(colorers, "_GENERAL",

@@ -45,6 +45,7 @@ from builders import (
     line_graph,
     petersen,
     rich_square_graph,
+    ring_of_beads,
     theta_graph,
 )
 from reference import ref_edge_chromatic
@@ -495,6 +496,20 @@ def test_path_of_1000_within_default_recursion_limit():
             assert is_proper_coloring(g, result.coloring) and not result.violations
     finally:
         sys.setrecursionlimit(limit)
+
+
+def test_long_chain_of_proper_2cutsets_within_recursion_limit():
+    # each bead is split off by a proper 2-cutset, on the driver's stack
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(400)
+    try:
+        g = ring_of_beads(200)
+        result = color_general(g)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert g.n == 600 and is_proper_coloring(g, result.coloring)
+    assert result.coloring.palette_size == 3 and not result.violations
+    assert sum(e["rule"] == "proper_2cutset" for e in result.trace) == 199
 
 
 def test_trace_grows_linearly_on_paths():

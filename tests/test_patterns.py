@@ -5,8 +5,9 @@ import pytest
 
 from isk4color.formats import parse_graph6_line
 from isk4color.graph import Graph, is_connected, triangles
-from isk4color.oracle import are_isomorphic
+from isk4color.oracle import are_isomorphic, enumerate_graphs
 from isk4color.patterns import (
+    MultipartiteShape,
     enumerate_holes,
     find_boat,
     find_four_wheel,
@@ -33,6 +34,7 @@ from builders import (
     star_graph,
 )
 from reference import (
+    ref_complete_multipartite,
     ref_find_k4,
     ref_find_triangle,
     ref_has_boat,
@@ -122,6 +124,23 @@ def test_recognize_thick_multipartite():
     assert recognize_thick_multipartite(complete_graph(4)) is None
     assert recognize_thick_multipartite(star_graph(5)) is not None
     assert recognize_thick_multipartite(Graph(2)) is None  # not complete bipartite
+
+
+def test_recognize_thick_multipartite_agrees_with_reference(all_graphs_7):
+    # every graph with at most 8 vertices, connected or not
+    graphs = [Graph(0)] + [g for n in sorted(all_graphs_7) for g in all_graphs_7[n]]
+    graphs += enumerate_graphs(8)
+    assert len(graphs) == 13599
+    found = 0
+    for g in graphs:
+        parts = ref_complete_multipartite(g)
+        if parts is None or len(parts) not in (2, 3):
+            assert recognize_thick_multipartite(g) is None
+        else:
+            thick = sum(len(p) >= 3 for p in parts) >= 2
+            assert recognize_thick_multipartite(g) == MultipartiteShape(parts, thick)
+            found += 1
+    assert found == 32  # the partitions of 2..8 into two or three parts
 
 
 def test_find_rich_square_examples():
