@@ -34,7 +34,6 @@ from .graph import (
     Graph,
     Coloring,
     bits,
-    chordless_order,
     component_masks,
     induced_plus_edge,
     is_proper_coloring,
@@ -714,7 +713,7 @@ def _cycle_pair(cycle: list[int], deg: list[int]) -> tuple[int, int] | None:
     return cycle[best], min(cycle[(f + t) % k] for t in range(1, gap))
 
 
-def _cut_pair(g: Graph, blocks: _Blocks) -> tuple[int, int] | None:
+def _cut_pair(g: Graph, blocks: _Blocks, deg2: int) -> tuple[int, int] | None:
     """Lex-first non-adjacent pair {a, b} with a cut vertex in it that has a
     proper split.
 
@@ -726,7 +725,9 @@ def _cut_pair(g: Graph, blocks: _Blocks) -> tuple[int, int] | None:
     g - {a, b} has them and the components of D - b.  Only two components,
     one of them bare, fail: g - a has two components and D - b is an a-b
     path of degree-2 vertices, so b has degree 1 and D is a pendant path.
-    If b is a cut vertex too, that cannot happen.  O(n + m).
+    If b is a cut vertex too, that cannot happen.  The paths of degree-2
+    vertices are the chains, the components of the ``deg2`` mask, and a
+    pendant path is a chain with a leaf among its outer neighbours.  O(n + m).
     """
     n = g.n
     cuts = blocks.cuts
@@ -737,17 +738,13 @@ def _cut_pair(g: Graph, blocks: _Blocks) -> tuple[int, int] | None:
         if low1[v] >= num[parent[v]]:
             splits[parent[v]] += 1
     bad = set()
-    for y in range(n):
-        if g.degree(y) != 1:
-            continue
-        prev, cur, steps = y, g.neighbors(y)[0], 1
-        while True:
-            if steps >= 2 and cuts >> cur & 1 and splits[cur] == 2:
-                bad.add((min(y, cur), max(y, cur)))
-            if g.degree(cur) != 2:
-                break
-            x, z = g.neighbors(cur)
-            prev, cur, steps = cur, z if x == prev else x, steps + 1
+    for chain in component_masks(g, ~deg2):
+        ends = mask_of(w for v in bits(chain) for w in g.neighbors(v)) & ~chain
+        for y in bits(ends):
+            if g.degree(y) == 1:  # a pendant path: y, the chain, its other end
+                for x in bits((chain | ends) & ~g.mask(y) & ~(1 << y)):  # 2+ steps from y
+                    if cuts >> x & 1 and splits[x] == 2:
+                        bad.add((min(y, x), max(y, x)))
     cut_list = list(bits(cuts))
     for a in range(n):
         if cuts >> a & 1:
@@ -770,6 +767,8 @@ def find_proper_2cutset(g: Graph) -> Proper2Cutset | None:
     So two components split when neither is bare, three when one is not
     bare and goes alone, and four or more always split.  The first side is
     the first component that is not bare, or else the first two components.
+    One mask of the degree-2 vertices serves that test, the exit on cycles
+    and the pendant paths of ``_cut_pair``.
 
     The candidates come in two kinds, and the first pair is the smaller of
     the first of each:
@@ -794,10 +793,11 @@ def find_proper_2cutset(g: Graph) -> Proper2Cutset | None:
     """
     blocks = _blocks_of(g)
     n = g.n
-    if n < 4 or g.m == n * (n - 1) // 2 or all(g.degree(v) == 2 for v in range(n)):
+    deg2 = mask_of(v for v in range(n) if g.degree(v) == 2)
+    if n < 4 or g.m == n * (n - 1) // 2 or deg2 == (1 << n) - 1:
         return None
     cuts = blocks.cuts
-    best = _cut_pair(g, blocks) if cuts else None
+    best = _cut_pair(g, blocks, deg2) if cuts else None
     # a pair that only the SPQR rule accepts has no cut vertex in it, so it
     # comes after best when best[0] is below the smallest non-cut vertex
     if best is None or best[0] >= ((cuts + 1) & ~cuts).bit_length() - 1:
@@ -817,13 +817,11 @@ def find_proper_2cutset(g: Graph) -> Proper2Cutset | None:
         return None
     a, b = best
     ab = (1 << a) | (1 << b)
-
-    def bare(c):  # does c plus {a, b} induce a path with ends a and b?
-        order = chordless_order(g, bits(c | ab), hole=False)
-        return order is not None and {order[0], order[-1]} == {a, b}
-
     comps = component_masks(g, ab)
-    xm = next((c for c in comps if not bare(c)), comps[0] | comps[1])
+    xm = next(
+        (c for c in comps if c & ~deg2 or not g.mask(a) & c or not g.mask(b) & c),
+        comps[0] | comps[1],
+    )
     ym = ((1 << n) - 1) & ~ab & ~xm
     return Proper2Cutset(a, b, frozenset(bits(xm)), frozenset(bits(ym)))
 

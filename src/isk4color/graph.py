@@ -81,10 +81,6 @@ class Graph:
     def neighbors(self, v: int) -> tuple[int, ...]:
         return tuple(bits(self._adj[v]))
 
-    @property
-    def adjacency(self) -> tuple[frozenset[int], ...]:
-        return tuple(frozenset(bits(m)) for m in self._adj)
-
     def degree(self, v: int) -> int:
         return self._adj[v].bit_count()
 
@@ -99,10 +95,6 @@ class Graph:
     @property
     def m(self) -> int:
         return sum(m.bit_count() for m in self._adj) // 2
-
-    def complement(self) -> "Graph":
-        full = (1 << self.n) - 1
-        return Graph.from_masks(full & ~m & ~(1 << v) for v, m in enumerate(self._adj))
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Graph) and self.n == other.n and self._adj == other._adj

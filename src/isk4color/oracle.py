@@ -255,10 +255,6 @@ def _graph_from_rows(rows: tuple[int, ...]) -> Graph:
     return Graph.from_masks(masks)
 
 
-def canonical_graph(g: Graph) -> Graph:
-    return _graph_from_rows(_min_encoding(g._adj))
-
-
 def are_isomorphic(g: Graph, h: Graph) -> bool:
     return g.n == h.n and canonical_form(g) == canonical_form(h)
 
@@ -503,7 +499,6 @@ __all__ = [
     "contains_isk4",
     "chromatic_number_exact",
     "canonical_form",
-    "canonical_graph",
     "are_isomorphic",
     "enumerate_graphs",
     "HoleAttachmentClassification",

@@ -12,7 +12,7 @@ import os
 import random
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
 from itertools import combinations
 
@@ -41,7 +41,6 @@ from .oracle import (
     chromatic_number_exact,
     classify_hole_attachment,
     contains_isk4,
-    enumerate_graphs,
     verify_layer_forests,
 )
 from .patterns import (
@@ -164,7 +163,7 @@ def reduce_flat_path(g: Graph, path) -> tuple[Graph, tuple[int, ...]]:
     return induced_plus_edge(g, set(range(g.n)) - set(vs[1:-1]), vs[0], vs[-1])
 
 
-def _check_flat_reduction(g: Graph, ctx: dict) -> dict:
+def _check_flat_reduction(g: Graph) -> dict:
     violations = []
     checks = 0
     for fp in maximal_flat_paths(g):
@@ -178,7 +177,7 @@ def _check_flat_reduction(g: Graph, ctx: dict) -> dict:
     return {"checks": checks, "violations": violations}
 
 
-def _check_layer_forests(g: Graph, ctx: dict) -> dict:
+def _check_layer_forests(g: Graph) -> dict:
     w = verify_layer_forests(g)
     if w is None:
         return {"checks": g.n, "violations": []}
@@ -190,7 +189,7 @@ def _check_layer_forests(g: Graph, ctx: dict) -> dict:
     }
 
 
-def _check_wheel_free_chi(g: Graph, ctx: dict) -> dict:
+def _check_wheel_free_chi(g: Graph) -> dict:
     chi = chromatic_number_exact(g)
     violations = []
     if chi > 3:
@@ -198,7 +197,7 @@ def _check_wheel_free_chi(g: Graph, ctx: dict) -> dict:
     return {"checks": 1, "violations": violations, "chi": chi}
 
 
-def _check_girth5_degree(g: Graph, ctx: dict) -> dict:
+def _check_girth5_degree(g: Graph) -> dict:
     violations = []
     min_deg = min((g.degree(v) for v in range(g.n)), default=0)
     if min_deg > 2:
@@ -214,11 +213,11 @@ def _check_girth5_degree(g: Graph, ctx: dict) -> dict:
     return {"checks": 2, "violations": violations}
 
 
-def _check_triangle_free_bound(g: Graph, ctx: dict) -> dict:
+def _check_triangle_free_bound(g: Graph) -> dict:
     return _check_colorer_bound(g, color_triangle_free, 4)
 
 
-def _check_general_bound(g: Graph, ctx: dict) -> dict:
+def _check_general_bound(g: Graph) -> dict:
     return _check_colorer_bound(g, color_general, 24)
 
 
@@ -243,12 +242,11 @@ def _check_colorer_bound(g: Graph, colorer, bound: int) -> dict:
     return {"checks": 1, "violations": violations, "palette": palette}
 
 
-def _check_max_chi(g: Graph, ctx: dict) -> dict:
+def _check_max_chi(g: Graph) -> dict:
     return {"checks": 1, "violations": [], "chi": chromatic_number_exact(g)}
 
 
-def _check_min_degree(g: Graph, ctx: dict) -> dict:
-    bound = ctx["degree_bound"]
+def _check_min_degree(g: Graph, bound: int) -> dict:
     min_deg = min((g.degree(v) for v in range(g.n)), default=0)
     record = {"checks": 1, "violations": []}
     if min_deg > bound:
@@ -256,7 +254,7 @@ def _check_min_degree(g: Graph, ctx: dict) -> dict:
     return record
 
 
-def _check_hole_attachment(g: Graph, ctx: dict) -> dict:
+def _check_hole_attachment(g: Graph) -> dict:
     checks = 0
     violations = []
     for order in enumerate_holes(g):
@@ -321,7 +319,7 @@ def _check_tips(g, layering, root, i, pairs, triples, triangle_free) -> list[dic
     return violations
 
 
-def _check_upstairs(g: Graph, ctx: dict) -> dict:
+def _check_upstairs(g: Graph) -> dict:
     checks = 0
     violations = []
     triangle_free = find_triangle(g) is None
@@ -343,7 +341,6 @@ class SuiteSpec:
     description: str
     filters: tuple[str, ...]
     check: object
-    context: dict = field(default_factory=dict)
     expected_max_chi: int | None = None
     randomized: bool = False
 
@@ -414,15 +411,15 @@ SUITES: dict[str, SuiteSpec] = {
             "min-degree-c3", "conjecture3",
             "search for a graph of minimum degree > 3 in the prism/K222/K33-"
             "free subclass (none expected)",
-            ("k33-free", "k222-free", "prism-free", "isk4-free"), _check_min_degree,
-            context={"degree_bound": 3},
+            ("k33-free", "k222-free", "prism-free", "isk4-free"),
+            partial(_check_min_degree, bound=3),
         ),
         SuiteSpec(
             "min-degree-triangle-free", "conjecture4",
             "search for a graph of minimum degree > 2 in the triangle/K33-free "
             "subclass (none expected)",
-            ("triangle-free", "k33-free", "isk4-free"), _check_min_degree,
-            context={"degree_bound": 2},
+            ("triangle-free", "k33-free", "isk4-free"),
+            partial(_check_min_degree, bound=2),
         ),
     ]
 }
@@ -450,14 +447,14 @@ def run_suite(
     extra_filters: tuple[str, ...] = (),
     jobs: int = 1,
     seed: int = 0,
-    corpus: dict[int, list[Graph]] | None = None,
     random_graphs: int = 1000,
 ) -> SuiteReport:
     """Run one verification suite over all graphs with 1..n_max vertices.
 
-    ``corpus`` optionally injects pre-enumerated connected graphs per order
-    (used by the test suite to share one enumeration across many suites).
-    ``seed`` only drives the ``random_graphs`` random graphs of
+    The graphs come from one pass of ``oracle._levels``, each order grown
+    from the one before and pruned by the strictest hereditary class among
+    the filters, which implies the others; the other filters run on each
+    graph.  ``seed`` only drives the ``random_graphs`` random graphs of
     ``upstairs``.  Workers only parallelize the per-graph checks; aggregation
     order is the enumeration order.  ``jobs`` is clamped to the CPU count.
     """
@@ -467,8 +464,8 @@ def run_suite(
     for f in filters:
         if f not in FILTERS:
             raise ValueError(f"unknown filter {f!r}; known: {', '.join(FILTERS)}")
+    hereditary = next((c for c in HEREDITARY_CLASSES if c in filters), None)
     runtime = [f for f in FILTERS if f in filters and f not in HEREDITARY_CLASSES]
-    check = partial(spec.check, ctx=spec.context)
 
     by_n: dict[str, dict] = {}
     violations: list[dict] = []
@@ -481,7 +478,7 @@ def run_suite(
     jobs = min(jobs, os.cpu_count() or 1)
     pool = ProcessPoolExecutor(max_workers=jobs) if jobs > 1 else None
     try:
-        for n, source in enumerate(_graph_sources(n_max, connected, filters, corpus), 1):
+        for n, source in enumerate(_levels(n_max, connected=connected, hereditary=hereditary), 1):
             enumerated = 0
             graphs = []
             for g in source:
@@ -489,9 +486,9 @@ def run_suite(
                 if all(FILTERS[f](g) for f in runtime):
                     graphs.append(g)
             if pool is None or len(graphs) < 4:
-                records = map(check, graphs)
+                records = map(spec.check, graphs)
             else:
-                records = pool.map(check, graphs, chunksize=max(1, len(graphs) // 64))
+                records = pool.map(spec.check, graphs, chunksize=max(1, len(graphs) // 64))
             checks = 0
             for g, rec in zip(graphs, records):
                 checks += rec["checks"]
@@ -562,24 +559,6 @@ def run_suite(
         extremal=extremal,
         wall_time_s=time.monotonic() - t0,
     )
-
-
-def _graph_sources(n_max, connected, filters, corpus):
-    """For n = 1..n_max, the stream of graphs already in the hereditary
-    classes that ``filters`` names, so counts agree between direct
-    enumeration and an injected corpus.  Enumeration prunes by the strictest
-    of them, which implies the others.  Without a corpus the orders come
-    from one pass of ``oracle._levels``, each grown from the one before."""
-    classes = [c for c in HEREDITARY_CLASSES if c in filters]
-    hereditary = classes[0] if classes else None
-    if corpus is None:
-        yield from _levels(n_max, connected=connected, hereditary=hereditary)
-        return
-    for n in range(1, n_max + 1):
-        if n in corpus:
-            yield [g for g in corpus[n] if all(FILTERS[c](g) for c in classes)]
-        else:
-            yield enumerate_graphs(n, connected=connected, hereditary=hereditary)
 
 
 def random_connected_graph(rng: random.Random, n: int, p: float) -> Graph:

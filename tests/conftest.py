@@ -1,19 +1,26 @@
 import pytest
 
-from isk4color.oracle import contains_isk4, enumerate_graphs
+from isk4color.oracle import _levels, contains_isk4, enumerate_graphs
 from isk4color.patterns import find_k33, find_triangle
 
 
 @pytest.fixture(scope="session")
 def all_graphs_7():
     """Every graph up to isomorphism with 1..7 vertices (connected or not)."""
-    return {n: list(enumerate_graphs(n)) for n in range(1, 8)}
+    return {n: list(graphs) for n, graphs in enumerate(_levels(7), 1)}
+
+
+@pytest.fixture(scope="session")
+def all_graphs_of_order_8():
+    """Every graph up to isomorphism with exactly 8 vertices (connected or not)."""
+    return list(enumerate_graphs(8))
 
 
 @pytest.fixture(scope="session")
 def connected_corpus_8():
-    """Every connected graph up to isomorphism with 1..8 vertices."""
-    return {n: list(enumerate_graphs(n, connected=True)) for n in range(1, 9)}
+    """Every connected graph up to isomorphism with 1..8 vertices, from one
+    pass of the enumeration."""
+    return {n: list(graphs) for n, graphs in enumerate(_levels(8, connected=True), 1)}
 
 
 @pytest.fixture(scope="session")

@@ -9,7 +9,7 @@ from itertools import combinations, permutations
 
 from isk4color.decompose import CliqueCutset, Proper2Cutset, _cliques_lex
 from isk4color.graph import Graph, bits, component_masks, induced_subgraph, is_connected, mask_of
-from isk4color.oracle import Isk4Witness, _subdivision_witness
+from isk4color.oracle import Isk4Witness, _graph_from_rows, _min_encoding, _subdivision_witness
 from isk4color.patterns import find_k4
 
 from builders import prism_graph
@@ -26,6 +26,12 @@ def ref_isomorphic(g: Graph, h: Graph) -> bool:
         if all(h.has_edge(perm[u], perm[v]) for u, v in g.edges()):
             return True
     return False
+
+
+def canonical_graph(g: Graph) -> Graph:
+    """The graph that ``canonical_form`` encodes: g relabeled to its minimal
+    row encoding, so ``ref_isomorphic(canonical_graph(g), g)`` checks it."""
+    return _graph_from_rows(_min_encoding(g._adj))
 
 
 def _induced(g, subset):

@@ -38,14 +38,14 @@ def _report(num, text):
     print(f"ACCEPTANCE {num:02d} PASS: {text}")
 
 
-def test_corpus_has_expected_size(connected_corpus_8):
+def test_corpus_has_expected_size(connected_corpus_8, all_graphs_of_order_8):
     # connected isomorphism classes per order; cross-checked against the
     # brute-force labeled bucketing for n <= 5 in the oracle tests
     assert [len(connected_corpus_8[n]) for n in range(1, 9)] == [
         1, 1, 2, 6, 21, 112, 853, 11117,
     ]
     # with disconnected graphs included there are 12,346 classes at n = 8
-    assert sum(1 for _ in enumerate_graphs(8)) == 12346
+    assert len(all_graphs_of_order_8) == 12346
 
 
 def test_criterion_01_triangle_free_bound(tf_isk4_free_connected_8):
@@ -128,9 +128,8 @@ def test_criterion_06_flat_path_reduction(isk4_free_connected_8):
     _report(6, f"all {reductions} maximal flat-path reductions preserved class membership")
 
 
-def test_criterion_07_upstairs_and_confluences(connected_corpus_8):
-    corpus = {n: connected_corpus_8[n] for n in range(1, 8)}
-    report = run_suite("upstairs", 7, corpus=corpus, random_graphs=1000)
+def test_criterion_07_upstairs_and_confluences():
+    report = run_suite("upstairs", 7, random_graphs=1000)
     assert report.violations == []
     total = report.counts["total"]["checks"] + report.counts["random"]["checks"]
     # independent re-validation on a seeded sample of random graphs
@@ -158,7 +157,7 @@ def test_criterion_08_hole_attachment(lemma_class_connected_8):
     checks = 0
     for n in range(1, 9):
         for g in lemma_class_connected_8[n]:
-            record = _check_hole_attachment(g, {"seed": 0})
+            record = _check_hole_attachment(g)
             assert record["violations"] == []
             checks += record["checks"]
     assert checks > 0
@@ -202,14 +201,13 @@ def test_criterion_09_edge_coloring_and_rich_squares(connected_corpus_8):
                f"Petersen pinned at 4); rich-square scheme <= 4 on {squares} generated graphs")
 
 
-def test_criterion_10_conjecture_reports(connected_corpus_8):
-    corpus = {n: connected_corpus_8[n] for n in range(1, 9)}
-    general = run_suite("max-chi-general", 8, corpus=corpus)
+def test_criterion_10_conjecture_reports():
+    general = run_suite("max-chi-general", 8)
     assert general.max_observed["chi"] <= 4
     assert general.extremal, "extremal examples must be emitted"
     assert not any(e.get("exceeds_expected") for e in general.extremal)
 
-    tf = run_suite("max-chi-triangle-free", 8, corpus=corpus)
+    tf = run_suite("max-chi-triangle-free", 8)
     assert tf.max_observed["chi"] <= 3
     assert tf.extremal
     assert not any(e.get("exceeds_expected") for e in tf.extremal)

@@ -4,7 +4,7 @@ so that every addition or removal shows up as a diff here."""
 import types
 
 import isk4color
-from isk4color import decompose, families
+from isk4color import decompose, families, oracle
 
 
 def _public(module, own_only):
@@ -48,3 +48,11 @@ def test_decompose_public_names():
 
 def test_families_public_names():
     assert _public(families, own_only=True) == ["path_graph"]
+
+
+def test_oracle_public_names():
+    assert _public(oracle, own_only=True) == [
+        "HoleAttachmentClassification", "Isk4Witness", "LayerCycleWitness", "SizeLimitError",
+        "are_isomorphic", "canonical_form", "chromatic_number_exact", "classify_hole_attachment",
+        "contains_isk4", "enumerate_graphs", "verify_layer_forests",
+    ]

@@ -275,6 +275,52 @@ def test_separation_pairs_of_blocks_behind_cut_vertices():
         assert find_proper_2cutset(g) == dfs_proper_2cutset(g), list(g.edges())
 
 
+def _with_pendant_paths(rng, n):
+    """n vertices: cycles, series-parallel pieces and edges hung off each
+    other at a shared vertex or by a bridge, then paths of 1-6 vertices hung
+    off random vertices until there are n, relabelled at random; half the
+    time the last path takes the lowest ids, from its leaf to its anchor."""
+    edges, k, path = [], 1, []
+    while k < 2 * n // 3:
+        piece = rng.choice([cycle_graph(rng.randint(3, 8)),
+                            _series_parallel(rng, rng.randint(4, 10)), Graph(2, [(0, 1)])])
+        ids = [rng.randrange(k)] + list(range(k, k + piece.n - 1))
+        if rng.random() < 0.5:  # a bridge instead of a shared vertex
+            ids = [k + piece.n - 1] + ids[1:]
+            edges.append((rng.randrange(k), ids[0]))
+        edges += [(ids[u], ids[v]) for u, v in piece.edges()]
+        k += len(ids) - (ids[0] < k)
+    while k < n:
+        path = [rng.randrange(k)] + list(range(k, min(n, k + rng.randint(1, 6))))
+        edges += zip(path, path[1:])
+        k += len(path) - 1
+    order = rng.sample(range(k), k)
+    if rng.random() < 0.5:
+        order = path[::-1] + [v for v in order if v not in path]
+    new = {v: i for i, v in enumerate(order)}
+    return Graph(k, [(new[u], new[v]) for u, v in edges])
+
+
+def test_proper_2cutset_leaf_rule_past_the_corpus():
+    # a leaf and a cut vertex two or more steps up its pendant path do not
+    # split properly; the mid-size graphs are 2-connected, so outside the
+    # graphs with at most 8 vertices only these reach such pairs, and in
+    # ``skipped`` of them such a pair comes before the first proper 2-cutset
+    rng = random.Random(16)
+    skipped = 0
+    for _ in range(400):
+        g = _with_pendant_paths(rng, rng.randint(20, 60))
+        cut = find_proper_2cutset(g)
+        assert 20 <= g.n <= 60 and cut == dfs_proper_2cutset(g), list(g.edges())
+        cuts = _Blocks(g).cuts
+        first = (cut.a, cut.b) if cut else (g.n, g.n)
+        skipped += any(
+            (cuts >> a | cuts >> b) & 1 and not g.has_edge(a, b)
+            for a in range(first[0] + 1) for b in range(a + 1, g.n) if (a, b) < first
+        )
+    assert skipped == 146, skipped
+
+
 def _series_parallel(rng, n):
     """A 2-connected series-parallel graph on n vertices: from a triangle,
     subdivide an edge or add a path of length 2 beside it, relabelled at

@@ -10,7 +10,6 @@ from isk4color.oracle import (
     SizeLimitError,
     are_isomorphic,
     canonical_form,
-    canonical_graph,
     chromatic_number_exact,
     classify_hole_attachment,
     contains_isk4,
@@ -31,6 +30,7 @@ from builders import (
     subdivided_complete,
 )
 from reference import (
+    canonical_graph,
     contains_isk4_anchored,
     ref_isomorphic,
     ref_labeled_connected_classes,

@@ -5,7 +5,7 @@ import pytest
 
 from isk4color.formats import parse_graph6_line
 from isk4color.graph import Graph, is_connected, triangles
-from isk4color.oracle import are_isomorphic, enumerate_graphs
+from isk4color.oracle import are_isomorphic
 from isk4color.patterns import (
     MultipartiteShape,
     enumerate_holes,
@@ -126,10 +126,10 @@ def test_recognize_thick_multipartite():
     assert recognize_thick_multipartite(Graph(2)) is None  # not complete bipartite
 
 
-def test_recognize_thick_multipartite_agrees_with_reference(all_graphs_7):
+def test_recognize_thick_multipartite_agrees_with_reference(all_graphs_7, all_graphs_of_order_8):
     # every graph with at most 8 vertices, connected or not
     graphs = [Graph(0)] + [g for n in sorted(all_graphs_7) for g in all_graphs_7[n]]
-    graphs += enumerate_graphs(8)
+    graphs += all_graphs_of_order_8
     assert len(graphs) == 13599
     found = 0
     for g in graphs:
