@@ -7,7 +7,6 @@ __version__ = "0.1.0"
 from .graph import (
     Graph,
     Coloring,
-    Layering,
     bfs_layering,
     connected_components,
     degeneracy_order,

@@ -33,13 +33,15 @@ from .graph import (
     Graph,
     Coloring,
     bfs_layering,
-    connected_components,
+    bits,
+    component_masks,
     degeneracy_order,
     find_cycle,
     greedy_coloring,
     induced_subgraph,
     is_proper_coloring,
     k_core,
+    mask_of,
     shortest_cycle,
 )
 from .decompose import (
@@ -169,11 +171,9 @@ def color_forest(g: Graph) -> Coloring:
     if g.m == 0:
         return Coloring((0,) * g.n, 1)
     assign = [-1] * g.n
-    for comp in connected_components(g):
-        root = min(comp)
-        layering = bfs_layering(g, root)
-        for i, layer in enumerate(layering.layers):
-            for v in layer:
+    for comp in component_masks(g):
+        for i, layer in enumerate(bfs_layering(g, (comp & -comp).bit_length() - 1)):
+            for v in bits(layer):
                 assign[v] = i % 2
     return Coloring(tuple(assign), 2)
 
@@ -481,7 +481,7 @@ def _drive(g: Graph, ids, run: _Run, rules) -> Coloring:
 
 
 def _per_component(g: Graph, ids, run: _Run, rules) -> Coloring:
-    comps = connected_components(g)
+    comps = component_masks(g)
     if len(comps) == 1:
         return _drive(g, ids, run, rules)
     if g.n == 0:
@@ -514,8 +514,8 @@ def _recurse_clique_cutset(g, ids, run, _witness, rules):
     if cut is None:
         return None
     run.note("clique_cutset", g.n, clique=[ids[v] for v in cut.clique],
-             sides=[len(cut.side_x), len(cut.side_y)])
-    clique = set(cut.clique)
+             sides=[cut.side_x.bit_count(), cut.side_y.bit_count()])
+    clique = mask_of(cut.clique)
     bx, ids_x = induced_subgraph(g, cut.side_x | clique)
     by, ids_y = induced_subgraph(g, cut.side_y | clique)
     return (_map_ids(ids, cut.clique), (bx, _map_ids(ids, ids_x), rules),
@@ -526,7 +526,7 @@ def _recurse_2cutset(g, ids, run, cut2, _rules):
     """Split on a proper 2-cutset {a, b}.  The marker edge of a block can
     close a K4, so both blocks restart at the first rule of ``_GENERAL``."""
     run.note("proper_2cutset", g.n, cut=[ids[cut2.a], ids[cut2.b]],
-             sides=[len(cut2.side_x), len(cut2.side_y)])
+             sides=[cut2.side_x.bit_count(), cut2.side_y.bit_count()])
     bx, ids_x, by, ids_y = build_2cutset_blocks(g, cut2)
     return ((ids[cut2.a], ids[cut2.b]), (bx, _map_ids(ids, ids_x), _GENERAL),
             (by, _map_ids(ids, ids_y), _GENERAL))
@@ -563,19 +563,19 @@ def _layered(g: Graph, ids, run: _Run, _witness, rules) -> Coloring:
     with ``color_layer(layer, ids, run, layer_rules)``, combining odd and
     even palettes."""
     rule, color_layer, layer_rules = rules[0][2:]
-    layering = bfs_layering(g, 0)
+    layers = bfs_layering(g, 0)
     per_layer = []
     layer_palettes = []
-    for layer in layering.layers:
+    for layer in layers:
         sub, sub_ids = induced_subgraph(g, layer)
         per_layer.append(color_layer(sub, _map_ids(ids, sub_ids), run, layer_rules))
         layer_palettes.append(per_layer[-1].palette_size)
-    combined = combine_layer_colorings(g, layering, per_layer)
+    combined = combine_layer_colorings(g, layers, per_layer)
     run.note(
         rule,
         g.n,
         root=ids[0],
-        layer_sizes=[len(l) for l in layering.layers],
+        layer_sizes=[layer.bit_count() for layer in layers],
         layer_palettes=layer_palettes,
         palette=combined.palette_size,
     )

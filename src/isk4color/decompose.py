@@ -20,9 +20,10 @@ triangles that a degree bound lets through, each search is O(n + m).  The
 colorers ask both searches about the same block in turn, so the second
 reuses the DFS and the SPQR trees of the first.
 
-Both kinds of cutset give two blocks, each missing a non-empty side of the
-cut, so every block is smaller than its parent and the colorers'
-decomposition terminates without a depth guard, on one explicit stack.
+A cutset's sides are vertex masks of g.  Both kinds of cutset give two
+blocks, each missing a non-empty side of the cut, so every block is
+smaller than its parent and the colorers' decomposition terminates
+without a depth guard, on one explicit stack.
 """
 
 from __future__ import annotations
@@ -45,16 +46,16 @@ from .patterns import find_k4
 @dataclass(frozen=True)
 class CliqueCutset:
     clique: tuple[int, ...]
-    side_x: frozenset[int]
-    side_y: frozenset[int]
+    side_x: int
+    side_y: int
 
 
 @dataclass(frozen=True)
 class Proper2Cutset:
     a: int
     b: int
-    side_x: frozenset[int]
-    side_y: frozenset[int]
+    side_x: int
+    side_y: int
 
 
 def _cliques_lex(g: Graph):
@@ -669,9 +670,7 @@ def find_clique_cutset(g: Graph) -> CliqueCutset | None:
                 continue
         comps = component_masks(g, removed)
         if len(comps) >= 2:
-            x = frozenset(bits(comps[0]))
-            y = frozenset(v for c in comps[1:] for v in bits(c))
-            return CliqueCutset(clique, x, y)
+            return CliqueCutset(clique, comps[0], ((1 << g.n) - 1) & ~removed & ~comps[0])
     return None
 
 
@@ -822,8 +821,7 @@ def find_proper_2cutset(g: Graph) -> Proper2Cutset | None:
         (c for c in comps if c & ~deg2 or not g.mask(a) & c or not g.mask(b) & c),
         comps[0] | comps[1],
     )
-    ym = ((1 << n) - 1) & ~ab & ~xm
-    return Proper2Cutset(a, b, frozenset(bits(xm)), frozenset(bits(ym)))
+    return Proper2Cutset(a, b, xm, ((1 << n) - 1) & ~ab & ~xm)
 
 
 # ---------------------------------------------------------------------------
@@ -839,21 +837,24 @@ def build_2cutset_blocks(
     forces the two cut vertices to receive distinct colors.
     """
     _validate_2cutset(g, cut)
-    bx, ix = induced_plus_edge(g, cut.side_x | {cut.a, cut.b}, cut.a, cut.b)
-    by, iy = induced_plus_edge(g, cut.side_y | {cut.a, cut.b}, cut.a, cut.b)
+    ab = (1 << cut.a) | (1 << cut.b)
+    bx, ix = induced_plus_edge(g, cut.side_x | ab, cut.a, cut.b)
+    by, iy = induced_plus_edge(g, cut.side_y | ab, cut.a, cut.b)
     return bx, ix, by, iy
 
 
 def _validate_2cutset(g: Graph, cut: Proper2Cutset) -> None:
+    x, y = cut.side_x, cut.side_y
+    ab = (1 << cut.a) | (1 << cut.b)
     if g.has_edge(cut.a, cut.b):
         raise ValueError("cut vertices are adjacent")
-    if not cut.side_x or not cut.side_y:
+    if not x or not y:
         raise ValueError("cutset sides must be non-empty")
-    all_verts = cut.side_x | cut.side_y | {cut.a, cut.b}
-    if all_verts != set(range(g.n)) or cut.side_x & cut.side_y:
+    if (x | y) & ab:
+        raise ValueError("a side holds a cut vertex")
+    if x | y | ab != (1 << g.n) - 1 or x & y:
         raise ValueError("sides must partition the remaining vertices")
-    ym = mask_of(cut.side_y)
-    if any(g.mask(u) & ym for u in cut.side_x):
+    if any(g.mask(u) & y for u in bits(x)):
         raise ValueError("edge crosses the cut")
 
 

@@ -242,19 +242,15 @@ def serialize_coloring(result, as_json: bool = False, *, command=None, input_sha
     """Render a ColoringResult as `v <vertex> <color>` lines plus a summary,
     or as a deterministic JSON report."""
     if as_json:
-        body = result.to_dict() if result is not None else None
-        trace = violations = None
-        if body is not None:
-            trace = body.pop("trace")
-            violations = body.pop("violations")
-            if extra:
-                body.update(extra)
+        body = result.to_dict()
+        trace = body.pop("trace")
+        violations = body.pop("violations")
+        if extra:
+            body.update(extra)
         return json_report(
             command=command, input_sha256=input_sha256, result=body,
             trace=trace, violations=violations,
         )
-    if result is None:
-        return "colors=0\n"
     lines = [f"v {v} {c}" for v, c in enumerate(result.coloring.assignment)]
     lines.append(f"colors={result.coloring.palette_size}")
     if result.violations:

@@ -21,6 +21,11 @@ calls it:
 
 Each visits vertices in ascending id order, so every witness built on them
 is deterministic.
+
+A vertex set that one module hands to another for more graph work is an
+int mask over g's ids: a BFS layering is a tuple of layer masks, cutset
+sides are masks, and ``induced_subgraph`` takes a mask.  Witness vertex
+sets, which are results for users, stay frozensets.
 """
 
 from __future__ import annotations
@@ -120,35 +125,15 @@ class Coloring:
                 raise ValueError(f"color {c} of vertex {v} outside palette 0..{self.palette_size - 1}")
 
 
-@dataclass(frozen=True)
-class Layering:
-    """BFS distance classes from ``root`` over the connected component of root.
-
-    ``layers[i]`` holds exactly the vertices at distance i; no edge joins
-    layers whose indices differ by two or more.
-    """
-
-    root: int
-    layers: tuple[frozenset[int], ...]
-
-    @property
-    def component(self) -> frozenset[int]:
-        out: set[int] = set()
-        for layer in self.layers:
-            out |= layer
-        return frozenset(out)
-
-    def layer_index(self) -> dict[int, int]:
-        return {v: i for i, layer in enumerate(self.layers) for v in layer}
-
-
-def bfs_layering(g: Graph, root: int) -> Layering:
-    """Distance classes of root's component; layer 0 is {root}."""
+def bfs_layering(g: Graph, root: int) -> tuple[int, ...]:
+    """Distance classes of root's component, one vertex mask per layer:
+    layer i holds exactly the vertices at distance i from root, so layer 0
+    is root alone and no edge joins layers two or more apart."""
     if not 0 <= root < g.n:
         raise ValueError(f"root {root} out of range for n={g.n}")
     seen = 1 << root
     frontier = seen
-    layers = [frozenset((root,))]
+    layers = [seen]
     while True:
         nxt = 0
         for v in bits(frontier):
@@ -156,19 +141,20 @@ def bfs_layering(g: Graph, root: int) -> Layering:
         nxt &= ~seen
         if not nxt:
             break
-        layers.append(frozenset(bits(nxt)))
+        layers.append(nxt)
         seen |= nxt
         frontier = nxt
-    return Layering(root, tuple(layers))
+    return tuple(layers)
 
 
-def induced_subgraph(g: Graph, s: Iterable[int]) -> tuple[Graph, tuple[int, ...]]:
-    """Subgraph induced by ``s`` plus the map new id -> original id (ids sorted)."""
-    ids = tuple(sorted(set(s)))
-    if ids and not (0 <= ids[0] and ids[-1] < g.n):
-        raise ValueError("vertex set not contained in 0..n-1")
+def induced_subgraph(g: Graph, smask: int) -> tuple[Graph, tuple[int, ...]]:
+    """Subgraph induced by the vertex mask ``smask`` plus the map new id ->
+    original id (ids ascending).  Raises ValueError for a negative mask or
+    one with a bit at or above g.n."""
+    if smask < 0 or smask >> g.n:
+        raise ValueError("vertex mask not contained in 0..n-1")
+    ids = tuple(bits(smask))
     pos = {v: i for i, v in enumerate(ids)}
-    smask = mask_of(ids)
     masks = []
     for v in ids:
         m = 0
@@ -178,9 +164,9 @@ def induced_subgraph(g: Graph, s: Iterable[int]) -> tuple[Graph, tuple[int, ...]
     return Graph.from_masks(masks), ids
 
 
-def induced_plus_edge(g: Graph, s: Iterable[int], a: int, b: int) -> tuple[Graph, tuple[int, ...]]:
-    """``induced_subgraph(g, s)`` plus the edge ab, for a and b in s."""
-    sub, ids = induced_subgraph(g, s)
+def induced_plus_edge(g: Graph, smask: int, a: int, b: int) -> tuple[Graph, tuple[int, ...]]:
+    """``induced_subgraph(g, smask)`` plus the edge ab, for a and b in smask."""
+    sub, ids = induced_subgraph(g, smask)
     masks = list(sub._adj)
     ia, ib = ids.index(a), ids.index(b)
     masks[ia] |= 1 << ib

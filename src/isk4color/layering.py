@@ -2,9 +2,11 @@
 same-layer vertices, confluences joining three, and the odd/even layer
 palette combination.
 
-Every search keeps the vertex ids of the host graph, so no id is mapped
-back: ``upstairs_path`` passes the vertices it may not use to ``bfs_path``
-as a blocked mask, and ``find_confluence`` works on vertex masks of g.
+A layering is what ``graph.bfs_layering`` returns: a tuple of vertex
+masks of g, one per layer.  Every search keeps the vertex ids of the host
+graph, so no id is mapped back: ``upstairs_path`` passes the vertices it
+may not use to ``bfs_path`` as a blocked mask, and ``find_confluence``
+works on vertex masks of g.
 ``find_confluence`` returns an inclusion-minimal confluence, found by one
 deletion pass in increasing id order.  A confluence is recognized by
 suppressing the chains between its branch vertices with
@@ -20,7 +22,6 @@ from itertools import combinations
 from .graph import (
     Graph,
     Coloring,
-    Layering,
     bfs_path,
     bits,
     component_masks,
@@ -55,35 +56,35 @@ class Confluence:
         return frozenset(out)
 
 
-def _check_layer_args(layering: Layering, i: int, tips) -> None:
-    if i < 1 or i >= len(layering.layers):
+def _check_layer_args(layers: tuple[int, ...], i: int, tips) -> None:
+    if i < 1 or i >= len(layers):
         raise ValueError(f"layer index {i} out of range")
     if len(set(tips)) != len(tips):
         raise ValueError("tip vertices must be distinct")
     for t in tips:
-        if t not in layering.layers[i]:
+        if not layers[i] >> t & 1:
             raise ValueError(f"vertex {t} is not in layer {i}")
 
 
-def upstairs_path(g: Graph, layering: Layering, i: int, x: int, y: int) -> list[int]:
-    """Induced x-y path inside layers 0..i with at most two vertices per layer.
+def upstairs_path(g: Graph, layers: tuple[int, ...], i: int, x: int, y: int) -> list[int]:
+    """Induced x-y path inside layers 0..i with at most two vertices per layer,
+    for x and y in the layer mask ``layers[i]``.
 
     Built by chaining lowest-id parents level by level, then shortcut to a
-    shortest path inside the collected vertex set; shortcutting preserves both
-    containment properties and forces induced-ness.
+    shortest path inside the collected vertex mask; shortcutting preserves
+    both containment properties and forces induced-ness.
     """
-    _check_layer_args(layering, i, (x, y))
-    collected = {x, y}
+    _check_layer_args(layers, i, (x, y))
+    collected = (1 << x) | (1 << y)
     cx, cy = x, y
     level = i
     while level >= 1 and cx != cy and not g.has_edge(cx, cy):
-        below = mask_of(layering.layers[level - 1])
+        below = layers[level - 1]
         cx = min(bits(g.mask(cx) & below))
         cy = min(bits(g.mask(cy) & below))
-        collected.add(cx)
-        collected.add(cy)
+        collected |= (1 << cx) | (1 << cy)
         level -= 1
-    path = bfs_path(g, x, y, ~mask_of(collected))
+    path = bfs_path(g, x, y, ~collected)
     if path is None:
         raise AssertionError(f"internal error: no upstairs path joins {x} and {y}")
     return path
@@ -143,9 +144,10 @@ def classify_confluence(g: Graph, candidate, tips) -> Confluence | None:
     return None
 
 
-def find_confluence(g: Graph, layering: Layering, i: int, x: int, y: int, z: int) -> Confluence:
+def find_confluence(g: Graph, layers: tuple[int, ...], i: int, x: int, y: int, z: int) -> Confluence:
     """An inclusion-minimal subset of layers 0..i-1 that joins the three tips
-    as a confluence, found by one deletion pass in increasing id order.
+    of the layer mask ``layers[i]`` as a confluence, found by one deletion
+    pass in increasing id order.
 
     The pass starts from the component of G[layers 0..i-1 + tips] that holds
     the tips and drops each region vertex whose removal leaves the tips in
@@ -155,10 +157,12 @@ def find_confluence(g: Graph, layering: Layering, i: int, x: int, y: int, z: int
     lemma, Chudnovsky-Seymour 2010), so the result always classifies.
     Vertex ids stay those of g.
     """
-    _check_layer_args(layering, i, (x, y, z))
+    _check_layer_args(layers, i, (x, y, z))
     tips = (x, y, z)
     tipmask = mask_of(tips)
-    region = mask_of(v for layer in layering.layers[:i] for v in layer)
+    region = 0
+    for layer in layers[:i]:
+        region |= layer
     keep = _tip_component(g, region | tipmask, tipmask)
     if not keep:
         raise ValueError(f"layering is inconsistent: layers 0..{i - 1} do not join the tips {tips}")
@@ -184,24 +188,30 @@ def _tip_component(g: Graph, allowed: int, tipmask: int) -> int:
 # odd/even layer combination
 
 
-def combine_layer_colorings(g: Graph, layering: Layering, per_layer: list[Coloring]) -> Coloring:
+def combine_layer_colorings(g: Graph, layers: tuple[int, ...], per_layer: list[Coloring]) -> Coloring:
     """Color odd layers with a shared palette and even layers with a disjoint
     one; proper because edges never span layers two or more apart.
 
+    ``layers`` are disjoint vertex masks that together cover g.
     ``per_layer[i]`` must be a proper coloring of the subgraph induced by
-    layer i (vertices taken in sorted order); the layering must cover g.
-    The combined coloring is checked once on g: an edge inside a layer keeps
-    its layer's colors and an edge between adjacent layers joins disjoint
-    palettes, so this catches an improper layer coloring.
+    layer i (vertices taken in ascending order).  The combined coloring is
+    checked once on g: an edge inside a layer keeps its layer's colors and
+    an edge between adjacent layers joins disjoint palettes, so this catches
+    an improper layer coloring.
     """
-    if len(per_layer) != len(layering.layers):
+    if len(per_layer) != len(layers):
         raise ValueError("need exactly one coloring per layer")
-    if layering.component != frozenset(range(g.n)):
+    seen = 0
+    for layer in layers:
+        if layer & seen:
+            raise ValueError("layers overlap")
+        seen |= layer
+    if seen != (1 << g.n) - 1:
         raise ValueError("layering does not cover the graph; color components separately")
     odd_max = 0
     even_max = 0
     for i, coloring in enumerate(per_layer):
-        if len(coloring.assignment) != len(layering.layers[i]):
+        if len(coloring.assignment) != layers[i].bit_count():
             raise ValueError(f"layer {i} coloring does not cover its layer")
         if i % 2:
             odd_max = max(odd_max, coloring.palette_size)
@@ -209,8 +219,7 @@ def combine_layer_colorings(g: Graph, layering: Layering, per_layer: list[Colori
             even_max = max(even_max, coloring.palette_size)
     assign = [-1] * g.n
     for i, coloring in enumerate(per_layer):
-        verts = sorted(layering.layers[i])
-        for k, v in enumerate(verts):
+        for k, v in enumerate(bits(layers[i])):
             c = coloring.assignment[k]
             assign[v] = c if i % 2 else odd_max + c
     combined = Coloring(tuple(assign), odd_max + even_max)

@@ -479,8 +479,7 @@ def verify_layer_forests(g: Graph) -> LayerCycleWitness | None:
     """Check that every BFS layer from every root induces a forest; returns
     the first violating cycle, or None when all layers are acyclic."""
     for root in range(g.n):
-        layering = bfs_layering(g, root)
-        for i, layer in enumerate(layering.layers):
+        for i, layer in enumerate(bfs_layering(g, root)):
             if i == 0:
                 continue
             sub, ids = induced_subgraph(g, layer)

@@ -582,7 +582,7 @@ def _check_multipartite_set(g: Graph, vs, edges: int, sizes: list[int]) -> bool:
     (sorted), which has ``edges`` edges."""
     if len(vs) != sum(sizes):
         return False
-    sub, _ = induced_subgraph(g, vs)
+    sub, _ = induced_subgraph(g, mask_of(vs))
     if sub.m != edges:
         return False
     shape = recognize_thick_multipartite(sub)

@@ -160,7 +160,7 @@ def reduce_flat_path(g: Graph, path) -> tuple[Graph, tuple[int, ...]]:
         raise ValueError("flat path must have length at least 2")
     if not is_flat_path(g, vs):
         raise ValueError(f"{vs} is not a flat path of the graph")
-    return induced_plus_edge(g, set(range(g.n)) - set(vs[1:-1]), vs[0], vs[-1])
+    return induced_plus_edge(g, ((1 << g.n) - 1) & ~mask_of(vs[1:-1]), vs[0], vs[-1])
 
 
 def _check_flat_reduction(g: Graph) -> dict:
@@ -275,7 +275,7 @@ def _check_hole_attachment(g: Graph) -> dict:
     return {"checks": checks, "violations": violations}
 
 
-def _validate_upstairs_path(g, layering, i, x, y, path) -> str | None:
+def _validate_upstairs_path(g, layers, i, x, y, path) -> str | None:
     if not path or path[0] != x or path[-1] != y:
         return "wrong endpoints"
     if len(set(path)) != len(path):
@@ -287,31 +287,27 @@ def _validate_upstairs_path(g, layering, i, x, y, path) -> str | None:
         for j in range(k + 2, len(path)):
             if g.has_edge(path[k], path[j]):
                 return "path has a chord"
-    lidx = layering.layer_index()
-    per_layer: dict[int, int] = {}
-    for v in path:
-        lv = lidx[v]
-        if lv > i:
-            return "path leaves the allowed layers"
-        per_layer[lv] = per_layer.get(lv, 0) + 1
-    if any(c > 2 for lv, c in per_layer.items() if lv >= 1):
+    pmask = mask_of(path)
+    if any(pmask & layer for layer in layers[i + 1:]):
+        return "path leaves the allowed layers"
+    if any((pmask & layer).bit_count() > 2 for layer in layers[1:i + 1]):
         return "more than two vertices in one layer"
     return None
 
 
-def _check_tips(g, layering, root, i, pairs, triples, triangle_free) -> list[dict]:
+def _check_tips(g, layers, root, i, pairs, triples, triangle_free) -> list[dict]:
     """Check the upstairs path of each pair and the confluence of each triple
     of layer ``i``; return the violations."""
     violations = []
     for x, y in pairs:
-        path = upstairs_path(g, layering, i, x, y)
-        err = _validate_upstairs_path(g, layering, i, x, y, path)
+        path = upstairs_path(g, layers, i, x, y)
+        err = _validate_upstairs_path(g, layers, i, x, y, path)
         if err:
             violations.append(_violation(
                 g, f"upstairs path {path} for ({x},{y}) at layer {i} from {root}: {err}",
             ))
     for x, y, z in triples:
-        conf = find_confluence(g, layering, i, x, y, z)
+        conf = find_confluence(g, layers, i, x, y, z)
         if triangle_free and conf.kind != 1:
             violations.append(_violation(
                 g, "triangle-free graph produced a triangle-centered confluence",
@@ -324,13 +320,13 @@ def _check_upstairs(g: Graph) -> dict:
     violations = []
     triangle_free = find_triangle(g) is None
     for root in range(g.n):
-        layering = bfs_layering(g, root)
-        for i, layer in enumerate(layering.layers):
-            verts = sorted(layer)
+        layers = bfs_layering(g, root)
+        for i, layer in enumerate(layers):
+            verts = list(bits(layer))
             pairs = list(combinations(verts, 2))
             triples = list(combinations(verts, 3))
             checks += len(pairs) + len(triples)
-            violations += _check_tips(g, layering, root, i, pairs, triples, triangle_free)
+            violations += _check_tips(g, layers, root, i, pairs, triples, triangle_free)
     return {"checks": checks, "violations": violations}
 
 
@@ -585,15 +581,15 @@ def _run_random_upstairs(seed, count, violations):
         p = rng.uniform(0.05, 0.45)
         g = random_connected_graph(rng, n, p)
         root = rng.randrange(g.n)
-        layering = bfs_layering(g, root)
+        layers = bfs_layering(g, root)
         triangle_free = find_triangle(g) is None
-        for i, layer in enumerate(layering.layers):
-            verts = sorted(layer)
+        for i, layer in enumerate(layers):
+            verts = list(bits(layer))
             pairs = list(combinations(verts, 2))
             rng.shuffle(pairs)
             triples = list(combinations(verts, 3))
             rng.shuffle(triples)
             pairs, triples = pairs[:RANDOM_PAIR_CAP], triples[:1]
             checks += len(pairs) + len(triples)
-            violations += _check_tips(g, layering, root, i, pairs, triples, triangle_free)
+            violations += _check_tips(g, layers, root, i, pairs, triples, triangle_free)
     return {"graphs": count, "checks": checks}

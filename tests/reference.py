@@ -35,7 +35,7 @@ def canonical_graph(g: Graph) -> Graph:
 
 
 def _induced(g, subset):
-    return induced_subgraph(g, subset)[0]
+    return induced_subgraph(g, mask_of(subset))[0]
 
 
 def ref_find_triangle(g: Graph):
@@ -564,9 +564,7 @@ def dfs_clique_cutset(g: Graph) -> CliqueCutset | None:
                 continue
         comps = component_masks(g, removed)
         if len(comps) >= 2:
-            x = frozenset(bits(comps[0]))
-            y = frozenset(v for c in comps[1:] for v in bits(c))
-            return CliqueCutset(clique, x, y)
+            return CliqueCutset(clique, comps[0], ((1 << g.n) - 1) & ~removed & ~comps[0])
     return None
 
 
@@ -689,5 +687,5 @@ def dfs_proper_2cutset(g: Graph) -> Proper2Cutset | None:
                         continue
                     xm = comps[0] | comps[1]
             ym = full & ~ab & ~xm
-            return Proper2Cutset(a, b, frozenset(bits(xm)), frozenset(bits(ym)))
+            return Proper2Cutset(a, b, xm, ym)
     return None

@@ -1,8 +1,10 @@
 """Shared validators used by layering and acceptance tests; written directly
 against the contracts rather than reusing the library's own validator."""
 
+from isk4color.graph import bits
 
-def validate_upstairs(g, layering, i, x, y, path):
+
+def validate_upstairs(g, layers, i, x, y, path):
     """None when the path satisfies every upstairs-path requirement, else a
     short description of the first failure."""
     if not path or path[0] != x or path[-1] != y:
@@ -16,7 +18,7 @@ def validate_upstairs(g, layering, i, x, y, path):
         for j in range(k + 2, len(path)):
             if g.has_edge(path[k], path[j]):
                 return f"chord {path[k]}-{path[j]}"
-    index = layering.layer_index()
+    index = {v: k for k, layer in enumerate(layers) for v in bits(layer)}
     counts = {}
     for v in path:
         lv = index[v]

@@ -19,7 +19,7 @@ from isk4color.colorers import (
     edge_color_subcubic,
 )
 from isk4color.formats import write_graph
-from isk4color.graph import bfs_layering, girth, is_proper_coloring
+from isk4color.graph import bfs_layering, bits, girth, is_proper_coloring
 from isk4color.oracle import (
     chromatic_number_exact,
     contains_isk4,
@@ -140,13 +140,13 @@ def test_criterion_07_upstairs_and_confluences():
     for _ in range(50):
         g = random_connected_graph(rng, rng.randint(4, 30), rng.uniform(0.05, 0.5))
         root = rng.randrange(g.n)
-        lay = bfs_layering(g, root)
-        for i, layer in enumerate(lay.layers):
-            if i == 0 or len(layer) < 2:
+        layers = bfs_layering(g, root)
+        for i, layer in enumerate(layers):
+            if i == 0 or layer.bit_count() < 2:
                 continue
-            x, y = sorted(layer)[:2]
-            path = upstairs_path(g, lay, i, x, y)
-            assert validate_upstairs(g, lay, i, x, y, path) is None
+            x, y = list(bits(layer))[:2]
+            path = upstairs_path(g, layers, i, x, y)
+            assert validate_upstairs(g, layers, i, x, y, path) is None
     _report(7, f"upstairs paths and confluences verified ({total} checks, "
                f"1000 random graphs + exhaustive n <= 7)")
 

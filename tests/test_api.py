@@ -4,7 +4,7 @@ so that every addition or removal shows up as a diff here."""
 import types
 
 import isk4color
-from isk4color import decompose, families, oracle
+from isk4color import decompose, families, graph, oracle
 
 
 def _public(module, own_only):
@@ -21,7 +21,7 @@ def test_package_public_names():
     assert _public(isk4color, own_only=False) == [
         "ClassViolationError", "CliqueCutset", "Coloring", "ColoringResult", "Confluence",
         "EdgeColoring", "Graph", "HoleAttachmentClassification", "INFINITE_GIRTH",
-        "Isk4Witness", "KrauszPartition", "Layering", "MultipartiteShape",
+        "Isk4Witness", "KrauszPartition", "MultipartiteShape",
         "NotAForestError", "PatternWitness", "Proper2Cutset", "SuiteReport", "Violation",
         "are_isomorphic", "bfs_layering", "build_2cutset_blocks", "canonical_form",
         "chromatic_number_exact", "classify_confluence", "classify_hole_attachment",
@@ -43,6 +43,16 @@ def test_decompose_public_names():
     assert _public(decompose, own_only=True) == [
         "CliqueCutset", "Proper2Cutset", "build_2cutset_blocks", "find_clique_cutset",
         "find_proper_2cutset", "merge_colorings",
+    ]
+
+
+def test_graph_public_names():
+    assert _public(graph, own_only=True) == [
+        "Coloring", "Graph", "bfs_layering", "bfs_path", "bits", "chordless_order",
+        "component_masks", "connected_components", "degeneracy_order", "find_cycle",
+        "girth", "greedy_coloring", "induced_plus_edge", "induced_subgraph",
+        "is_connected", "is_proper_coloring", "k_core", "mask_of", "shortest_cycle",
+        "suppress_chains", "triangles",
     ]
 
 

@@ -15,6 +15,7 @@ from isk4color.graph import (
     induced_subgraph,
     is_connected,
     is_proper_coloring,
+    mask_of,
 )
 from isk4color.families import path_graph
 from isk4color.decompose import (
@@ -121,7 +122,7 @@ def test_clique_cutset_agrees_with_reference(connected_corpus_8):
             assert ref is None, list(g.edges())
             continue
         found += 1
-        assert (cut.clique, set(cut.side_x), set(cut.side_y)) == ref, list(g.edges())
+        assert (cut.clique, set(bits(cut.side_x)), set(bits(cut.side_y))) == ref, list(g.edges())
         if len(cut.clique) > 1 and all(
             len(_ref_components(g, set(range(g.n)) - {v})) == 1 for v in range(g.n)
         ):
@@ -141,11 +142,11 @@ def _tough_triangle_free(g):
     if any(g.degree(v) < 2 for v in range(g.n)):
         return False
     for v in range(g.n):
-        sub, _ = induced_subgraph(g, set(range(g.n)) - {v})
+        sub, _ = induced_subgraph(g, ((1 << g.n) - 1) & ~(1 << v))
         if not is_connected(sub):
             return False
     for u, v in g.edges():
-        sub, _ = induced_subgraph(g, set(range(g.n)) - {u, v})
+        sub, _ = induced_subgraph(g, ((1 << g.n) - 1) & ~(1 << u) & ~(1 << v))
         if sub.n and not is_connected(sub):
             return False
     return True
@@ -164,7 +165,7 @@ def test_clique_cutset_none_on_tough_graphs(all_graphs_7):
 def test_proper_2cutset_examples():
     cut = find_proper_2cutset(complete_multipartite(2, 4))
     assert cut is not None and {cut.a, cut.b} == {0, 1}
-    assert len(cut.side_x) == 2 and len(cut.side_y) == 2
+    assert cut.side_x.bit_count() == 2 and cut.side_y.bit_count() == 2
     assert find_proper_2cutset(complete_multipartite(2, 3)) is None
     assert find_proper_2cutset(cycle_graph(5)) is None
     with pytest.raises(ValueError):
@@ -188,7 +189,7 @@ def test_proper_2cutset_agrees_with_reference(connected_corpus_8):
                 continue
             found += 1
             assert (cut.a, cut.b) == ref, list(g.edges())
-            assert ref_is_proper_2cutset(g, cut.a, cut.b, cut.side_x, cut.side_y)
+            assert ref_is_proper_2cutset(g, cut.a, cut.b, set(bits(cut.side_x)), set(bits(cut.side_y)))
     assert found == 5226
 
 
@@ -427,7 +428,7 @@ def test_clique_cutset_found_by_spqr_after_many_candidates():
         assert len(candidates) > 32
         cut = find_clique_cutset(g)
         assert cut == dfs_clique_cutset(g)
-        assert cut.clique == (u, v) and cut.side_y == set(range(96, 104))
+        assert cut.clique == (u, v) and cut.side_y == mask_of(range(96, 104))
 
 
 def _subdivided(rng, base):
@@ -470,7 +471,7 @@ def test_detector_results_pinned(connected_corpus_8):
         record = [
             None if k33 is None else k33.to_dict(),
             None if k222 is None else k222.to_dict(),
-            None if cut is None else [cut.a, cut.b, sorted(cut.side_x), sorted(cut.side_y)],
+            None if cut is None else [cut.a, cut.b, list(bits(cut.side_x)), list(bits(cut.side_y))],
         ]
         hits = [h + (r is not None) for h, r in zip(hits, record)]
         records.append(record)
@@ -550,17 +551,19 @@ def test_build_2cutset_blocks():
 
 def test_build_2cutset_blocks_rejects_bad_cuts():
     c6 = cycle_graph(6)  # 0-1-2-3-4-5-0; {0, 3} splits it into {1, 2} and {4, 5}
-    assert build_2cutset_blocks(c6, Proper2Cutset(0, 3, frozenset({1, 2}), frozenset({4, 5})))
+    assert build_2cutset_blocks(c6, Proper2Cutset(0, 3, mask_of({1, 2}), mask_of({4, 5})))
+    p5 = path_graph(5)  # 0-1-2-3-4
     bad = [
-        (Proper2Cutset(0, 1, frozenset({2, 3}), frozenset({4, 5})), "adjacent"),
-        (Proper2Cutset(0, 3, frozenset({1, 2, 4, 5}), frozenset()), "non-empty"),
-        (Proper2Cutset(0, 3, frozenset({1, 2}), frozenset({4})), "partition"),
-        (Proper2Cutset(0, 3, frozenset({1, 2, 4}), frozenset({4, 5})), "partition"),
-        (Proper2Cutset(0, 3, frozenset({1, 4}), frozenset({2, 5})), "crosses"),
+        (c6, Proper2Cutset(0, 1, mask_of({2, 3}), mask_of({4, 5})), "adjacent"),
+        (c6, Proper2Cutset(0, 3, mask_of({1, 2, 4, 5}), 0), "non-empty"),
+        (c6, Proper2Cutset(0, 3, mask_of({1, 2}), mask_of({4})), "partition"),
+        (c6, Proper2Cutset(0, 3, mask_of({1, 2, 4}), mask_of({4, 5})), "partition"),
+        (c6, Proper2Cutset(0, 3, mask_of({1, 4}), mask_of({2, 5})), "crosses"),
+        (p5, Proper2Cutset(0, 2, mask_of({0, 1}), mask_of({3, 4})), "cut vertex"),
     ]
-    for cut, message in bad:
+    for g, cut, message in bad:
         with pytest.raises(ValueError, match=message):
-            build_2cutset_blocks(c6, cut)
+            build_2cutset_blocks(g, cut)
 
 
 def test_blocks_always_shrink(all_graphs_7):
@@ -583,8 +586,8 @@ def test_blocks_always_shrink(all_graphs_7):
 def test_merge_colorings_permutations():
     # blocks sharing one clique vertex
     g = path_graph(3)  # blocks {0,1} and {1,2}
-    b1, ids1 = induced_subgraph(g, [0, 1])
-    b2, ids2 = induced_subgraph(g, [1, 2])
+    b1, ids1 = induced_subgraph(g, mask_of([0, 1]))
+    b2, ids2 = induced_subgraph(g, mask_of([1, 2]))
     c1 = Coloring((0, 2), 3)
     c2 = Coloring((0, 1), 3)
     merged = merge_colorings(g, c1, ids1, c2, ids2, [1])
@@ -598,8 +601,8 @@ def test_merge_colorings_permutations():
 
 def test_merge_colorings_error_cases():
     g = cycle_graph(4)
-    b1, ids1 = induced_subgraph(g, [0, 1, 2])
-    b2, ids2 = induced_subgraph(g, [0, 2, 3])
+    b1, ids1 = induced_subgraph(g, mask_of([0, 1, 2]))
+    b2, ids2 = induced_subgraph(g, mask_of([0, 2, 3]))
     with pytest.raises(ValueError):
         # shared pair {0, 2} colored equal in block 1: not rainbow
         merge_colorings(g, Coloring((0, 1, 0), 2), ids1, Coloring((0, 1, 2), 3), ids2, [0, 2])
@@ -621,8 +624,8 @@ def test_merge_colorings_random_clique_splits():
         comps = _components_minus(g, clique)
         side = set(comps[0])
         rest = set().union(*comps[1:])
-        b1, ids1 = induced_subgraph(g, side | set(clique))
-        b2, ids2 = induced_subgraph(g, rest | set(clique))
+        b1, ids1 = induced_subgraph(g, mask_of(side | set(clique)))
+        b2, ids2 = induced_subgraph(g, mask_of(rest | set(clique)))
         merged = merge_colorings(
             g, greedy_coloring(b1), ids1, greedy_coloring(b2), ids2, clique
         )
@@ -643,5 +646,5 @@ def _all_cliques(g):
 
 
 def _components_minus(g, verts):
-    sub, ids = induced_subgraph(g, set(range(g.n)) - set(verts))
+    sub, ids = induced_subgraph(g, ((1 << g.n) - 1) & ~mask_of(verts))
     return [frozenset(ids[v] for v in c) for c in connected_components(sub)]

@@ -19,6 +19,7 @@ from isk4color.graph import (
     find_cycle,
     girth,
     greedy_coloring,
+    induced_plus_edge,
     induced_subgraph,
     is_connected,
     is_proper_coloring,
@@ -57,9 +58,9 @@ def test_graph_basics():
 
 
 def test_bfs_layering_examples():
-    assert [len(l) for l in bfs_layering(cycle_graph(6), 0).layers] == [1, 2, 2, 1]
-    assert [len(l) for l in bfs_layering(complete_graph(4), 0).layers] == [1, 3]
-    assert [len(l) for l in bfs_layering(path_graph(4), 0).layers] == [1, 1, 1, 1]
+    assert bfs_layering(cycle_graph(6), 0) == (0b000001, 0b100010, 0b010100, 0b001000)
+    assert bfs_layering(complete_graph(4), 0) == (0b0001, 0b1110)
+    assert bfs_layering(path_graph(4), 0) == (0b0001, 0b0010, 0b0100, 0b1000)
     with pytest.raises(ValueError):
         bfs_layering(cycle_graph(4), 7)
 
@@ -68,29 +69,41 @@ def test_layering_invariants_small_corpus(all_graphs_7):
     for n, graphs in all_graphs_7.items():
         for g in graphs:
             for root in range(g.n):
-                lay = bfs_layering(g, root)
+                layers = [set(bits(layer)) for layer in bfs_layering(g, root)]
+                assert layers[0] == {root}
                 seen = set()
-                for layer in lay.layers:
-                    assert not (layer & seen)
+                for layer in layers:
+                    assert layer and not (layer & seen)
                     seen |= layer
                 comp = next(c for c in connected_components(g) if root in c)
                 assert seen == comp
-                idx = lay.layer_index()
+                idx = {v: i for i, layer in enumerate(layers) for v in layer}
                 for u, v in g.edges():
                     if u in idx and v in idx:
                         assert abs(idx[u] - idx[v]) <= 1
-                for i in range(1, len(lay.layers)):
-                    for v in lay.layers[i]:
-                        assert any(w in lay.layers[i - 1] for w in g.neighbors(v))
+                for i in range(1, len(layers)):
+                    for v in layers[i]:
+                        assert any(w in layers[i - 1] for w in g.neighbors(v))
 
 
 def test_induced_subgraph_examples():
-    tri, ids = induced_subgraph(complete_graph(4), [0, 2, 3])
+    tri, ids = induced_subgraph(complete_graph(4), 0b1101)
     assert tri.m == 3 and ids == (0, 2, 3)
-    iso, _ = induced_subgraph(cycle_graph(6), [0, 2, 4])
+    iso, _ = induced_subgraph(cycle_graph(6), 0b010101)
     assert iso.m == 0
-    empty, ids_e = induced_subgraph(cycle_graph(5), [])
+    empty, ids_e = induced_subgraph(cycle_graph(5), 0)
     assert empty.n == 0 and ids_e == ()
+    whole, ids_w = induced_subgraph(cycle_graph(5), 0b11111)
+    assert whole == cycle_graph(5) and ids_w == (0, 1, 2, 3, 4)
+
+
+def test_induced_subgraph_rejects_masks_outside_the_graph():
+    c5 = cycle_graph(5)
+    for smask in (-1, -0b10, 1 << 5, 0b100011):
+        with pytest.raises(ValueError, match="not contained"):
+            induced_subgraph(c5, smask)
+        with pytest.raises(ValueError, match="not contained"):
+            induced_plus_edge(c5, smask, 0, 1)
 
 
 def test_induced_subgraph_composition():
@@ -98,10 +111,10 @@ def test_induced_subgraph_composition():
     for _ in range(60):
         g = random_graph(rng, rng.randint(2, 9), 0.4)
         s1 = sorted(rng.sample(range(g.n), rng.randint(1, g.n)))
-        sub1, ids1 = induced_subgraph(g, s1)
+        sub1, ids1 = induced_subgraph(g, mask_of(s1))
         s2 = sorted(rng.sample(range(sub1.n), rng.randint(1, sub1.n)))
-        sub2, ids2 = induced_subgraph(sub1, s2)
-        direct, ids_d = induced_subgraph(g, [ids1[v] for v in s2])
+        sub2, ids2 = induced_subgraph(sub1, mask_of(s2))
+        direct, ids_d = induced_subgraph(g, mask_of(ids1[v] for v in s2))
         assert ids_d == tuple(ids1[v] for v in s2)
         assert direct == sub2
 
@@ -258,7 +271,7 @@ def test_chordless_order_walks_paths_and_holes():
     for _ in range(300):
         g = random_graph(rng, rng.randint(1, 9), rng.uniform(0.2, 0.6))
         vs = rng.sample(range(g.n), rng.randint(1, g.n))
-        sub = induced_subgraph(g, vs)[0]
+        sub = induced_subgraph(g, mask_of(vs))[0]
         degs = [sub.degree(v) for v in range(sub.n)]
         is_path = is_connected(sub) and sub.m == sub.n - 1 and max(degs) <= 2
         is_hole = is_connected(sub) and sub.n >= 4 and set(degs) == {2}

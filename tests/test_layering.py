@@ -5,7 +5,7 @@ from itertools import combinations
 
 import pytest
 
-from isk4color.graph import Graph, Coloring, Layering, bfs_layering, is_connected, is_proper_coloring
+from isk4color.graph import Graph, Coloring, bfs_layering, bits, is_connected, is_proper_coloring
 from isk4color.families import path_graph
 from isk4color.suites import random_connected_graph
 from isk4color.layering import (
@@ -51,10 +51,10 @@ def test_upstairs_random_graphs():
         g = random_connected_graph(rng, rng.randint(4, 30), rng.uniform(0.05, 0.5))
         root = rng.randrange(g.n)
         lay = bfs_layering(g, root)
-        for i, layer in enumerate(lay.layers):
-            if i == 0 or len(layer) < 2:
+        for i, layer in enumerate(lay):
+            if i == 0 or layer.bit_count() < 2:
                 continue
-            verts = sorted(layer)
+            verts = list(bits(layer))
             x, y = rng.sample(verts, 2)
             path = upstairs_path(g, lay, i, x, y)
             assert validate_upstairs(g, lay, i, x, y, path) is None
@@ -74,7 +74,7 @@ def test_confluence_spider(leg):
 def test_confluence_rejects_inconsistent_layering():
     # a hand-built layering: 2 and 3 sit in layer 1 but no edge joins them to 0
     g = Graph(4, [(0, 1)])
-    lay = Layering(0, (frozenset({0}), frozenset({1, 2, 3})))
+    lay = (0b0001, 0b1110)
     with pytest.raises(ValueError, match="layering is inconsistent"):
         find_confluence(g, lay, 1, 1, 2, 3)
 
@@ -118,10 +118,10 @@ def test_confluence_type1_in_triangle_free(all_graphs_7):
                 continue
             for root in range(g.n):
                 lay = bfs_layering(g, root)
-                for i, layer in enumerate(lay.layers):
-                    if i == 0 or len(layer) < 3:
+                for i, layer in enumerate(lay):
+                    if i == 0 or layer.bit_count() < 3:
                         continue
-                    verts = sorted(layer)[:3]
+                    verts = list(bits(layer))[:3]
                     conf = find_confluence(g, lay, i, *verts)
                     assert conf.kind == 1
                     assert classify_confluence(g, conf.vertices, tuple(verts)) is not None
@@ -165,6 +165,10 @@ def test_combine_layer_colorings_errors():
         combine_layer_colorings(
             tri, lay_t, [Coloring((0,), 1), Coloring((0, 0), 1)]
         )  # layer {1,2} is an edge; the single color is not proper
+    edge = Graph(2, [(0, 1)])
+    with pytest.raises(ValueError, match="overlap"):
+        # vertex 0 sits in both layers
+        combine_layer_colorings(edge, (0b01, 0b11), [Coloring((0,), 1), Coloring((0, 1), 2)])
 
 
 def _build_confluence_graph(rng, kind):
@@ -278,7 +282,7 @@ def test_combine_layer_colorings_random_property():
         g = random_connected_graph(rng, rng.randint(2, 14), 0.3)
         lay = bfs_layering(g, rng.randrange(g.n))
         per = []
-        for layer in lay.layers:
+        for layer in lay:
             sub, _ = induced_subgraph(g, layer)
             base = greedy_coloring(sub)
             pad = rng.randint(0, 2)
@@ -322,8 +326,8 @@ def test_find_confluence_pinned(all_graphs_7):
                 continue
             for root in range(n):
                 lay = bfs_layering(g, root)
-                for i in range(1, len(lay.layers)):
-                    for tips in combinations(sorted(lay.layers[i]), 3):
+                for i in range(1, len(lay)):
+                    for tips in combinations(bits(lay[i]), 3):
                         conf = find_confluence(g, lay, i, *tips)
                         assert classify_confluence(g, conf.vertices, tips) is not None
                         assert ref_confluence_is_minimal(g, conf.vertices, tips)

@@ -6,7 +6,7 @@ import random
 
 from isk4color.colorers import BOUND_GENERAL, color_general, color_triangle_free
 from isk4color.decompose import find_clique_cutset
-from isk4color.graph import Graph, is_connected, is_proper_coloring
+from isk4color.graph import Graph, is_connected, is_proper_coloring, mask_of
 from isk4color.oracle import contains_isk4
 from isk4color.patterns import find_triangle
 
@@ -132,7 +132,7 @@ def test_first_clique_cutset_of_glued_cycles():
     ):
         g = Graph(1200, ring + chords)
         cut = find_clique_cutset(g)
-        assert (cut.clique, cut.side_x, cut.side_y) == (clique, outer, inner)
+        assert (cut.clique, cut.side_x, cut.side_y) == (clique, mask_of(outer), mask_of(inner))
         for colorer, bound in colorers:
             result = colorer(g, mode="strict")
             assert result.violations == []
