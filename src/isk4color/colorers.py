@@ -229,15 +229,6 @@ def edge_color_subcubic(h: Graph) -> EdgeColoring:
     def free_colors(v):
         return [c for c in range(k) if c not in used[v]]
 
-    def set_color(e, c):
-        old = color.get(e)
-        if old is not None:
-            used[e[0]].discard(old)
-            used[e[1]].discard(old)
-        color[e] = c
-        used[e[0]].add(c)
-        used[e[1]].add(c)
-
     def edge_at(v, c):
         for w in h.neighbors(v):
             e = (min(v, w), max(v, w))
@@ -271,7 +262,9 @@ def edge_color_subcubic(h: Graph) -> EdgeColoring:
         e = (u, v)
         both = sorted(set(free_colors(u)) & set(free_colors(v)))
         if both:
-            set_color(e, both[0])
+            color[e] = both[0]
+            used[u].add(both[0])
+            used[v].add(both[0])
             continue
         # build a maximal fan at u starting from v
         fan = [v]

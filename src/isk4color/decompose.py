@@ -11,14 +11,17 @@ more vertices (``_triconnected_components``: Hopcroft-Tarjan with the
 Gutwenger-Mutzel corrections, on explicit stacks) gives every separation
 pair {a, b} of the block, with the number of components of B - {a, b} and
 how many of them are bare a-b paths.  In a block, a 2-clique cutset is an
-adjacent separation pair, the real edge of a P-node.  A proper 2-cutset is a
-non-adjacent pair whose components are not all bare paths, or a pair with a
-cut vertex in it.  Each search then runs the component sweep once, on its
-winner, so the witness and its sides are those of a sweep over every
-candidate.  Apart from the sweeps of the cut-vertex cliques and the
-triangles that a degree bound lets through, each search is O(n + m).  The
-colorers ask both searches about the same block in turn, so the second
-reuses the DFS and the SPQR trees of the first.
+adjacent separation pair, the real edge of a P-node.  The proper 2-cutset
+search takes only graphs with no cut vertex, a single block, which is all
+the colorers give it: a cut vertex is a clique cutset, split first.  There
+a proper 2-cutset is a non-adjacent separation pair whose components fall
+into two sides, neither of them one bare path.  Each search then runs the
+component sweep once, on its winner, so the witness and its sides are
+those of a sweep over every candidate.  Apart from the sweeps of the
+cut-vertex cliques and the triangles that a degree bound lets through,
+each search is O(n + m).  The colorers ask both searches about the same
+block in turn, so the second reuses the DFS and the SPQR trees of the
+first.
 
 A cutset's sides are vertex masks of g.  Both kinds of cutset give two
 blocks, each missing a non-empty side of the cut, so every block is
@@ -28,7 +31,6 @@ without a depth guard, on one explicit stack.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass
 
 from .graph import (
@@ -712,106 +714,55 @@ def _cycle_pair(cycle: list[int], deg: list[int]) -> tuple[int, int] | None:
     return cycle[best], min(cycle[(f + t) % k] for t in range(1, gap))
 
 
-def _cut_pair(g: Graph, blocks: _Blocks, deg2: int) -> tuple[int, int] | None:
-    """Lex-first non-adjacent pair {a, b} with a cut vertex in it that has a
-    proper split.
-
-    Such a pair always splits properly, except when one of its vertices is
-    a leaf y, and the other is a cut vertex x with g - x in two components,
-    two or more steps along the path of degree-2 vertices that leads from y.
-    Say a is a cut vertex, and b lies in the component D of g - a.  The
-    other components of g - a do not touch b, so none is a bare path, and
-    g - {a, b} has them and the components of D - b.  Only two components,
-    one of them bare, fail: g - a has two components and D - b is an a-b
-    path of degree-2 vertices, so b has degree 1 and D is a pendant path.
-    If b is a cut vertex too, that cannot happen.  The paths of degree-2
-    vertices are the chains, the components of the ``deg2`` mask, and a
-    pendant path is a chain with a leaf among its outer neighbours.  O(n + m).
-    """
-    n = g.n
-    cuts = blocks.cuts
-    order, num, parent, low1 = blocks.tree[:4]
-    splits = [1] * n  # components of g - v: the side above v, and
-    splits[0] = 0
-    for v in order[1:]:  # one for each block that v opens
-        if low1[v] >= num[parent[v]]:
-            splits[parent[v]] += 1
-    bad = set()
-    for chain in component_masks(g, ~deg2):
-        ends = mask_of(w for v in bits(chain) for w in g.neighbors(v)) & ~chain
-        for y in bits(ends):
-            if g.degree(y) == 1:  # a pendant path: y, the chain, its other end
-                for x in bits((chain | ends) & ~g.mask(y) & ~(1 << y)):  # 2+ steps from y
-                    if cuts >> x & 1 and splits[x] == 2:
-                        bad.add((min(y, x), max(y, x)))
-    cut_list = list(bits(cuts))
-    for a in range(n):
-        if cuts >> a & 1:
-            partners = range(a + 1, n)
-        else:
-            partners = map(cut_list.__getitem__, range(bisect_right(cut_list, a), len(cut_list)))
-        for b in partners:
-            if not g.mask(a) >> b & 1 and (a, b) not in bad:
-                return a, b
-    return None
-
-
 def find_proper_2cutset(g: Graph) -> Proper2Cutset | None:
     """First (lex) non-adjacent pair {a,b} with a split of the components of
     g - {a,b} into two sides such that neither side together with {a,b}
     induces an a-b path.
+
+    g must be connected and have no cut vertex; both are checked (ValueError).
+    The colorers meet that: a cut vertex is a clique cutset of one vertex,
+    and their clique cutset rule comes before this one, so a block that
+    gets here has none.
 
     Only a single component can form an a-b path, and it does exactly when
     all of it has degree 2 in g and it touches both a and b (a bare path).
     So two components split when neither is bare, three when one is not
     bare and goes alone, and four or more always split.  The first side is
     the first component that is not bare, or else the first two components.
-    One mask of the degree-2 vertices serves that test, the exit on cycles
-    and the pendant paths of ``_cut_pair``.
+    One mask of the degree-2 vertices serves that test and the exit on
+    cycles.
 
-    The candidates come in two kinds, and the first pair is the smaller of
-    the first of each:
-    - a pair with a cut vertex in it: ``_cut_pair`` names the few that fail;
-    - a separation pair of a block with four or more vertices, from the
-      block's SPQR tree (``_Blocks.separations``): the ends of a virtual
-      edge with the number of components of B - {a, b} and of bare ones,
-      and the non-adjacent pairs of each S-node cycle (``_cycle_pair``).
-    When neither vertex is a cut vertex, the components of g - {a, b} are
-    those of B - {a, b} with the rest of g hanging off them at cut vertices,
-    which have degree >= 3; every other pair of non-cut vertices leaves g
-    connected.  A block pair with a cut vertex that the SPQR rule accepts
-    is accepted by the cut rule as well, since a leaf is in no block of
-    four vertices.  So every skipped pair would not split, and the one
-    component sweep on the winner gives the sides of a sweep over all
-    non-adjacent pairs.  Cost: O(n + m) for the DFS, the SPQR trees and the
-    candidates, plus that sweep; the DFS and the trees are those of
-    ``find_clique_cutset`` when it was asked about g just before.  Cliques
-    and graphs with fewer than four vertices (no non-adjacent pair splits),
-    cycles (every component is a bare path), and graphs whose first cut pair
-    comes before every non-cut vertex build no SPQR tree.
+    The candidates are the separation pairs of g, from its SPQR tree
+    (``_Blocks.separations``): the ends of a virtual edge with the number of
+    components of g - {a, b} and of bare ones, and the non-adjacent pairs
+    of each S-node cycle (``_cycle_pair``).  Every other pair leaves g
+    connected, so the one component sweep on the winner gives the sides of
+    a sweep over all non-adjacent pairs.  Cost: O(n + m) for the DFS, the
+    SPQR tree and the candidates, plus that sweep; the DFS and the tree are
+    those of ``find_clique_cutset`` when it was asked about g just before.
+    Cliques and graphs with fewer than four vertices (no non-adjacent pair
+    splits) and cycles (every component is a bare path) build no SPQR tree.
     """
     blocks = _blocks_of(g)
+    if blocks.cuts:
+        raise ValueError("input has a cut vertex; split it on a clique cutset first")
     n = g.n
     deg2 = mask_of(v for v in range(n) if g.degree(v) == 2)
     if n < 4 or g.m == n * (n - 1) // 2 or deg2 == (1 << n) - 1:
         return None
-    cuts = blocks.cuts
-    best = _cut_pair(g, blocks, deg2) if cuts else None
-    # a pair that only the SPQR rule accepts has no cut vertex in it, so it
-    # comes after best when best[0] is below the smallest non-cut vertex
-    if best is None or best[0] >= ((cuts + 1) & ~cuts).bit_length() - 1:
-        pairs, cycles = blocks.separations()
-        for (a, b), (comps, bare) in pairs.items():
-            if (
-                (comps >= 4 or (comps == 3 and bare < 3) or (comps == 2 and not bare))
-                and not g.mask(a) >> b & 1
-                and (best is None or (a, b) < best)
-            ):
-                best = a, b
-        for cycle in cycles:
-            pair = _cycle_pair(cycle, blocks.deg)
-            if pair is not None and (best is None or pair < best):
-                best = pair
+    pairs, cycles = blocks.separations()
+    best = None
+    for (a, b), (comps, bare) in pairs.items():
+        if (
+            (comps >= 4 or (comps == 3 and bare < 3) or (comps == 2 and not bare))
+            and not g.mask(a) >> b & 1
+            and (best is None or (a, b) < best)
+        ):
+            best = a, b
+    for cycle in cycles:
+        pair = _cycle_pair(cycle, blocks.deg)
+        if pair is not None and (best is None or pair < best):
+            best = pair
     if best is None:
         return None
     a, b = best

@@ -378,30 +378,30 @@ def k_core(g: Graph, k: int) -> list[int]:
     return list(bits(alive))
 
 
-def suppress_chains(g: Graph, vs, branch) -> dict[tuple[int, int], list[int]] | None:
-    """The chains of G[vs] between its ``branch`` vertices, keyed by their
-    (lower, higher) end and listed from the lower end.
+def suppress_chains(g: Graph, vmask: int, bmask: int) -> dict[tuple[int, int], list[int]] | None:
+    """The chains of G[vmask] between its branch vertices, the mask
+    ``bmask``, keyed by their (lower, higher) end and listed from the lower
+    end.
 
-    None unless every non-branch vertex of vs is the interior of a chain,
+    None unless every non-branch vertex of vmask is the interior of a chain,
     every chain joins two distinct branch vertices, and no two chains join
     the same pair (suppressing the interiors leaves a simple graph).
     """
-    vmask = mask_of(vs)
-    bset = set(branch)
+    limit = vmask.bit_count() + 1
     chains: dict[tuple[int, int], list[int]] = {}
-    seen_interior: set[int] = set()
-    for b in branch:
+    interiors = 0
+    for b in bits(bmask):
         for w in bits(g.mask(b) & vmask):
             path = [b, w]
             prev = b
             cur = w
-            while cur not in bset:
-                if len(path) > len(vs) + 1:
+            while not bmask >> cur & 1:
+                if len(path) > limit:
                     return None
-                nbrs = [x for x in bits(g.mask(cur) & vmask) if x != prev]
-                if len(nbrs) != 1:
+                nbrs = g.mask(cur) & vmask & ~(1 << prev)
+                if nbrs.bit_count() != 1:
                     return None
-                prev, cur = cur, nbrs[0]
+                prev, cur = cur, nbrs.bit_length() - 1
                 path.append(cur)
             if path[0] == path[-1]:
                 return None  # chain loops back to its own branch vertex
@@ -411,8 +411,8 @@ def suppress_chains(g: Graph, vs, branch) -> dict[tuple[int, int], list[int]] | 
             if key in chains:
                 return None  # parallel connection after suppression
             chains[key] = path
-            seen_interior.update(path[1:-1])
-    if seen_interior != set(vs) - bset:
+            interiors |= mask_of(path[1:-1])
+    if interiors != vmask & ~bmask:
         return None
     return chains
 

@@ -107,12 +107,11 @@ def classify_confluence(g: Graph, candidate, tips) -> Confluence | None:
     """
     x, y, z = tips
     tipset = {x, y, z}
-    cset = set(candidate)
-    if not tipset <= cset or len(tipset) != 3:
+    cmask = mask_of(candidate)
+    if mask_of(tipset) & ~cmask or len(tipset) != 3:
         return None
-    cmask = mask_of(cset)
-    branch = tipset | {v for v in cset if (g.mask(v) & cmask).bit_count() >= 3}
-    chains = suppress_chains(g, cset, sorted(branch))
+    branch = tipset | {v for v in bits(cmask) if (g.mask(v) & cmask).bit_count() >= 3}
+    chains = suppress_chains(g, cmask, mask_of(branch))
     if chains is None:
         return None
     adj: dict[int, set[int]] = {b: set() for b in branch}

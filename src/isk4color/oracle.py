@@ -67,10 +67,8 @@ def _subdivision_witness(g: Graph, subset) -> Isk4Witness | None:
             return None
     if len(branch) != 4:
         return None
-    # connected inside the subset: remove everything outside it
-    if len(component_masks(g, ~vmask)) != 1:
-        return None
-    chains = suppress_chains(g, vs, branch)
+    # no connectivity sweep: six chains, one per branch pair, covering the rest connect vs
+    chains = suppress_chains(g, vmask, mask_of(branch))
     if chains is None or len(chains) != 6:
         return None
     if set(chains) != {tuple(p) for p in combinations(branch, 2)}:

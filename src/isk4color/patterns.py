@@ -220,9 +220,8 @@ def check_prism(g: Graph, vertices) -> dict | None:
     branch = sorted(v for v, d in degs.items() if d == 3)
     if len(branch) != 6 or any(d not in (2, 3) for d in degs.values()):
         return None
-    if len(component_masks(g, ~vmask)) != 1:
-        return None
-    chains = suppress_chains(g, vs, branch)
+    # no connectivity sweep: two triangles and a matching of chains covering the rest connect vs
+    chains = suppress_chains(g, vmask, mask_of(branch))
     if chains is None or len(chains) != 9:
         return None
     # the two triangles must consist of direct edges; the cross chains form a

@@ -172,6 +172,19 @@ def test_proper_2cutset_examples():
         find_proper_2cutset(Graph(3, [(0, 1)]))
 
 
+def test_proper_2cutset_rejects_cut_vertices():
+    # a cut vertex is a clique cutset, split before any proper 2-cutset
+    triangle_with_pendant = Graph(4, [(0, 1), (1, 2), (0, 2), (2, 3)])
+    two_squares = Graph(7, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 4), (4, 5), (5, 6), (6, 0)])
+    for g in (path_graph(3), path_graph(5), triangle_with_pendant, two_squares):
+        with pytest.raises(ValueError, match="cut vertex"):
+            find_proper_2cutset(g)
+
+
+def _has_cut_vertex(g):
+    return bool(_Blocks(g).cuts)
+
+
 def test_proper_2cutset_theta_has_none():
     from builders import theta_graph
 
@@ -179,9 +192,15 @@ def test_proper_2cutset_theta_has_none():
 
 
 def test_proper_2cutset_agrees_with_reference(connected_corpus_8):
-    found = 0
+    found, checked, rejected = 0, 0, 0
     for graphs in connected_corpus_8.values():
         for g in graphs:
+            if _has_cut_vertex(g):
+                rejected += 1
+                with pytest.raises(ValueError):
+                    find_proper_2cutset(g)
+                continue
+            checked += 1
             cut = find_proper_2cutset(g)
             ref = ref_proper_2cutset(g)
             if cut is None:
@@ -190,7 +209,7 @@ def test_proper_2cutset_agrees_with_reference(connected_corpus_8):
             found += 1
             assert (cut.a, cut.b) == ref, list(g.edges())
             assert ref_is_proper_2cutset(g, cut.a, cut.b, set(bits(cut.side_x)), set(bits(cut.side_y)))
-    assert found == 5226
+    assert (checked, rejected, found) == (7663, 4450, 1033)
 
 
 def _all_separation_pairs(g):
@@ -273,53 +292,8 @@ def test_separation_pairs_of_blocks_behind_cut_vertices():
                     expected[min(a, b), max(a, b)] = (len(comps), bare)
         assert _all_separation_pairs(g) == expected, list(g.edges())
         assert find_clique_cutset(g) == dfs_clique_cutset(g), list(g.edges())
-        assert find_proper_2cutset(g) == dfs_proper_2cutset(g), list(g.edges())
-
-
-def _with_pendant_paths(rng, n):
-    """n vertices: cycles, series-parallel pieces and edges hung off each
-    other at a shared vertex or by a bridge, then paths of 1-6 vertices hung
-    off random vertices until there are n, relabelled at random; half the
-    time the last path takes the lowest ids, from its leaf to its anchor."""
-    edges, k, path = [], 1, []
-    while k < 2 * n // 3:
-        piece = rng.choice([cycle_graph(rng.randint(3, 8)),
-                            _series_parallel(rng, rng.randint(4, 10)), Graph(2, [(0, 1)])])
-        ids = [rng.randrange(k)] + list(range(k, k + piece.n - 1))
-        if rng.random() < 0.5:  # a bridge instead of a shared vertex
-            ids = [k + piece.n - 1] + ids[1:]
-            edges.append((rng.randrange(k), ids[0]))
-        edges += [(ids[u], ids[v]) for u, v in piece.edges()]
-        k += len(ids) - (ids[0] < k)
-    while k < n:
-        path = [rng.randrange(k)] + list(range(k, min(n, k + rng.randint(1, 6))))
-        edges += zip(path, path[1:])
-        k += len(path) - 1
-    order = rng.sample(range(k), k)
-    if rng.random() < 0.5:
-        order = path[::-1] + [v for v in order if v not in path]
-    new = {v: i for i, v in enumerate(order)}
-    return Graph(k, [(new[u], new[v]) for u, v in edges])
-
-
-def test_proper_2cutset_leaf_rule_past_the_corpus():
-    # a leaf and a cut vertex two or more steps up its pendant path do not
-    # split properly; the mid-size graphs are 2-connected, so outside the
-    # graphs with at most 8 vertices only these reach such pairs, and in
-    # ``skipped`` of them such a pair comes before the first proper 2-cutset
-    rng = random.Random(16)
-    skipped = 0
-    for _ in range(400):
-        g = _with_pendant_paths(rng, rng.randint(20, 60))
-        cut = find_proper_2cutset(g)
-        assert 20 <= g.n <= 60 and cut == dfs_proper_2cutset(g), list(g.edges())
-        cuts = _Blocks(g).cuts
-        first = (cut.a, cut.b) if cut else (g.n, g.n)
-        skipped += any(
-            (cuts >> a | cuts >> b) & 1 and not g.has_edge(a, b)
-            for a in range(first[0] + 1) for b in range(a + 1, g.n) if (a, b) < first
-        )
-    assert skipped == 146, skipped
+        with pytest.raises(ValueError):  # two or more pieces: a cut vertex
+            find_proper_2cutset(g)
 
 
 def _series_parallel(rng, n):
@@ -458,16 +432,18 @@ def _detector_corpus(connected_corpus_8):
     return graphs
 
 
-# sha256 over the K33, K222 and proper 2-cutset answers: the lex-first
+# sha256 over the K33, K222 and proper 2-cutset answers (None on the graphs
+# with a cut vertex, which the 2-cutset search rejects): the lex-first
 # witness and the cutset sides of each detector must stay byte-identical
 # when its search is pruned
-_DETECTOR_DIGEST = "b66a3ba1720fcbbbc1d2ef5a4f478b15def3cbe47206e69a0ab19b6b23514b73"
+_DETECTOR_DIGEST = "37eb1ce9ff5cba228ac24266b23bee2ca657912e7268aa0a0d32dc00c226b22e"
 
 
 def test_detector_results_pinned(connected_corpus_8):
     records, hits = [], [0, 0, 0]
     for g in _detector_corpus(connected_corpus_8):
-        k33, k222, cut = find_k33(g), find_k222(g), find_proper_2cutset(g)
+        k33, k222 = find_k33(g), find_k222(g)
+        cut = None if _has_cut_vertex(g) else find_proper_2cutset(g)
         record = [
             None if k33 is None else k33.to_dict(),
             None if k222 is None else k222.to_dict(),
@@ -475,7 +451,7 @@ def test_detector_results_pinned(connected_corpus_8):
         ]
         hits = [h + (r is not None) for h, r in zip(hits, record)]
         records.append(record)
-    assert hits == [277, 306, 5388]
+    assert hits == [277, 306, 1072]
     payload = json.dumps(records, sort_keys=True)
     assert hashlib.sha256(payload.encode()).hexdigest() == _DETECTOR_DIGEST
 
@@ -571,7 +547,7 @@ def test_blocks_always_shrink(all_graphs_7):
 
     for n in range(4, 8):
         for g in all_graphs_7[n]:
-            if not is_connected(g):
+            if not is_connected(g) or _has_cut_vertex(g):
                 continue
             cut = find_proper_2cutset(g)
             if cut is None:
