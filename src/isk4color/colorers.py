@@ -18,6 +18,12 @@ the layer tables call ``_drive`` again, at most three deep.  The trace holds
 one entry per block, with the block's size and its parent entry, so it grows
 linearly with the number of blocks.
 
+Most blocks of a layered coloring are single vertices, the components of a
+layer.  Each table colors one vertex the same way every time, so ``_drive``
+records that once per table and replays it (``_one_vertex``): a one-vertex
+block costs a constant, runs no detector and builds no subgraph, and a
+rebound detector sees only the blocks of two or more vertices.
+
 Class assumptions are checked operationally along the way.  In strict mode
 the first failure raises ``ClassViolationError`` with a witness; in tolerant
 mode the offending piece falls back to a greedy coloring and the failure is
@@ -433,15 +439,26 @@ def _drive(g: Graph, ids, run: _Run, rules) -> Coloring:
 
     A rule is ``(detector, handler, *params)``.  The detector names a function
     of this module, looked up at call time so that rebinding the module
-    attribute (as a tracer does) reaches every call; None always applies.
-    The handler is called as ``handler(b, ids, run, witness, rules[i:])`` and
-    reads its params from its own rule, ``rules[0]`` (a fixed-arity call is
-    cheaper than ``*params`` on the many small blocks of the cutsets).  It
-    returns the block's coloring; a split ``(shared input ids, x, y)``, each
-    side a ``(block, ids, rules)``; or None, which passes on to the next rule.
-    X's subtree is colored first; Y's coloring is then renamed to agree with
-    X's on the cut (``_merge_blocks``), on input ids.
+    attribute (as a tracer does) reaches every call on a block of two or
+    more vertices; a one-vertex ``g`` replays its table's template
+    (``_one_vertex``) and runs no detector.  The handler is called as
+    ``handler(b, ids, run, witness, rules[i:])`` and reads its params from
+    its own rule, ``rules[0]`` (a fixed-arity call is cheaper than
+    ``*params`` on the many small blocks of the cutsets).  It returns the
+    block's coloring; a split ``(shared input ids, x, y)``, each side a
+    ``(block, ids, rules)``; or None, which passes on to the next rule.
+    X's subtree is colored first; Y's coloring is then renamed to agree
+    with X's on the cut (``_merge_blocks``), on input ids.  Each side of a
+    split holds a vertex of the cut and one of its side, so only ``g``
+    itself can have one vertex.
     """
+    if g.n == 1:
+        return _one_vertex(ids[0], run, rules)
+    return _decompose(g, ids, run, rules)
+
+
+def _decompose(g: Graph, ids, run: _Run, rules) -> Coloring:
+    """``_drive`` without the one-vertex replay."""
     outer = run.slot
     todo = [(g, ids, rules, outer)]  # blocks (graph, ids, rules, parent entry)
     done = []  # colorings of finished blocks, ({input id: color}, palette)
@@ -473,6 +490,41 @@ def _drive(g: Graph, ids, run: _Run, rules) -> Coloring:
     return Coloring(tuple(colors[v] for v in ids), palette)
 
 
+# What each rules table does on one vertex, recorded on first use:
+# id(table) -> (table, trace entries, coloring).  The entry holds its table,
+# so the id cannot be reused while the entry lives.
+_ONE_VERTEX_TEMPLATES: dict[int, tuple] = {}
+
+
+def _one_vertex(v: int, run: _Run, rules) -> Coloring:
+    """Color the one-vertex block of input id ``v`` as ``_decompose`` would.
+
+    Most blocks of a layered coloring are single vertices (the components
+    of a layer), and each of them takes the same rules to the same coloring
+    and the same trace entries.  So the first one for a table records them
+    on ``Graph(1)``, in a run of its own, and every block then appends a
+    copy of the entries with ``root``, the only vertex they name, set to
+    ``v`` and the parent indices moved into ``run``.  One vertex is in every
+    class, so no rule records a violation, and the template does not depend
+    on the mode of the run that recorded it.
+    """
+    template = _ONE_VERTEX_TEMPLATES.get(id(rules))
+    if template is None or template[0] is not rules:
+        rec = _Run(run.mode)
+        coloring = _decompose(Graph(1), (0,), rec, rules)
+        template = _ONE_VERTEX_TEMPLATES[id(rules)] = rules, rec.trace, coloring
+    _, entries, coloring = template
+    base = len(run.trace)
+    outer = run.slot
+    for entry in entries:
+        entry = {k: x[:] if type(x) is list else x for k, x in entry.items()}
+        entry["root"] = v
+        parent = entry["parent"]
+        entry["parent"] = outer if parent is None else base + parent
+        run.trace.append(entry)
+    return coloring
+
+
 def _per_component(g: Graph, ids, run: _Run, rules) -> Coloring:
     comps = component_masks(g)
     if len(comps) == 1:
@@ -482,8 +534,12 @@ def _per_component(g: Graph, ids, run: _Run, rules) -> Coloring:
     assign = [-1] * g.n
     palette = 0
     for comp in comps:
-        sub, sub_ids = induced_subgraph(g, comp)
-        c = _drive(sub, _map_ids(ids, sub_ids), run, rules)
+        if comp & (comp - 1):
+            sub, sub_ids = induced_subgraph(g, comp)
+            c = _drive(sub, _map_ids(ids, sub_ids), run, rules)
+        else:  # one vertex: no subgraph to build
+            sub_ids = (comp.bit_length() - 1,)
+            c = _one_vertex(ids[sub_ids[0]], run, rules)
         for k, v in enumerate(sub_ids):
             assign[v] = c.assignment[k]
         palette = max(palette, c.palette_size)

@@ -21,7 +21,11 @@ those of a sweep over every candidate.  Apart from the sweeps of the
 cut-vertex cliques and the triangles that a degree bound lets through,
 each search is O(n + m).  The colorers ask both searches about the same
 block in turn, so the second reuses the DFS and the SPQR trees of the
-first.
+first.  A graph with fewer than ``_SWEEP_BELOW`` vertices builds no SPQR
+tree: there one component sweep per candidate costs less than the tree,
+so the clique search sweeps each edge that passes its degree bound, and
+the 2-cutset search each non-adjacent pair, in the same order and with the
+same rule, and each stops at the same winner.
 
 A cutset's sides are vertex masks of g.  Both kinds of cutset give two
 blocks, each missing a non-empty side of the cut, so every block is
@@ -516,9 +520,9 @@ def _spqr_pairs(adj, tree, ids, host_deg, pairs: dict, cycles: list) -> None:
 
 
 class _Blocks:
-    """The cut vertices of a connected graph from one ``_low_points`` DFS,
-    and on demand the separation pairs of its blocks.  ``separations`` also
-    fills ``deg``, the degree of each vertex.
+    """The degree of each vertex (``deg``) and the cut vertices (``cuts``)
+    of a connected graph, from one ``_low_points`` DFS, and on demand the
+    separation pairs of its blocks.
 
     Raises ValueError when the graph is not connected.
     """
@@ -531,7 +535,7 @@ class _Blocks:
         if len(self.tree[0]) < g.n:
             raise ValueError("input must be connected")
         self.cuts = self.tree[6]
-        self.deg = None
+        self.deg = [mask.bit_count() for mask in g._adj]
         self._separations = None
 
     def separations(self) -> tuple[dict, list]:
@@ -562,7 +566,6 @@ class _Blocks:
         g = self.g
         n = g.n
         order, num, parent, low1, low2, nd, _ = self.tree
-        self.deg = [mask.bit_count() for mask in g._adj]
         pairs: dict[tuple[int, int], tuple[int, int]] = {}
         cycles: list[list[int]] = []
         block = [-1] * n  # block of the tree edge into each non-root vertex
@@ -613,6 +616,17 @@ class _Blocks:
 # graph with another's blocks, and it keeps one graph alive at most.
 _last_blocks: tuple = (None, None)
 
+# Graphs with fewer vertices sweep their candidates one by one and build no
+# SPQR tree.  The crossover, measured on cutset-free atoms, where the sweeps
+# try every candidate (their worst case): both searches on a cubic prism,
+# Moebius ladder or line graph of a subdivided K4 take 55-65 us by sweeping
+# against 75-95 us with the tree at 8 vertices, 86 against 94 at 9, 90-100
+# against 88-99 at 10, and 131-161 against 100-105 at 11 and 12.  On
+# series-parallel blocks of 8 to 12 vertices, where the sweep stops at its
+# first hit, it takes 10-24 us against 76-131.  Best of 5 x 300 calls with
+# ``time.process_time``, CPython 3.11, 2-CPU x86-64 machine.
+_SWEEP_BELOW = 10
+
 
 def _blocks_of(g: Graph) -> _Blocks:
     global _last_blocks
@@ -636,7 +650,9 @@ def find_clique_cutset(g: Graph) -> CliqueCutset | None:
       of its block B.  With neither end a cut vertex, g - {a, b} is
       disconnected exactly when B - {a, b} is, that is, when ab is the
       real edge of a P-node of B's SPQR tree (``_Blocks.separations``,
-      built when the walk first reaches such an edge);
+      built when the walk first reaches such an edge).  A graph with fewer
+      than ``_SWEEP_BELOW`` vertices sweeps every such edge instead and
+      builds no tree;
     - a triangle whose vertices have at least four edges leaving it,
       sum(deg v - 2) >= 4.
     Every other clique leaves g connected.  For a clique K of two or three
@@ -649,26 +665,29 @@ def find_clique_cutset(g: Graph) -> CliqueCutset | None:
     So the first clique and its sides are those of a sweep over all
     cliques.  Cost: O(n + m) for the DFS and for the SPQR trees, one step
     per clique for the walk, and one component sweep for each cut-vertex
-    clique and triangle that passes and for the winner.  The walk stops at
-    the first cut vertex on a path or tree, and on a cycle no edge passes
-    the degree bound, so neither builds an SPQR tree.
+    clique and triangle that passes and for the winner; below
+    ``_SWEEP_BELOW`` vertices, one sweep per edge that passes the degree
+    bound too.  The walk stops at the first cut vertex on a path or tree,
+    and on a cycle no edge passes the degree bound, so neither builds an
+    SPQR tree.
     """
     blocks = _blocks_of(g)
-    cuts = blocks.cuts
+    cuts, deg = blocks.cuts, blocks.deg
     k4 = find_k4(g)
     if k4 is not None:
         raise ValueError(f"input contains a K4 {k4}; clique cutsets may exceed size 3")
+    spqr = g.n >= _SWEEP_BELOW
     for clique in _cliques_lex(g):
         removed = mask_of(clique)
         if not removed & cuts:
             if len(clique) == 1:
                 continue
             if len(clique) == 2:
-                if g.degree(clique[0]) < 3 or g.degree(clique[1]) < 3:
+                if deg[clique[0]] < 3 or deg[clique[1]] < 3:
                     continue
-                if clique not in blocks.separations()[0]:
+                if spqr and clique not in blocks.separations()[0]:
                     continue
-            elif sum(g.degree(v) - 2 for v in clique) < 4:
+            elif sum(deg[v] - 2 for v in clique) < 4:
                 continue
         comps = component_masks(g, removed)
         if len(comps) >= 2:
@@ -726,11 +745,11 @@ def find_proper_2cutset(g: Graph) -> Proper2Cutset | None:
 
     Only a single component can form an a-b path, and it does exactly when
     all of it has degree 2 in g and it touches both a and b (a bare path).
-    So two components split when neither is bare, three when one is not
-    bare and goes alone, and four or more always split.  The first side is
-    the first component that is not bare, or else the first two components.
-    One mask of the degree-2 vertices serves that test and the exit on
-    cycles.
+    With no cut vertex every component touches both.  So two components
+    split when neither is bare, three when one is not bare and goes alone,
+    and four or more always split.  The first side is the first component
+    that is not bare, or else the first two components.  One mask of the
+    degree-2 vertices serves that test and the exit on cycles.
 
     The candidates are the separation pairs of g, from its SPQR tree
     (``_Blocks.separations``): the ends of a virtual edge with the number of
@@ -740,16 +759,21 @@ def find_proper_2cutset(g: Graph) -> Proper2Cutset | None:
     a sweep over all non-adjacent pairs.  Cost: O(n + m) for the DFS, the
     SPQR tree and the candidates, plus that sweep; the DFS and the tree are
     those of ``find_clique_cutset`` when it was asked about g just before.
-    Cliques and graphs with fewer than four vertices (no non-adjacent pair
-    splits) and cycles (every component is a bare path) build no SPQR tree.
+    A graph with fewer than ``_SWEEP_BELOW`` vertices builds no tree: it
+    sweeps the non-adjacent pairs in lex order and stops at the first that
+    splits, one O(n + m) sweep per pair.  Cliques and graphs with fewer than
+    four vertices (no non-adjacent pair splits) and cycles (every component
+    is a bare path) sweep nothing.
     """
     blocks = _blocks_of(g)
     if blocks.cuts:
         raise ValueError("input has a cut vertex; split it on a clique cutset first")
-    n = g.n
-    deg2 = mask_of(v for v in range(n) if g.degree(v) == 2)
+    n, deg = g.n, blocks.deg
+    deg2 = mask_of(v for v in range(n) if deg[v] == 2)
     if n < 4 or g.m == n * (n - 1) // 2 or deg2 == (1 << n) - 1:
         return None
+    if n < _SWEEP_BELOW:
+        return _swept_2cutset(g, deg2)
     pairs, cycles = blocks.separations()
     best = None
     for (a, b), (comps, bare) in pairs.items():
@@ -760,19 +784,39 @@ def find_proper_2cutset(g: Graph) -> Proper2Cutset | None:
         ):
             best = a, b
     for cycle in cycles:
-        pair = _cycle_pair(cycle, blocks.deg)
+        pair = _cycle_pair(cycle, deg)
         if pair is not None and (best is None or pair < best):
             best = pair
     if best is None:
         return None
     a, b = best
+    return _proper_split(g, a, b, component_masks(g, (1 << a) | (1 << b)), deg2)
+
+
+def _swept_2cutset(g: Graph, deg2: int) -> Proper2Cutset | None:
+    """``find_proper_2cutset`` by one component sweep per non-adjacent pair,
+    in lex order, with the same rule on the components and bare ones."""
+    full = (1 << g.n) - 1
+    for a in range(g.n):
+        for b in bits(full & ~g.mask(a) & ~((2 << a) - 1)):
+            comps = component_masks(g, (1 << a) | (1 << b))
+            k = len(comps)
+            if k < 2:
+                continue
+            bare = sum(not c & ~deg2 for c in comps)  # each touches a and b
+            if k == 2 and bare or k == 3 and bare == 3:
+                continue
+            return _proper_split(g, a, b, comps, deg2)
+    return None
+
+
+def _proper_split(g: Graph, a: int, b: int, comps: list[int], deg2: int) -> Proper2Cutset:
+    """The sides of the proper 2-cutset {a, b}, given the components of
+    g - {a, b}: the first component that is no bare path, or else the first
+    two components, against the rest."""
     ab = (1 << a) | (1 << b)
-    comps = component_masks(g, ab)
-    xm = next(
-        (c for c in comps if c & ~deg2 or not g.mask(a) & c or not g.mask(b) & c),
-        comps[0] | comps[1],
-    )
-    return Proper2Cutset(a, b, xm, ((1 << n) - 1) & ~ab & ~xm)
+    xm = next((c for c in comps if c & ~deg2), comps[0] | comps[1])
+    return Proper2Cutset(a, b, xm, ((1 << g.n) - 1) & ~ab & ~xm)
 
 
 # ---------------------------------------------------------------------------

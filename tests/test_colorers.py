@@ -46,6 +46,7 @@ from builders import (
     petersen,
     rich_square_graph,
     ring_of_beads,
+    star_graph,
     theta_graph,
 )
 from reference import ref_edge_chromatic
@@ -516,3 +517,61 @@ def test_trace_grows_linearly_on_paths():
     # an entry holds its block's size, not its vertex list
     size = {n: len(json.dumps(color_triangle_free(path_graph(n)).to_dict())) for n in (400, 800)}
     assert size[800] < 2.2 * size[400]
+
+
+def test_one_vertex_blocks_cost_a_constant(monkeypatch):
+    # the leaves of a star are one layer of one-vertex components; once its
+    # table's template exists, none of them layers or builds a subgraph
+    from isk4color import colorers
+
+    calls = {"bfs_layering": 0, "induced_subgraph": 0}
+
+    def counting(name):
+        fn = getattr(colorers, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(colorers, name, counting(name))
+    for colorer in (color_c3, color_c2):
+        colorer(star_graph(2))  # records the templates
+        counts = []
+        for k in (25, 50):
+            for name in calls:
+                calls[name] = 0
+            result = colorer(star_graph(k))
+            assert is_proper_coloring(star_graph(k), result.coloring)
+            assert {e["root"] for e in result.trace[1:]} == set(range(k + 1))
+            counts.append(dict(calls))
+        assert counts[0] == counts[1], counts
+
+
+def test_one_vertex_template_does_not_depend_on_the_recording_mode(monkeypatch):
+    # each table's template is recorded by the first call that reaches a
+    # one-vertex block, strict or tolerant; what later calls of the other
+    # mode replay must be the same
+    from isk4color import colorers
+
+    graphs = [star_graph(4), path_graph(7), theta_graph(3, 4, 5),
+              disjoint_union(cycle_graph(9), empty_graph(1)),
+              disjoint_union(complete_graph(4), empty_graph(2))]
+    colorer_fns = (color_general, color_triangle_free, color_c3, color_c2, color_c1)
+
+    def payloads(first, then):
+        monkeypatch.setattr(colorers, "_ONE_VERTEX_TEMPLATES", {})
+        out = []
+        for mode in (first, then):
+            for colorer in colorer_fns:
+                for g in graphs:
+                    try:
+                        out.append((mode, colorer(g, mode).to_dict()))
+                    except ClassViolationError as exc:
+                        out.append((mode, exc.violation.to_dict()))
+            if mode == first:
+                assert len(colorers._ONE_VERTEX_TEMPLATES) == 5
+        return sorted(out, key=lambda p: p[0])
+
+    assert payloads("strict", "tolerant") == payloads("tolerant", "strict")

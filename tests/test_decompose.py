@@ -2,6 +2,7 @@ import hashlib
 import json
 import random
 from collections import Counter
+from itertools import combinations
 
 import pytest
 
@@ -17,6 +18,7 @@ from isk4color.graph import (
     is_proper_coloring,
     mask_of,
 )
+from isk4color import decompose
 from isk4color.families import path_graph
 from isk4color.decompose import (
     Proper2Cutset,
@@ -110,14 +112,18 @@ def _clique_cutset_corpus(connected_corpus_8):
     return [g for g in graphs if find_k4(g) is None]
 
 
-def test_clique_cutset_agrees_with_reference(connected_corpus_8):
+@pytest.fixture(scope="module")
+def clique_cutset_cases(connected_corpus_8):
+    return [(g, ref_clique_cutset(g)) for g in _clique_cutset_corpus(connected_corpus_8)]
+
+
+def _check_clique_cutsets(cases):
     # the lex-first clique and both sides equal the brute-force answer;
     # edges and triangles that split a 2-connected graph are the cliques
     # the degree rule has to let through
     found, two_connected = 0, {2: 0, 3: 0}
-    for g in _clique_cutset_corpus(connected_corpus_8):
+    for g, ref in cases:
         cut = find_clique_cutset(g)
-        ref = ref_clique_cutset(g)
         if cut is None:
             assert ref is None, list(g.edges())
             continue
@@ -128,6 +134,16 @@ def test_clique_cutset_agrees_with_reference(connected_corpus_8):
         ):
             two_connected[len(cut.clique)] += 1
     assert found == 4827 and two_connected == {2: 824, 3: 1117}
+
+
+def test_clique_cutset_agrees_with_reference(clique_cutset_cases):
+    _check_clique_cutsets(clique_cutset_cases)
+
+
+def test_clique_cutset_agrees_with_reference_on_spqr_path(clique_cutset_cases, monkeypatch):
+    # every graph of the corpus reads its candidate edges off SPQR trees
+    monkeypatch.setattr(decompose, "_SWEEP_BELOW", 0)
+    _check_clique_cutsets(clique_cutset_cases)
 
 
 def _tough_triangle_free(g):
@@ -191,25 +207,70 @@ def test_proper_2cutset_theta_has_none():
     assert find_proper_2cutset(theta_graph(2, 2, 2)) is None
 
 
-def test_proper_2cutset_agrees_with_reference(connected_corpus_8):
+@pytest.fixture(scope="module")
+def proper_2cutset_cases(connected_corpus_8):
+    """Each connected graph with n <= 8 and its brute-force answer, None for
+    the graphs with a cut vertex, which the search rejects."""
+    return [
+        (g, None if _has_cut_vertex(g) else ref_proper_2cutset(g))
+        for graphs in connected_corpus_8.values()
+        for g in graphs
+    ]
+
+
+def _check_proper_2cutsets(cases):
     found, checked, rejected = 0, 0, 0
-    for graphs in connected_corpus_8.values():
-        for g in graphs:
-            if _has_cut_vertex(g):
-                rejected += 1
-                with pytest.raises(ValueError):
-                    find_proper_2cutset(g)
-                continue
-            checked += 1
-            cut = find_proper_2cutset(g)
-            ref = ref_proper_2cutset(g)
-            if cut is None:
-                assert ref is None, list(g.edges())
-                continue
-            found += 1
-            assert (cut.a, cut.b) == ref, list(g.edges())
-            assert ref_is_proper_2cutset(g, cut.a, cut.b, set(bits(cut.side_x)), set(bits(cut.side_y)))
+    for g, ref in cases:
+        if _has_cut_vertex(g):
+            rejected += 1
+            with pytest.raises(ValueError):
+                find_proper_2cutset(g)
+            continue
+        checked += 1
+        cut = find_proper_2cutset(g)
+        if cut is None:
+            assert ref is None, list(g.edges())
+            continue
+        found += 1
+        assert (cut.a, cut.b) == ref, list(g.edges())
+        assert ref_is_proper_2cutset(g, cut.a, cut.b, set(bits(cut.side_x)), set(bits(cut.side_y)))
     assert (checked, rejected, found) == (7663, 4450, 1033)
+
+
+def test_proper_2cutset_agrees_with_reference(proper_2cutset_cases):
+    _check_proper_2cutsets(proper_2cutset_cases)
+
+
+def test_proper_2cutset_agrees_with_reference_on_spqr_path(proper_2cutset_cases, monkeypatch):
+    # every graph of the corpus reads its candidate pairs off its SPQR tree
+    monkeypatch.setattr(decompose, "_SWEEP_BELOW", 0)
+    _check_proper_2cutsets(proper_2cutset_cases)
+
+
+def test_cutset_searches_agree_across_the_sweep_threshold():
+    # blocks just below, at and just above the size where the searches stop
+    # sweeping and build SPQR trees: cutset-free line graphs, where the
+    # sweep tries every candidate, and series-parallel blocks, which split
+    rng = random.Random(7)
+    sizes = [decompose._SWEEP_BELOW + d for d in (-1, 0, 1)]
+    atoms, blocks = [], []
+    for n in sizes:
+        for first in range(6):  # K4 with n - 6 subdivisions, from edge ``first`` on
+            edges = list(combinations(range(4), 2))
+            times = Counter(edges[(first + i) % 6] for i in range(n - 6))
+            atoms.append(line_graph(subdivided_complete(4, dict(times))))
+        blocks += [_series_parallel(rng, n) for _ in range(20)]
+    assert sorted({g.n for g in atoms}) == sorted({g.n for g in blocks}) == sizes
+    for g in atoms:
+        assert find_clique_cutset(g) is dfs_clique_cutset(g) is None, list(g.edges())
+        assert find_proper_2cutset(g) is dfs_proper_2cutset(g) is None, list(g.edges())
+    hits = [0, 0]
+    for g in blocks:
+        cut, cut2 = find_clique_cutset(g), find_proper_2cutset(g)
+        assert cut == dfs_clique_cutset(g) and cut2 == dfs_proper_2cutset(g), list(g.edges())
+        hits[0] += cut is not None
+        hits[1] += cut2 is not None
+    assert hits[0] > 0 and hits[1] > 0, hits
 
 
 def _all_separation_pairs(g):
