@@ -610,14 +610,18 @@ def _structured(g, ids, run, trigger, rules) -> Coloring:
 def _layered(g: Graph, ids, run: _Run, _witness, rules) -> Coloring:
     """Layer a connected graph from its lowest vertex and color each layer
     with ``color_layer(layer, ids, run, layer_rules)``, combining odd and
-    even palettes."""
+    even palettes.  A one-vertex layer that ``_per_component`` would color
+    goes straight to ``_one_vertex``, where that call ends."""
     rule, color_layer, layer_rules = rules[0][2:]
     layers = bfs_layering(g, 0)
     per_layer = []
     layer_palettes = []
     for layer in layers:
-        sub, sub_ids = induced_subgraph(g, layer)
-        per_layer.append(color_layer(sub, _map_ids(ids, sub_ids), run, layer_rules))
+        if color_layer is _per_component and not layer & (layer - 1):
+            per_layer.append(_one_vertex(ids[layer.bit_length() - 1], run, layer_rules))
+        else:
+            sub, sub_ids = induced_subgraph(g, layer)
+            per_layer.append(color_layer(sub, _map_ids(ids, sub_ids), run, layer_rules))
         layer_palettes.append(per_layer[-1].palette_size)
     combined = combine_layer_colorings(g, layers, per_layer)
     run.note(

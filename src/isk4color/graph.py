@@ -300,9 +300,13 @@ def greedy_coloring(g: Graph, order: Iterable[int] | None = None) -> Coloring:
 def component_masks(g: Graph, removed: int = 0) -> list[int]:
     """Vertex masks of the components of g minus the ``removed`` mask,
     ordered by lowest vertex."""
-    adj = g._adj
+    return _components(g._adj, ((1 << g.n) - 1) & ~removed)
+
+
+def _components(adj, left: int) -> list[int]:
+    """``component_masks`` on neighbour masks ``adj``, of the vertices in
+    the mask ``left``."""
     comps = []
-    left = ((1 << g.n) - 1) & ~removed
     while left:
         comp = left & -left
         frontier = comp

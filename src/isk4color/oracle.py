@@ -15,10 +15,10 @@ from typing import Callable, Iterable, Iterator
 
 from .graph import (
     Graph,
+    _components,
     bfs_layering,
     bits,
     chordless_order,
-    component_masks,
     find_cycle,
     greedy_coloring,
     induced_subgraph,
@@ -77,9 +77,16 @@ def _subdivision_witness(g: Graph, subset) -> Isk4Witness | None:
     return Isk4Witness(frozenset(vs), tuple(branch), paths)
 
 
-def contains_isk4(g: Graph, *, limit: int | None = SUBSET_SWEEP_CAP) -> Isk4Witness | None:
+def contains_isk4(
+    g: Graph,
+    *,
+    limit: int | None = SUBSET_SWEEP_CAP,
+    through: int | None = None,
+) -> Isk4Witness | None:
     """Sweep vertex subsets in increasing size for an induced subdivision of
-    K4; witnesses are therefore minimum-size.  ``limit=None`` lifts the cap."""
+    K4; witnesses are therefore minimum-size.  ``through`` restricts the
+    sweep to the subsets that contain that vertex.  ``limit=None`` lifts the
+    cap."""
     if limit is not None and g.n > limit:
         raise SizeLimitError(f"n={g.n} exceeds the subset-sweep cap {limit} (pass limit=None to override)")
     if g.m < 6:
@@ -90,9 +97,15 @@ def contains_isk4(g: Graph, *, limit: int | None = SUBSET_SWEEP_CAP) -> Isk4Witn
     cmask = mask_of(core)
     if sum(1 for v in core if (g.mask(v) & cmask).bit_count() >= 3) < 4:
         return None
-    for size in range(4, len(core) + 1):
+    fixed: tuple[int, ...] = ()
+    if through is not None:
+        if not cmask >> through & 1:
+            return None
+        fixed = (through,)
+        core.remove(through)
+    for size in range(4 - len(fixed), len(core) + 1):
         for subset in combinations(core, size):
-            w = _subdivision_witness(g, subset)
+            w = _subdivision_witness(g, subset + fixed)
             if w is not None:
                 return w
     return None
@@ -283,14 +296,29 @@ _EXTENSION_FILTERS: dict[str, Callable] = {
 HEREDITARY_CLASSES = tuple(_EXTENSION_FILTERS)
 
 
-def _outranked(masks: list[int], degree: int, connected: bool) -> bool:
+def _outranked(masks: list[int], connected: bool) -> bool:
     """Whether some vertex that could be deleted (any vertex, or any non-cut
-    vertex when ``connected``) has degree above ``degree``."""
-    child = Graph.from_masks(masks)
-    return any(
-        m.bit_count() > degree and (not connected or len(component_masks(child, 1 << v)) == 1)
-        for v, m in enumerate(masks)
-    )
+    vertex when ``connected``) beats the new, last vertex w by the key
+    (degree, sum of neighbour degrees)."""
+    deg = [m.bit_count() for m in masks]
+    w = len(masks) - 1
+    dw = deg[w]
+    full = (1 << len(masks)) - 1
+    ties = []
+    for v in range(w):
+        if deg[v] > dw:
+            if not connected or len(_components(masks, full ^ 1 << v)) == 1:
+                return True
+        elif deg[v] == dw:
+            ties.append(v)
+    if ties:
+        sw = sum(deg[u] for u in bits(masks[w]))
+        for v in ties:
+            if sum(deg[u] for u in bits(masks[v])) > sw and (
+                not connected or len(_components(masks, full ^ 1 << v)) == 1
+            ):
+                return True
+    return False
 
 
 def enumerate_graphs(
@@ -309,22 +337,25 @@ def enumerate_graphs(
     vertex leaves the class are dropped before anything else.
 
     Acceptance rule: an extension is canonicalised only when no deletable
-    vertex has a strictly higher degree than the new vertex.  Deletable means
-    any vertex, or any non-cut vertex when ``connected``; the new vertex of a
-    connected extension is never a cut vertex, since its parent is connected.
-    Completeness: let w be a deletable vertex of maximum degree in a graph G
-    of the class.  G - w is connected when G is (w is not a cut vertex) and
+    vertex beats the new vertex by the key (degree, sum of neighbour
+    degrees), compared lexicographically.  Deletable means any vertex, or
+    any non-cut vertex when ``connected``; the new vertex of a connected
+    extension is never a cut vertex, since its parent is connected.
+    Completeness: let w be a deletable vertex of maximum key in a graph G of
+    the class.  G - w is connected when G is (w is not a cut vertex) and
     lies in the hereditary class, so its class was kept one level down, and
-    extending that representative by w's neighbourhood gives a copy of G whose
-    new vertex no deletable vertex outranks.  Degree and cut-vertex status are
-    isomorphism invariants, so the rule never depends on the labeling.  Ties
-    and automorphic extensions still reach the same class more than once; the
+    extending that representative by w's neighbourhood gives a copy of G
+    whose new vertex no deletable vertex beats.  The argument holds for any
+    isomorphism-invariant key, and the key and cut-vertex status are both
+    invariant, so the rule never depends on the labeling.  Ties and
+    automorphic extensions still reach the same class more than once; the
     canonical form removes those duplicates.
 
     Cost: one canonical labeling per accepted extension.  Every extension
-    also pays a degree scan and, when ``connected``, one connectivity sweep
-    per outranking vertex up to the first that is not a cut vertex.  At
-    n = 8 connected, 26,497 of the 116,146 extensions are canonicalised.
+    also pays a degree scan, a neighbour-degree sum when a vertex ties the
+    new one on degree and, when ``connected``, one connectivity sweep per
+    outranking vertex up to the first that is not a cut vertex.  At n = 8
+    connected, 19,473 of the 116,146 extensions are canonicalised.
     """
     graphs: Iterator[Graph] = iter(())
     for graphs in _levels(n, connected=connected, hereditary=hereditary):
@@ -337,9 +368,21 @@ def _levels(
     *,
     connected: bool = False,
     hereditary: str | None = None,
-) -> Iterator[Iterator[Graph]]:
+    isk4_through: Callable[[Graph, int], bool] | None = None,
+) -> Iterator[Iterator]:
     """The orders 1..n of ``enumerate_graphs`` in turn, each grown from the
-    one before: for each order, its graphs in sorted canonical order."""
+    one before: for each order, its graphs in sorted canonical order.
+
+    With ``isk4_through``, each order yields ``(graph, holds)`` pairs
+    instead, where ``holds`` tells whether the graph contains an induced
+    subdivision of K4.  The verdict is inherited: an induced subgraph of an
+    ISK4-free graph is ISK4-free, so a class reached from any parent that
+    holds an ISK4 holds one too.  A class whose parents are all ISK4-free
+    holds one exactly when its stored labeling, whose last vertex w is the
+    one added to a parent, has one through w; ``isk4_through(graph, w)``
+    decides that.  Only the rows of the classes that hold an ISK4 are kept,
+    for the current order and the next.
+    """
     if n > ENUMERATION_CAP:
         raise SizeLimitError(f"enumeration is capped at n={ENUMERATION_CAP}")
     if hereditary is not None and hereditary not in _EXTENSION_FILTERS:
@@ -350,23 +393,36 @@ def _levels(
         return
     keep = _EXTENSION_FILTERS.get(hereditary)
     level = {(0,): (0,)}  # canonical rows -> masks
-    yield map(_graph_from_rows, sorted(level))
-    for size in range(2, n + 1):
-        nxt: dict[tuple[int, ...], tuple[int, ...]] = {}
-        lo = 1 if connected else 0
-        for masks in level.values():
-            for new_mask in range(lo, 1 << (size - 1)):
-                if keep is not None and not keep(masks, new_mask):
-                    continue
-                grown = [m | ((new_mask >> v & 1) << (size - 1)) for v, m in enumerate(masks)]
-                grown.append(new_mask)
-                if _outranked(grown, new_mask.bit_count(), connected):
-                    continue
-                rows = _min_encoding(tuple(grown))
-                if rows not in nxt:
-                    nxt[rows] = tuple(grown)
-        level = nxt
-        yield map(_graph_from_rows, sorted(level))
+    held: set[tuple[int, ...]] = set()  # rows of the level's classes with an ISK4
+    for size in range(1, n + 1):
+        if size > 1:
+            nxt: dict[tuple[int, ...], tuple[int, ...]] = {}
+            inherited: set[tuple[int, ...]] = set()
+            lo = 1 if connected else 0
+            for parent, masks in level.items():
+                parent_holds = parent in held
+                for new_mask in range(lo, 1 << (size - 1)):
+                    if keep is not None and not keep(masks, new_mask):
+                        continue
+                    grown = [m | ((new_mask >> v & 1) << (size - 1)) for v, m in enumerate(masks)]
+                    grown.append(new_mask)
+                    if _outranked(grown, connected):
+                        continue
+                    rows = _min_encoding(tuple(grown))
+                    if rows not in nxt:
+                        nxt[rows] = tuple(grown)
+                    if parent_holds:
+                        inherited.add(rows)
+            level, held = nxt, inherited
+        order = sorted(level)
+        if isk4_through is None:
+            yield map(_graph_from_rows, order)
+        else:
+            held |= {
+                rows for rows, masks in level.items()
+                if rows not in held and isk4_through(Graph.from_masks(masks), size - 1)
+            }
+            yield zip(map(_graph_from_rows, order), map(held.__contains__, order))
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
-from itertools import combinations
+from itertools import combinations, repeat
 
 from .colorers import (
     ClassViolationError,
@@ -59,6 +59,8 @@ EXTREMAL_KEEP = 10
 RANDOM_N_MAX = 30
 RANDOM_PAIR_CAP = 3
 
+# run_suite decides the hereditary classes and ``isk4-free`` while it
+# enumerates; their entries name them and say what they mean
 FILTERS = {
     "triangle-free": lambda g: find_triangle(g) is None,
     "girth5": lambda g: girth(g) >= 5,
@@ -69,6 +71,11 @@ FILTERS = {
     "wheel-free": lambda g: find_wheel(g) is None,
     "isk4-free": lambda g: contains_isk4(g) is None,
 }
+
+
+def _isk4_through(g: Graph, w: int) -> bool:
+    # reads the module attribute at call time, so a rebinding reaches it
+    return contains_isk4(g, through=w) is not None
 
 
 @dataclass
@@ -449,10 +456,13 @@ def run_suite(
 
     The graphs come from one pass of ``oracle._levels``, each order grown
     from the one before and pruned by the strictest hereditary class among
-    the filters, which implies the others; the other filters run on each
-    graph.  ``seed`` only drives the ``random_graphs`` random graphs of
-    ``upstairs``.  Workers only parallelize the per-graph checks; aggregation
-    order is the enumeration order.  ``jobs`` is clamped to the CPU count.
+    the filters, which implies the others.  The ``isk4-free`` verdict comes
+    from the enumeration too: a graph inherits it from its parent, or, when
+    the parent is ISK4-free, from one ``contains_isk4`` sweep through the
+    new vertex (``_isk4_through``).  The other filters run on each graph.
+    ``seed`` only drives the ``random_graphs`` random graphs of ``upstairs``.
+    Workers only parallelize the per-graph checks; aggregation order is the
+    enumeration order.  ``jobs`` is clamped to the CPU count.
     """
     spec = resolve_suite(suite)
     t0 = time.monotonic()
@@ -461,7 +471,10 @@ def run_suite(
         if f not in FILTERS:
             raise ValueError(f"unknown filter {f!r}; known: {', '.join(FILTERS)}")
     hereditary = next((c for c in HEREDITARY_CLASSES if c in filters), None)
-    runtime = [f for f in FILTERS if f in filters and f not in HEREDITARY_CLASSES]
+    inherited = "isk4-free" in filters
+    runtime = [f for f in FILTERS if f in filters and f not in HEREDITARY_CLASSES + ("isk4-free",)]
+    levels = _levels(n_max, connected=connected, hereditary=hereditary,
+                     isk4_through=_isk4_through if inherited else None)
 
     by_n: dict[str, dict] = {}
     violations: list[dict] = []
@@ -474,12 +487,12 @@ def run_suite(
     jobs = min(jobs, os.cpu_count() or 1)
     pool = ProcessPoolExecutor(max_workers=jobs) if jobs > 1 else None
     try:
-        for n, source in enumerate(_levels(n_max, connected=connected, hereditary=hereditary), 1):
+        for n, source in enumerate(levels, 1):
             enumerated = 0
             graphs = []
-            for g in source:
+            for g, holds in source if inherited else zip(source, repeat(False)):
                 enumerated += 1
-                if all(FILTERS[f](g) for f in runtime):
+                if not holds and all(FILTERS[f](g) for f in runtime):
                     graphs.append(g)
             if pool is None or len(graphs) < 4:
                 records = map(spec.check, graphs)

@@ -2,12 +2,30 @@ import pytest
 
 from isk4color.oracle import _levels, contains_isk4, enumerate_graphs
 from isk4color.patterns import find_k33, find_triangle
+from isk4color.suites import _isk4_through
 
 
 @pytest.fixture(scope="session")
-def all_graphs_7():
+def all_levels_7():
+    """Every graph up to isomorphism with 1..7 vertices (connected or not),
+    each paired with the ISK4 verdict the enumeration inherits."""
+    return {n: list(pairs) for n, pairs in enumerate(_levels(7, isk4_through=_isk4_through), 1)}
+
+
+@pytest.fixture(scope="session")
+def all_graphs_7(all_levels_7):
     """Every graph up to isomorphism with 1..7 vertices (connected or not)."""
-    return {n: list(graphs) for n, graphs in enumerate(_levels(7), 1)}
+    return {n: [g for g, _ in pairs] for n, pairs in all_levels_7.items()}
+
+
+@pytest.fixture(scope="session")
+def isk4_free_7(all_graphs_7):
+    """The graphs of ``all_graphs_7`` that the full subset sweep finds
+    ISK4-free."""
+    return {
+        n: [g for g in graphs if contains_isk4(g) is None]
+        for n, graphs in all_graphs_7.items()
+    }
 
 
 @pytest.fixture(scope="session")
@@ -17,10 +35,17 @@ def all_graphs_of_order_8():
 
 
 @pytest.fixture(scope="session")
-def connected_corpus_8():
+def connected_levels_8():
     """Every connected graph up to isomorphism with 1..8 vertices, from one
-    pass of the enumeration."""
-    return {n: list(graphs) for n, graphs in enumerate(_levels(8, connected=True), 1)}
+    pass of the enumeration, each paired with its inherited ISK4 verdict."""
+    levels = _levels(8, connected=True, isk4_through=_isk4_through)
+    return {n: list(pairs) for n, pairs in enumerate(levels, 1)}
+
+
+@pytest.fixture(scope="session")
+def connected_corpus_8(connected_levels_8):
+    """Every connected graph up to isomorphism with 1..8 vertices."""
+    return {n: [g for g, _ in pairs] for n, pairs in connected_levels_8.items()}
 
 
 @pytest.fixture(scope="session")

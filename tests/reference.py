@@ -254,6 +254,37 @@ def ref_labeled_connected_classes(n: int) -> int:
     return len(reps)
 
 
+def ref_isk4_vertex_sets(g: Graph) -> list[int]:
+    """The masks of every vertex set that induces a subdivision of K4, by
+    brute force over all subsets: the induced subgraph has only degrees 2
+    and 3, and suppressing its degree-2 vertices one at a time in a
+    multigraph leaves exactly K4 on its four degree-3 vertices."""
+    out = []
+    for s in range(1 << g.n):
+        vs = [v for v in range(g.n) if s >> v & 1]
+        deg = {v: (g.mask(v) & s).bit_count() for v in vs}
+        if set(deg.values()) <= {2, 3} and list(deg.values()).count(3) == 4:
+            if _ref_suppresses_to_k4(g, vs, deg):
+                out.append(s)
+    return out
+
+
+def _ref_suppresses_to_k4(g: Graph, vs, deg) -> bool:
+    edges = [(u, v) for u, v in combinations(vs, 2) if g.has_edge(u, v)]
+    for x in vs:
+        if deg[x] != 2:
+            continue
+        ends = [e for e in edges if x in e]
+        if len(ends) != 2:  # a loop at x: the rest of a cycle component
+            return False
+        for e in ends:
+            edges.remove(e)
+        a, b = (e[0] + e[1] - x for e in ends)
+        edges.append((min(a, b), max(a, b)))
+    branch = [v for v in vs if deg[v] == 3]
+    return sorted(edges) == list(combinations(branch, 2))
+
+
 def contains_isk4_anchored(g: Graph) -> Isk4Witness | None:
     """Independent second search: anchor the four branch vertices, then grow
     six internally disjoint connecting paths and verify the union."""

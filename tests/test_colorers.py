@@ -549,6 +549,24 @@ def test_one_vertex_blocks_cost_a_constant(monkeypatch):
         assert counts[0] == counts[1], counts
 
 
+def test_one_vertex_layers_build_no_subgraph(monkeypatch):
+    # a path layered from an end has one vertex per layer; C5 layered from
+    # 0 has the layers {0}, {1, 4} and {2, 3}, and the edge {2, 3} is
+    # layered in turn into two one-vertex layers.  Only {1, 4} and {2, 3}
+    # build a subgraph.
+    from isk4color import colorers
+
+    sizes = []
+    induced = colorers.induced_subgraph
+    monkeypatch.setattr(colorers, "induced_subgraph",
+                        lambda g, mask: sizes.append(mask.bit_count()) or induced(g, mask))
+    for g, expected in ((path_graph(12), []), (cycle_graph(5), [2, 2])):
+        sizes.clear()
+        result = color_c3(g)
+        assert is_proper_coloring(g, result.coloring)
+        assert sorted(sizes) == expected
+
+
 def test_one_vertex_template_does_not_depend_on_the_recording_mode(monkeypatch):
     # each table's template is recorded by the first call that reaches a
     # one-vertex block, strict or tolerant; what later calls of the other

@@ -4,10 +4,12 @@ from itertools import combinations
 
 import pytest
 
-from isk4color.graph import Graph, girth
+from isk4color.graph import Graph, girth, mask_of
 from isk4color import oracle
 from isk4color.oracle import (
+    HEREDITARY_CLASSES,
     SizeLimitError,
+    _levels,
     are_isomorphic,
     canonical_form,
     chromatic_number_exact,
@@ -18,6 +20,7 @@ from isk4color.oracle import (
 )
 from isk4color.colorers import color_general, greedy_fallback
 from isk4color.patterns import find_triangle
+from isk4color.suites import _isk4_through
 from builders import (
     complete_graph,
     complete_multipartite,
@@ -32,6 +35,7 @@ from builders import (
 from reference import (
     canonical_graph,
     contains_isk4_anchored,
+    ref_isk4_vertex_sets,
     ref_isomorphic,
     ref_labeled_connected_classes,
     ref_labeled_iso_classes,
@@ -73,12 +77,43 @@ def test_isk4_witness_is_minimum_size():
     assert len(w.vertices) == 4
 
 
-def test_isk4_implementations_agree(all_graphs_7):
+def test_isk4_implementations_agree(all_graphs_7, isk4_free_7):
+    for n in range(1, 8):
+        free = set(isk4_free_7[n])
+        for g in all_graphs_7[n]:
+            assert (g in free) == (contains_isk4_anchored(g) is None), list(g.edges())
+
+
+def test_isk4_through_agrees_with_reference(all_graphs_7):
+    # the sweep through v finds a witness exactly when some vertex set that
+    # contains v induces a K4 subdivision, and its witness is a smallest one
     for n in range(1, 8):
         for g in all_graphs_7[n]:
-            a = contains_isk4(g)
-            b = contains_isk4_anchored(g)
-            assert (a is None) == (b is None), list(g.edges())
+            sets = ref_isk4_vertex_sets(g)
+            for v in range(g.n):
+                mine = [s for s in sets if s >> v & 1]
+                w = contains_isk4(g, through=v)
+                assert (w is None) == (not mine), (list(g.edges()), v)
+                if w is not None:
+                    assert mask_of(w.vertices) in mine
+                    assert len(w.vertices) == min(s.bit_count() for s in mine)
+
+
+def test_inherited_isk4_verdicts_match_the_full_sweep(
+    all_levels_7, isk4_free_7, connected_levels_8, isk4_free_connected_8,
+):
+    free_7 = {g for graphs in isk4_free_7.values() for g in graphs}
+    free_8 = {g for graphs in isk4_free_connected_8.values() for g in graphs}
+    streams = [(all_levels_7, free_7), (connected_levels_8, free_8)]
+    for hereditary in HEREDITARY_CLASSES:
+        # the pruned streams draw their verdicts from pruned parents
+        for connected, n, free in ((False, 7, free_7), (True, 8, free_8)):
+            levels = _levels(n, connected=connected, hereditary=hereditary, isk4_through=_isk4_through)
+            streams.append(({k: list(pairs) for k, pairs in enumerate(levels, 1)}, free))
+    for levels, free in streams:
+        for pairs in levels.values():
+            for g, holds in pairs:
+                assert holds == (g not in free), list(g.edges())
 
 
 def test_chromatic_examples():
@@ -152,9 +187,9 @@ def test_enumeration_triangle_free_variant():
 
 
 def test_enumeration_canonicalises_few_extensions(monkeypatch):
-    # an extension is canonicalised only when no deletable vertex outranks
-    # the new one by degree: 2,173 of the 7,815 connected extensions up to
-    # n = 7
+    # an extension is canonicalised only when no deletable vertex beats the
+    # new one by (degree, sum of neighbour degrees): 1,701 of the 7,815
+    # connected extensions up to n = 7 (2,173 by degree alone)
     calls = 0
     min_encoding = oracle._min_encoding
 
@@ -165,7 +200,7 @@ def test_enumeration_canonicalises_few_extensions(monkeypatch):
 
     monkeypatch.setattr(oracle, "_min_encoding", counted)
     assert sum(1 for _ in enumerate_graphs(7, connected=True)) == 853
-    assert calls <= 2_173
+    assert calls <= 1_701
 
 
 def test_refine_agrees_with_reference():
