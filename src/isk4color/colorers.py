@@ -18,11 +18,16 @@ the layer tables call ``_drive`` again, at most three deep.  The trace holds
 one entry per block, with the block's size and its parent entry, so it grows
 linearly with the number of blocks.
 
-Most blocks of a layered coloring are single vertices, the components of a
-layer.  Each table colors one vertex the same way every time, so ``_drive``
-records that once per table and replays it (``_one_vertex``): a one-vertex
-block costs a constant, runs no detector and builds no subgraph, and a
-rebound detector sees only the blocks of two or more vertices.
+Small blocks repeat, and ``_drive`` replays them.  Most blocks of a layered
+coloring are single vertices, the components of a layer, and each table
+colors one vertex the same way every time: that is recorded once per table
+for the process (``_one_vertex``).  A block of at most five vertices is
+keyed by its rule table and labelled adjacency; the first time its subtree
+finishes, its coloring and trace entries are recorded, and a later block
+with the same key replays them (``_decompose``).  That table lasts for one
+call, or for one ``run_suite`` call, whose graphs share it.  A replayed
+block costs a constant, runs no detector and builds no subgraph, so a
+rebound detector sees only the blocks that are decomposed.
 
 Class assumptions are checked operationally along the way.  In strict mode
 the first failure raises ``ClassViolationError`` with a witness; in tolerant
@@ -33,6 +38,8 @@ coloring and the palette bound once per call and raises ``AssertionError``.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass, field
 
 from .graph import (
@@ -128,13 +135,15 @@ class _Run:
     the entry whose rule produced the block (None for a component of the
     input).  ``enter`` reserves the entry when the block is entered, so a
     parent comes before its children; ``slot`` is the entry of the block
-    whose rule is running.
+    whose rule is running.  ``templates`` holds the small blocks already
+    decomposed (``_decompose``), or is None for a run that records none.
     """
 
-    def __init__(self, mode: str):
+    def __init__(self, mode: str, templates: dict | None = None):
         if mode not in ("strict", "tolerant"):
             raise ValueError(f"mode must be 'strict' or 'tolerant', got {mode!r}")
         self.mode = mode
+        self.templates = templates
         self.trace: list = []
         self.violations: list[Violation] = []
         self.slot: int | None = None
@@ -439,9 +448,11 @@ def _drive(g: Graph, ids, run: _Run, rules) -> Coloring:
 
     A rule is ``(detector, handler, *params)``.  The detector names a function
     of this module, looked up at call time so that rebinding the module
-    attribute (as a tracer does) reaches every call on a block of two or
-    more vertices; a one-vertex ``g`` replays its table's template
-    (``_one_vertex``) and runs no detector.  The handler is called as
+    attribute (as a tracer does) reaches every call on a block that is
+    decomposed; a one-vertex ``g`` replays its table's template
+    (``_one_vertex``), a small block already decomposed in this call or
+    suite replays its own (``_decompose``), and neither runs a detector.
+    The handler is called as
     ``handler(b, ids, run, witness, rules[i:])`` and reads its params from
     its own rule, ``rules[0]`` (a fixed-arity call is cheaper than
     ``*params`` on the many small blocks of the cutsets).  It returns the
@@ -457,16 +468,60 @@ def _drive(g: Graph, ids, run: _Run, rules) -> Coloring:
     return _decompose(g, ids, run, rules)
 
 
+# Blocks of at most this many vertices replay templates (``_decompose``),
+# so a table holds at most 1,099 labelled adjacencies per rule table.  The
+# two colorer suites at n = 8 take 2.29 CPU-s with no templates, 1.70 with a
+# cap of 4 and 1.62 with 5 (0.9 MB more peak memory); 6 saves 0.04 more
+# for 4 MB more, and 8 saves nothing more for 41 MB, storing large blocks
+# that rarely repeat (CPython 3.11, a 2-CPU machine).
+_TEMPLATE_MAX_N = 5
+
+# The trace fields that list vertices by input id; ``root`` names one.
+_VERTEX_LISTS = frozenset(("clique", "cut", "square"))
+
+
 def _decompose(g: Graph, ids, run: _Run, rules) -> Coloring:
-    """``_drive`` without the one-vertex replay."""
+    """``_drive`` without the one-vertex replay.
+
+    A block decomposes the same way wherever it occurs: its rules and its
+    labelled adjacency decide its subtree, and the input ids only name its
+    vertices in the trace.  So a block of at most ``_TEMPLATE_MAX_N``
+    vertices is keyed by ``(rules, adjacency)`` in ``run.templates``, the
+    first time its subtree finishes it is recorded there (``_record``), and
+    a later block with the same key appends the entries renamed to its own
+    ids and takes the coloring, running no rule.
+    """
     outer = run.slot
-    todo = [(g, ids, rules, outer)]  # blocks (graph, ids, rules, parent entry)
+    templates = run.templates
+    small = _TEMPLATE_MAX_N if templates is not None else 0
+    # blocks (graph, ids, rules, parent entry), and after the two sides of a
+    # split, (None, cut, the split block's ``_record`` arguments or None, None)
+    todo = [(g, ids, rules, outer)]
     done = []  # colorings of finished blocks, ({input id: color}, palette)
     while todo:
         b, bids, brules, parent = todo.pop()
         if b is None:  # both sides of the split on the cut ``bids`` are colored
             done.append(_merge_blocks(done.pop(-2), done.pop(), bids))
+            if brules is not None:  # the split block is small: record it
+                key, split_ids, start, violations = brules
+                colors, palette = done[-1]
+                out = Coloring(tuple(colors[v] for v in split_ids), palette)
+                _record(run, key, split_ids, start, violations, out)
             continue
+        key = None
+        if b.n <= small:
+            key = brules, b._adj
+            template = templates.get(key)
+            if template is not None:
+                entries, old_ids, start, out = template
+                names = dict(zip(old_ids, bids))
+                run.trace += _remap(entries, names, len(run.trace) - start, parent)
+                if not todo:
+                    run.slot = outer
+                    return out
+                done.append((dict(zip(bids, out.assignment)), out.palette_size))
+                continue
+        start, violations = len(run.trace), len(run.violations)
         run.enter(parent)
         for i, rule in enumerate(brules):
             detector = rule[0]
@@ -476,18 +531,58 @@ def _decompose(g: Graph, ids, run: _Run, rules) -> Coloring:
                 if out is not None:
                     break
         if type(out) is Coloring:
+            if key is not None:
+                _record(run, key, bids, start, violations, out)
             if not todo:  # ``g`` itself was not split
                 run.slot = outer
                 return out
             done.append((dict(zip(bids, out.assignment)), out.palette_size))
         else:
             shared, x, y = out
-            todo.append((None, shared, None, None))
+            pending = None if key is None else (key, bids, start, violations)
+            todo.append((None, shared, pending, None))
             todo.append((*y, run.slot))
             todo.append((*x, run.slot))
     run.slot = outer
     colors, palette = done.pop()
     return Coloring(tuple(colors[v] for v in ids), palette)
+
+
+def _record(run: _Run, key, ids, start: int, violations: int, out: Coloring) -> None:
+    """Store the finished subtree of the block ``key`` as ``(entries, ids,
+    start, coloring)``: its trace entries, which begin at index ``start``
+    and name the block's vertices by the input ids ``ids``, and its
+    coloring in block order.  A replay renames them (``_remap``), so
+    recording a block that never repeats copies no entry.
+
+    A subtree that recorded a violation (its count moved from
+    ``violations``) is not stored, so a strict call still meets the
+    violation; nor is one whose trace has an unfilled slot, left by a rule
+    that returns a coloring without ``run.note``.
+    """
+    entries = run.trace[start:]
+    if len(run.violations) != violations or any(type(e) is not dict for e in entries):
+        return
+    run.templates[key] = entries, ids, start, out
+
+
+def _remap(entries, names, shift: int, parent) -> list[dict]:
+    """Copies of the trace ``entries`` of one subtree, the vertices they
+    name renamed through ``names[old input id]`` and their parent indices
+    moved by ``shift``; the first entry, the subtree's root, gets
+    ``parent``.  The other fields, the rule and counts, are copied as they
+    are."""
+    out = []
+    for entry in entries:
+        copy = entry.copy()
+        for k, x in entry.items():
+            if type(x) is list:
+                copy[k] = [names[v] for v in x] if k in _VERTEX_LISTS else x[:]
+        if "root" in entry:
+            copy["root"] = names[entry["root"]]
+        copy["parent"] = entry["parent"] + shift if out else parent
+        out.append(copy)
+    return out
 
 
 # What each rules table does on one vertex, recorded on first use:
@@ -502,11 +597,12 @@ def _one_vertex(v: int, run: _Run, rules) -> Coloring:
     Most blocks of a layered coloring are single vertices (the components
     of a layer), and each of them takes the same rules to the same coloring
     and the same trace entries.  So the first one for a table records them
-    on ``Graph(1)``, in a run of its own, and every block then appends a
-    copy of the entries with ``root``, the only vertex they name, set to
-    ``v`` and the parent indices moved into ``run``.  One vertex is in every
-    class, so no rule records a violation, and the template does not depend
-    on the mode of the run that recorded it.
+    on ``Graph(1)``, in a run of its own, and every block then appends the
+    entries renamed to ``v`` by ``_remap``.  One vertex is in every class,
+    so no rule records a violation, and the template does not depend on the
+    mode of the run that recorded it.  Unlike the block templates it lasts
+    for the process: recording the tables again in every call would add
+    about 35 us to each ``color_general`` call (CPython 3.11).
     """
     template = _ONE_VERTEX_TEMPLATES.get(id(rules))
     if template is None or template[0] is not rules:
@@ -514,14 +610,7 @@ def _one_vertex(v: int, run: _Run, rules) -> Coloring:
         coloring = _decompose(Graph(1), (0,), rec, rules)
         template = _ONE_VERTEX_TEMPLATES[id(rules)] = rules, rec.trace, coloring
     _, entries, coloring = template
-    base = len(run.trace)
-    outer = run.slot
-    for entry in entries:
-        entry = {k: x[:] if type(x) is list else x for k, x in entry.items()}
-        entry["root"] = v
-        parent = entry["parent"]
-        entry["parent"] = outer if parent is None else base + parent
-        run.trace.append(entry)
+    run.trace += _remap(entries, (v,), len(run.trace), run.slot)
     return coloring
 
 
@@ -698,11 +787,28 @@ _TRIANGLE_FREE = (
 )
 
 
+# The block templates of the running ``run_suite`` call, shared by its graphs.
+_SUITE_TEMPLATES: ContextVar[dict | None] = ContextVar("suite_templates", default=None)
+
+
+@contextmanager
+def _suite_templates():
+    """Share one table of block templates among the colorer calls inside
+    the ``with`` block (or the decorated function), and drop it on exit."""
+    token = _SUITE_TEMPLATES.set({})
+    try:
+        yield
+    finally:
+        _SUITE_TEMPLATES.reset(token)
+
+
 def _color(g: Graph, mode: str, rules, bound: int) -> ColoringResult:
     """Color each component by ``rules`` and check the certificate once: the
     coloring is proper, and it stays within ``bound`` unless a class
-    violation was recorded."""
-    run = _Run(mode)
+    violation was recorded.  The block templates are the suite's, inside
+    ``run_suite``, and this call's own otherwise."""
+    templates = _SUITE_TEMPLATES.get()
+    run = _Run(mode, {} if templates is None else templates)
     coloring = _per_component(g, tuple(range(g.n)), run, rules)
     if not is_proper_coloring(g, coloring):
         raise AssertionError("internal error: produced an improper coloring")

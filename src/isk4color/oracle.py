@@ -176,12 +176,15 @@ def _refine(masks: tuple[int, ...]) -> list[int]:
     # n = 8 by about 1 MB
     nbrs = [list(bits(m)) for m in masks]
     colors = [m.bit_count() for m in masks]
-    ncls = len(set(colors))
+    n, ncls = len(masks), len(set(colors))
     while True:
-        sigs = [(colors[v], tuple(sorted(colors[u] for u in nb))) for v, nb in enumerate(nbrs)]
+        sigs = [(colors[v], tuple(sorted(map(colors.__getitem__, nb)))) for v, nb in enumerate(nbrs)]
         ranked = {s: i for i, s in enumerate(sorted(set(sigs)))}
-        colors = [ranked[s] for s in sigs]
-        if len(ranked) == ncls:
+        colors = list(map(ranked.__getitem__, sigs))
+        # after a ranked round, a round that keeps the class count ranks
+        # each vertex by its own colour first and so reproduces the ranks;
+        # a discrete partition can only keep its count
+        if len(ranked) == ncls or len(ranked) == n:
             return colors
         ncls = len(ranked)
 

@@ -18,6 +18,7 @@ from itertools import combinations, repeat
 
 from .colorers import (
     ClassViolationError,
+    _suite_templates,
     color_general,
     color_girth5,
     color_triangle_free,
@@ -442,6 +443,7 @@ def resolve_suite(name: str) -> SuiteSpec:
 # the driver
 
 
+@_suite_templates()
 def run_suite(
     suite: str,
     n_max: int,
@@ -462,7 +464,9 @@ def run_suite(
     new vertex (``_isk4_through``).  The other filters run on each graph.
     ``seed`` only drives the ``random_graphs`` random graphs of ``upstairs``.
     Workers only parallelize the per-graph checks; aggregation order is the
-    enumeration order.  ``jobs`` is clamped to the CPU count.
+    enumeration order.  ``jobs`` is clamped to the CPU count.  The colorer
+    calls of one run share their table of small-block templates, which is
+    dropped when the run ends.
     """
     spec = resolve_suite(suite)
     t0 = time.monotonic()

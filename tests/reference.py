@@ -463,7 +463,8 @@ def ref_clique_cutset(g: Graph):
 def ref_refine(masks: tuple[int, ...]) -> list[int]:
     """Colour refinement: degrees first, then each vertex's colour with the
     sorted colours of its neighbours, re-read with ``bits()`` every round,
-    until the number of colours stops growing."""
+    until the number of colours stops growing.  Unlike ``oracle._refine``
+    it runs that last round even when the partition is already discrete."""
     n = len(masks)
     colors = [m.bit_count() for m in masks]
     ncls = len(set(colors))

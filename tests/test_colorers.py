@@ -1,4 +1,5 @@
 import ast
+import contextlib
 import hashlib
 import json
 import os
@@ -11,9 +12,10 @@ import textwrap
 import pytest
 
 import isk4color
-from isk4color.graph import Graph, is_proper_coloring
+from isk4color.graph import Coloring, Graph, is_proper_coloring
 from isk4color.families import path_graph
 from isk4color.colorers import (
+    BOUND_GENERAL,
     ClassViolationError,
     NotAForestError,
     color_auto,
@@ -44,6 +46,7 @@ from builders import (
     empty_graph,
     line_graph,
     petersen,
+    prism_graph,
     rich_square_graph,
     ring_of_beads,
     star_graph,
@@ -593,3 +596,114 @@ def test_one_vertex_template_does_not_depend_on_the_recording_mode(monkeypatch):
         return sorted(out, key=lambda p: p[0])
 
     assert payloads("strict", "tolerant") == payloads("tolerant", "strict")
+
+
+def _windmill(blades: int) -> Graph:
+    # triangles sharing vertex 0: every block behind its clique cutset {0}
+    # is a triangle with the same labelled adjacency
+    edges = []
+    for i in range(blades):
+        a, b = 2 * i + 1, 2 * i + 2
+        edges += [(0, a), (0, b), (a, b)]
+    return Graph(2 * blades + 1, edges)
+
+
+def test_small_block_templates_last_one_call(monkeypatch):
+    # a repeated triangle block runs its detectors once per call, so the
+    # windmills make as many detector calls as one blade does; a second
+    # call on the same graph starts from an empty table
+    from isk4color import colorers
+
+    calls = dict.fromkeys(rule[0] for rule in colorers._GENERAL if rule[0])
+    for name in calls:
+        def wrapper(g, name=name, fn=getattr(colorers, name)):
+            calls[name] += 1
+            return fn(g)
+        monkeypatch.setattr(colorers, name, wrapper)
+    counts = []
+    for g in (_windmill(1), _windmill(3), _windmill(6), _windmill(6)):
+        calls.update(dict.fromkeys(calls, 0))
+        result = color_general(g)
+        assert is_proper_coloring(g, result.coloring) and not result.violations
+        assert sum(e["rule"] == "clique_cutset" for e in result.trace) == g.n // 2 - 1
+        counts.append(dict(calls))
+    assert counts[0] == counts[1] == counts[2] == counts[3], counts
+    assert all(counts[0].values()), counts
+
+
+def test_tolerant_violation_is_not_replayed_in_strict_mode():
+    # the K4 block records a violation in tolerant mode, so it is never
+    # stored: a strict call sharing the table still meets the violation
+    from isk4color import colorers
+
+    g = disjoint_union(complete_graph(4), path_graph(3))
+    with colorers._suite_templates():
+        assert color_general(g, "tolerant").violations
+        with pytest.raises(ClassViolationError) as exc:
+            color_general(g, "strict")
+        table = colorers._SUITE_TEMPLATES.get()
+    assert exc.value.violation.kind == "k4"
+    assert complete_graph(4)._adj not in {adj for _, adj in table}
+
+
+def test_block_with_an_unfilled_trace_slot_is_not_recorded():
+    # a rule that returns a coloring without run.note leaves its trace slot
+    # unfilled; the block is not stored, and the certificate check still
+    # reports the improper coloring
+    from isk4color import colorers
+
+    stub = ((None, lambda g, ids, run, witness, rules: Coloring((0,) * g.n, 1)),)
+    with colorers._suite_templates():
+        for _ in range(2):
+            with pytest.raises(AssertionError, match="improper coloring"):
+                colorers._color(complete_graph(2), "strict", stub, BOUND_GENERAL)
+        assert colorers._SUITE_TEMPLATES.get() == {}
+
+
+def test_block_templates_change_no_result(monkeypatch, connected_corpus_8):
+    # every result, or the violation raised, is the same with no templates,
+    # with a table per call, and with one table shared by the corpus.  Line
+    # graphs and rich squares reach their rule through a K222 or a prism, so
+    # their blocks have at least 6 vertices: the cap is raised to 7 to
+    # replay them, and with them the renamed square and the counts root_n
+    # and cliques, which are not renamed.  A rich square, a line graph and
+    # a proper 2-cutset get a pendant vertex, numbered last and then first,
+    # so the second replays the block on other ids.
+    from isk4color import colorers
+
+    graphs = [g for n in range(1, 8) for g in connected_corpus_8[n]]
+    for h in (rich_square_graph([(0, False)] * 3), prism_graph(), ring_of_beads(2)):
+        graphs.append(Graph(h.n + 1, [*h.edges(), (0, h.n)]))
+        graphs.append(Graph(h.n + 1, [(u + 1, v + 1) for u, v in h.edges()] + [(0, 1)]))
+    colorer_fns = (color_general, color_triangle_free, color_c1, color_c2, color_c3)
+    replayed = set()
+    remap = colorers._remap
+
+    def spy(entries, names, shift, parent):
+        if len(names) > 1:  # a block, not one vertex
+            replayed.update(e["rule"] for e in entries)
+        return remap(entries, names, shift, parent)
+
+    monkeypatch.setattr(colorers, "_remap", spy)
+
+    def payloads(cap, shared):
+        monkeypatch.setattr(colorers, "_TEMPLATE_MAX_N", cap)
+        out = []
+        with colorers._suite_templates() if shared else contextlib.nullcontext():
+            for mode in ("tolerant", "strict"):
+                for colorer in colorer_fns:
+                    for g in graphs:
+                        try:
+                            out.append(colorer(g, mode).to_dict())
+                        except ClassViolationError as exc:
+                            out.append(exc.violation.to_dict())
+        return out
+
+    cap = colorers._TEMPLATE_MAX_N
+    expected = payloads(0, False)
+    assert not replayed
+    assert payloads(cap, False) == expected
+    assert payloads(cap, True) == expected
+    assert {"clique_cutset", "layering_girth5"} <= replayed
+    assert payloads(7, True) == expected
+    assert {"rich_square", "line_graph_subcubic", "proper_2cutset"} <= replayed

@@ -203,10 +203,20 @@ def test_enumeration_canonicalises_few_extensions(monkeypatch):
     assert calls <= 1_701
 
 
-def test_refine_agrees_with_reference():
+def test_refine_agrees_with_reference(all_graphs_7, connected_corpus_8):
+    # _refine stops early once the partition is discrete; the reference
+    # always runs until the class count stops growing
+    graphs = [g for graphs in all_graphs_7.values() for g in graphs] + connected_corpus_8[8]
     rng = random.Random(29)
     for _ in range(2_000):
         g = random_graph(rng, rng.randint(0, 9), rng.uniform(0.1, 0.9))
+        graphs.append(g)
+    for _ in range(1_000):
+        g = random_graph(rng, rng.randint(9, 16), rng.uniform(0.1, 0.9))
+        perm = list(range(g.n))
+        rng.shuffle(perm)
+        graphs.append(Graph(g.n, [(perm[u], perm[v]) for u, v in g.edges()]))
+    for g in graphs:
         assert oracle._refine(g._adj) == ref_refine(g._adj), list(g.edges())
 
 

@@ -99,6 +99,36 @@ def test_colorer_suites_small():
     assert t6.max_observed["palette"] <= 24
 
 
+def test_colorer_suites_share_one_table_per_run(monkeypatch):
+    # the colorer calls of one run share a table of block templates; it is
+    # gone when the run returns, also when the run raises
+    from isk4color import colorers
+
+    tables = []
+    color_general = suites.color_general
+
+    def spy(g, *args):
+        tables.append(colorers._SUITE_TEMPLATES.get())
+        return color_general(g, *args)
+
+    monkeypatch.setattr(suites, "color_general", spy)
+    run_suite("general-bound", 5)
+    assert tables and tables[0] is not None
+    assert all(t is tables[0] for t in tables)
+    assert colorers._SUITE_TEMPLATES.get() is None
+    run_suite("general-bound", 5)
+    assert tables[-1] is not tables[0]
+
+    def broken(g, *args):
+        assert colorers._SUITE_TEMPLATES.get() is not None
+        raise RuntimeError("broken colorer")
+
+    monkeypatch.setattr(suites, "color_general", broken)
+    with pytest.raises(RuntimeError):
+        run_suite("general-bound", 5)
+    assert colorers._SUITE_TEMPLATES.get() is None
+
+
 def test_hole_attachment_small():
     # n = 7 is the smallest order admitting a hole with a dominating
     # attachment set inside the filtered class
