@@ -18,16 +18,16 @@ the layer tables call ``_drive`` again, at most three deep.  The trace holds
 one entry per block, with the block's size and its parent entry, so it grows
 linearly with the number of blocks.
 
-Small blocks repeat, and ``_drive`` replays them.  Most blocks of a layered
+Small blocks repeat, and ``_drive`` replays them.  A block of at most five
+vertices is keyed by its rule table and labelled adjacency; the first time
+its subtree finishes, its coloring and trace entries are recorded, and a
+later block with the same key replays them.  Most blocks of a layered
 coloring are single vertices, the components of a layer, and each table
-colors one vertex the same way every time: that is recorded once per table
-for the process (``_one_vertex``).  A block of at most five vertices is
-keyed by its rule table and labelled adjacency; the first time its subtree
-finishes, its coloring and trace entries are recorded, and a later block
-with the same key replays them (``_decompose``).  That table lasts for one
-call, or for one ``run_suite`` call, whose graphs share it.  A replayed
-block costs a constant, runs no detector and builds no subgraph, so a
-rebound detector sees only the blocks that are decomposed.
+colors one vertex the same way every time, so they are replayed too.  The
+table lasts for one call, or for one ``run_suite`` call, whose graphs share
+it; no replay state outlives it.  A replayed block costs a constant, runs no
+detector and builds no subgraph, so a rebound detector sees only the blocks
+that are decomposed.
 
 Class assumptions are checked operationally along the way.  In strict mode
 the first failure raises ``ClassViolationError`` with a witness; in tolerant
@@ -127,6 +127,11 @@ class ColoringResult:
         }
 
 
+def _check_mode(mode: str) -> None:
+    if mode not in ("strict", "tolerant"):
+        raise ValueError(f"mode must be 'strict' or 'tolerant', got {mode!r}")
+
+
 class _Run:
     """Mutable per-call context: mode, trace log, and violation collection.
 
@@ -136,12 +141,11 @@ class _Run:
     input).  ``enter`` reserves the entry when the block is entered, so a
     parent comes before its children; ``slot`` is the entry of the block
     whose rule is running.  ``templates`` holds the small blocks already
-    decomposed (``_decompose``), or is None for a run that records none.
+    decomposed in this call or suite (``_drive``).
     """
 
-    def __init__(self, mode: str, templates: dict | None = None):
-        if mode not in ("strict", "tolerant"):
-            raise ValueError(f"mode must be 'strict' or 'tolerant', got {mode!r}")
+    def __init__(self, mode: str, templates: dict):
+        _check_mode(mode)
         self.mode = mode
         self.templates = templates
         self.trace: list = []
@@ -449,39 +453,14 @@ def _drive(g: Graph, ids, run: _Run, rules) -> Coloring:
     A rule is ``(detector, handler, *params)``.  The detector names a function
     of this module, looked up at call time so that rebinding the module
     attribute (as a tracer does) reaches every call on a block that is
-    decomposed; a one-vertex ``g`` replays its table's template
-    (``_one_vertex``), a small block already decomposed in this call or
-    suite replays its own (``_decompose``), and neither runs a detector.
-    The handler is called as
+    decomposed.  The handler is called as
     ``handler(b, ids, run, witness, rules[i:])`` and reads its params from
     its own rule, ``rules[0]`` (a fixed-arity call is cheaper than
     ``*params`` on the many small blocks of the cutsets).  It returns the
     block's coloring; a split ``(shared input ids, x, y)``, each side a
     ``(block, ids, rules)``; or None, which passes on to the next rule.
     X's subtree is colored first; Y's coloring is then renamed to agree
-    with X's on the cut (``_merge_blocks``), on input ids.  Each side of a
-    split holds a vertex of the cut and one of its side, so only ``g``
-    itself can have one vertex.
-    """
-    if g.n == 1:
-        return _one_vertex(ids[0], run, rules)
-    return _decompose(g, ids, run, rules)
-
-
-# Blocks of at most this many vertices replay templates (``_decompose``),
-# so a table holds at most 1,099 labelled adjacencies per rule table.  The
-# two colorer suites at n = 8 take 2.29 CPU-s with no templates, 1.70 with a
-# cap of 4 and 1.62 with 5 (0.9 MB more peak memory); 6 saves 0.04 more
-# for 4 MB more, and 8 saves nothing more for 41 MB, storing large blocks
-# that rarely repeat (CPython 3.11, a 2-CPU machine).
-_TEMPLATE_MAX_N = 5
-
-# The trace fields that list vertices by input id; ``root`` names one.
-_VERTEX_LISTS = frozenset(("clique", "cut", "square"))
-
-
-def _decompose(g: Graph, ids, run: _Run, rules) -> Coloring:
-    """``_drive`` without the one-vertex replay.
+    with X's on the cut (``_merge_blocks``), on input ids.
 
     A block decomposes the same way wherever it occurs: its rules and its
     labelled adjacency decide its subtree, and the input ids only name its
@@ -489,11 +468,12 @@ def _decompose(g: Graph, ids, run: _Run, rules) -> Coloring:
     vertices is keyed by ``(rules, adjacency)`` in ``run.templates``, the
     first time its subtree finishes it is recorded there (``_record``), and
     a later block with the same key appends the entries renamed to its own
-    ids and takes the coloring, running no rule.
+    ids and takes the coloring, running no rule and no detector.  Most
+    blocks of a layered coloring are single vertices, the components of a
+    layer, and each table's one-vertex block is recorded and replayed so.
     """
     outer = run.slot
     templates = run.templates
-    small = _TEMPLATE_MAX_N if templates is not None else 0
     # blocks (graph, ids, rules, parent entry), and after the two sides of a
     # split, (None, cut, the split block's ``_record`` arguments or None, None)
     todo = [(g, ids, rules, outer)]
@@ -509,7 +489,7 @@ def _decompose(g: Graph, ids, run: _Run, rules) -> Coloring:
                 _record(run, key, split_ids, start, violations, out)
             continue
         key = None
-        if b.n <= small:
+        if b.n <= _TEMPLATE_MAX_N:
             key = brules, b._adj
             template = templates.get(key)
             if template is not None:
@@ -546,6 +526,22 @@ def _decompose(g: Graph, ids, run: _Run, rules) -> Coloring:
     run.slot = outer
     colors, palette = done.pop()
     return Coloring(tuple(colors[v] for v in ids), palette)
+
+
+# Blocks of at most this many vertices replay templates (``_drive``), so a
+# table holds at most 1,099 labelled adjacencies per rule table.  The two
+# colorer suites at n = 8 take 2.29 CPU-s with no templates, 1.70 with a
+# cap of 4 and 1.62 with 5 (0.9 MB more peak memory); 6 saves 0.04 more
+# for 4 MB more, and 8 saves nothing more for 41 MB, storing large blocks
+# that rarely repeat (CPython 3.11, a 2-CPU machine).
+_TEMPLATE_MAX_N = 5
+
+# The trace fields that list vertices by input id; ``root`` names one.
+_VERTEX_LISTS = frozenset(("clique", "cut", "square"))
+
+# The block of every one-vertex component or layer, which then builds no
+# subgraph.
+_ONE = Graph(1)
 
 
 def _record(run: _Run, key, ids, start: int, violations: int, out: Coloring) -> None:
@@ -585,35 +581,6 @@ def _remap(entries, names, shift: int, parent) -> list[dict]:
     return out
 
 
-# What each rules table does on one vertex, recorded on first use:
-# id(table) -> (table, trace entries, coloring).  The entry holds its table,
-# so the id cannot be reused while the entry lives.
-_ONE_VERTEX_TEMPLATES: dict[int, tuple] = {}
-
-
-def _one_vertex(v: int, run: _Run, rules) -> Coloring:
-    """Color the one-vertex block of input id ``v`` as ``_decompose`` would.
-
-    Most blocks of a layered coloring are single vertices (the components
-    of a layer), and each of them takes the same rules to the same coloring
-    and the same trace entries.  So the first one for a table records them
-    on ``Graph(1)``, in a run of its own, and every block then appends the
-    entries renamed to ``v`` by ``_remap``.  One vertex is in every class,
-    so no rule records a violation, and the template does not depend on the
-    mode of the run that recorded it.  Unlike the block templates it lasts
-    for the process: recording the tables again in every call would add
-    about 35 us to each ``color_general`` call (CPython 3.11).
-    """
-    template = _ONE_VERTEX_TEMPLATES.get(id(rules))
-    if template is None or template[0] is not rules:
-        rec = _Run(run.mode)
-        coloring = _decompose(Graph(1), (0,), rec, rules)
-        template = _ONE_VERTEX_TEMPLATES[id(rules)] = rules, rec.trace, coloring
-    _, entries, coloring = template
-    run.trace += _remap(entries, (v,), len(run.trace), run.slot)
-    return coloring
-
-
 def _per_component(g: Graph, ids, run: _Run, rules) -> Coloring:
     comps = component_masks(g)
     if len(comps) == 1:
@@ -625,10 +592,9 @@ def _per_component(g: Graph, ids, run: _Run, rules) -> Coloring:
     for comp in comps:
         if comp & (comp - 1):
             sub, sub_ids = induced_subgraph(g, comp)
-            c = _drive(sub, _map_ids(ids, sub_ids), run, rules)
         else:  # one vertex: no subgraph to build
-            sub_ids = (comp.bit_length() - 1,)
-            c = _one_vertex(ids[sub_ids[0]], run, rules)
+            sub, sub_ids = _ONE, (comp.bit_length() - 1,)
+        c = _drive(sub, _map_ids(ids, sub_ids), run, rules)
         for k, v in enumerate(sub_ids):
             assign[v] = c.assignment[k]
         palette = max(palette, c.palette_size)
@@ -699,18 +665,17 @@ def _structured(g, ids, run, trigger, rules) -> Coloring:
 def _layered(g: Graph, ids, run: _Run, _witness, rules) -> Coloring:
     """Layer a connected graph from its lowest vertex and color each layer
     with ``color_layer(layer, ids, run, layer_rules)``, combining odd and
-    even palettes.  A one-vertex layer that ``_per_component`` would color
-    goes straight to ``_one_vertex``, where that call ends."""
+    even palettes."""
     rule, color_layer, layer_rules = rules[0][2:]
     layers = bfs_layering(g, 0)
     per_layer = []
     layer_palettes = []
     for layer in layers:
-        if color_layer is _per_component and not layer & (layer - 1):
-            per_layer.append(_one_vertex(ids[layer.bit_length() - 1], run, layer_rules))
-        else:
+        if layer & (layer - 1):
             sub, sub_ids = induced_subgraph(g, layer)
-            per_layer.append(color_layer(sub, _map_ids(ids, sub_ids), run, layer_rules))
+        else:  # one vertex: no subgraph to build
+            sub, sub_ids = _ONE, (layer.bit_length() - 1,)
+        per_layer.append(color_layer(sub, _map_ids(ids, sub_ids), run, layer_rules))
         layer_palettes.append(per_layer[-1].palette_size)
     combined = combine_layer_colorings(g, layers, per_layer)
     run.note(
@@ -841,6 +806,7 @@ def color_triangle_free(g: Graph, mode: str = "strict") -> ColoringResult:
     """Proper coloring of a {K4-subdivision, triangle}-free graph with at most
     4 colors.  A triangle in the input is rejected in both modes; other class
     failures follow the strict/tolerant contract."""
+    _check_mode(mode)
     tri = find_triangle(g)
     if tri is not None:
         raise ClassViolationError(

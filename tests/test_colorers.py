@@ -319,8 +319,14 @@ def test_determinism_of_results():
 
 
 def test_invalid_mode():
-    with pytest.raises(ValueError):
-        color_general(cycle_graph(4), mode="lenient")
+    # the mode is checked before the input: a triangle does not turn an
+    # invalid mode into a class violation
+    colorer_fns = (color_general, color_triangle_free, color_c1, color_c2, color_c3,
+                   color_auto)
+    for colorer in colorer_fns:
+        for g in (cycle_graph(4), complete_graph(3)):
+            with pytest.raises(ValueError, match="mode must be"):
+                colorer(g, mode="lenient")
 
 
 def test_certificate_check_survives_optimize_flag():
@@ -523,8 +529,10 @@ def test_trace_grows_linearly_on_paths():
 
 
 def test_one_vertex_blocks_cost_a_constant(monkeypatch):
-    # the leaves of a star are one layer of one-vertex components; once its
-    # table's template exists, none of them layers or builds a subgraph
+    # the leaves of a star are one layer of one-vertex components; after
+    # the first one-vertex block of a table, none of them layers or builds
+    # a subgraph.  Each call starts from an empty table, so two identical
+    # calls count the same.
     from isk4color import colorers
 
     calls = {"bfs_layering": 0, "induced_subgraph": 0}
@@ -540,62 +548,72 @@ def test_one_vertex_blocks_cost_a_constant(monkeypatch):
     for name in calls:
         monkeypatch.setattr(colorers, name, counting(name))
     for colorer in (color_c3, color_c2):
-        colorer(star_graph(2))  # records the templates
         counts = []
-        for k in (25, 50):
+        for k in (2, 25, 50, 50):
             for name in calls:
                 calls[name] = 0
             result = colorer(star_graph(k))
             assert is_proper_coloring(star_graph(k), result.coloring)
             assert {e["root"] for e in result.trace[1:]} == set(range(k + 1))
             counts.append(dict(calls))
-        assert counts[0] == counts[1], counts
+        assert counts[0] == counts[1] == counts[2] == counts[3], counts
 
 
 def test_one_vertex_layers_build_no_subgraph(monkeypatch):
     # a path layered from an end has one vertex per layer; C5 layered from
     # 0 has the layers {0}, {1, 4} and {2, 3}, and the edge {2, 3} is
     # layered in turn into two one-vertex layers.  Only {1, 4} and {2, 3}
-    # build a subgraph.
+    # build a subgraph, under every layer table, the innermost included.
+    # color_triangle_free splits a path on its clique cutsets first; those
+    # blocks have at least two vertices.
     from isk4color import colorers
 
     sizes = []
     induced = colorers.induced_subgraph
     monkeypatch.setattr(colorers, "induced_subgraph",
                         lambda g, mask: sizes.append(mask.bit_count()) or induced(g, mask))
-    for g, expected in ((path_graph(12), []), (cycle_graph(5), [2, 2])):
+    for colorer, g, expected in ((color_c3, path_graph(12), []),
+                                 (color_c1, path_graph(12), []),
+                                 (color_triangle_free, path_graph(12), None),
+                                 (color_c3, cycle_graph(5), [2, 2]),
+                                 (color_c1, cycle_graph(5), [2, 2]),
+                                 (color_triangle_free, cycle_graph(5), [2, 2])):
         sizes.clear()
-        result = color_c3(g)
+        result = colorer(g)
         assert is_proper_coloring(g, result.coloring)
-        assert sorted(sizes) == expected
+        assert 1 not in sizes
+        assert expected is None or sorted(sizes) == expected
 
 
-def test_one_vertex_template_does_not_depend_on_the_recording_mode(monkeypatch):
-    # each table's template is recorded by the first call that reaches a
-    # one-vertex block, strict or tolerant; what later calls of the other
-    # mode replay must be the same
+def test_suite_templates_do_not_depend_on_the_recording_mode():
+    # a suite's table is filled by whichever mode reaches a block first;
+    # what the other mode then replays must be what a fresh call returns.
+    # The first mode leaves each table's one-vertex block in the table.
     from isk4color import colorers
 
     graphs = [star_graph(4), path_graph(7), theta_graph(3, 4, 5),
               disjoint_union(cycle_graph(9), empty_graph(1)),
               disjoint_union(complete_graph(4), empty_graph(2))]
-    colorer_fns = (color_general, color_triangle_free, color_c3, color_c2, color_c1)
+    tables = {color_general: colorers._GENERAL, color_triangle_free: colorers._TRIANGLE_FREE,
+              color_c3: colorers._C3, color_c2: colorers._C2, color_c1: colorers._C1}
 
-    def payloads(first, then):
-        monkeypatch.setattr(colorers, "_ONE_VERTEX_TEMPLATES", {})
+    def results(mode):
         out = []
-        for mode in (first, then):
-            for colorer in colorer_fns:
-                for g in graphs:
-                    try:
-                        out.append((mode, colorer(g, mode).to_dict()))
-                    except ClassViolationError as exc:
-                        out.append((mode, exc.violation.to_dict()))
-            if mode == first:
-                assert len(colorers._ONE_VERTEX_TEMPLATES) == 5
-        return sorted(out, key=lambda p: p[0])
+        for colorer in tables:
+            for g in graphs:
+                try:
+                    out.append(colorer(g, mode).to_dict())
+                except ClassViolationError as exc:
+                    out.append(exc.violation.to_dict())
+        return out
 
-    assert payloads("strict", "tolerant") == payloads("tolerant", "strict")
+    fresh = {mode: results(mode) for mode in ("strict", "tolerant")}
+    for first, then in (("strict", "tolerant"), ("tolerant", "strict")):
+        with colorers._suite_templates():
+            assert results(first) == fresh[first]
+            table = colorers._SUITE_TEMPLATES.get()
+            assert all((rules, (0,)) in table for rules in tables.values())
+            assert results(then) == fresh[then]
 
 
 def _windmill(blades: int) -> Graph:
