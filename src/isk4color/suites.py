@@ -37,6 +37,7 @@ from .graph import (
 )
 from .layering import find_confluence, upstairs_path
 from .oracle import (
+    ENUMERATION_CAP,
     HEREDITARY_CLASSES,
     _levels,
     chromatic_number_exact,
@@ -454,7 +455,8 @@ def run_suite(
     seed: int = 0,
     random_graphs: int = 1000,
 ) -> SuiteReport:
-    """Run one verification suite over all graphs with 1..n_max vertices.
+    """Run one verification suite over all graphs with 1..n_max vertices;
+    ``n_max`` lies in 1..``ENUMERATION_CAP``.
 
     The graphs come from one pass of ``oracle._levels``, each order grown
     from the one before and pruned by the strictest hereditary class among
@@ -468,6 +470,8 @@ def run_suite(
     calls of one run share their table of small-block templates, which is
     dropped when the run ends.
     """
+    if n_max < 1:
+        raise ValueError(f"n_max={n_max} is out of range: a suite runs over orders 1..{ENUMERATION_CAP}")
     spec = resolve_suite(suite)
     t0 = time.monotonic()
     filters = list(dict.fromkeys(list(spec.filters) + list(extra_filters)))

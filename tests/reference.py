@@ -8,7 +8,7 @@ search paths.
 from itertools import combinations, permutations
 
 from isk4color.decompose import CliqueCutset, Proper2Cutset, _cliques_lex
-from isk4color.graph import Graph, bits, component_masks, induced_subgraph, is_connected, mask_of
+from isk4color.graph import Graph, bits, component_masks, induced_subgraph, is_connected, k_core, mask_of
 from isk4color.oracle import Isk4Witness, _graph_from_rows, _min_encoding, _subdivision_witness
 from isk4color.patterns import find_k4
 
@@ -285,6 +285,31 @@ def _ref_suppresses_to_k4(g: Graph, vs, deg) -> bool:
     return sorted(edges) == list(combinations(branch, 2))
 
 
+def ref_contains_isk4(g: Graph, through: int | None = None) -> Isk4Witness | None:
+    """``oracle.contains_isk4`` without its degree pre-check and size cap:
+    every subset of the 2-core, in the same order, goes through
+    ``_subdivision_witness``, so the first witness found is the one the
+    library must return."""
+    if g.m < 6:
+        return None
+    core = k_core(g, 2)
+    cmask = mask_of(core)
+    if sum(1 for v in core if (g.mask(v) & cmask).bit_count() >= 3) < 4:
+        return None
+    fixed: tuple[int, ...] = ()
+    if through is not None:
+        if not cmask >> through & 1:
+            return None
+        fixed = (through,)
+        core.remove(through)
+    for size in range(4 - len(fixed), len(core) + 1):
+        for subset in combinations(core, size):
+            w = _subdivision_witness(g, subset + fixed)
+            if w is not None:
+                return w
+    return None
+
+
 def contains_isk4_anchored(g: Graph) -> Isk4Witness | None:
     """Independent second search: anchor the four branch vertices, then grow
     six internally disjoint connecting paths and verify the union."""
@@ -475,6 +500,88 @@ def ref_refine(masks: tuple[int, ...]) -> list[int]:
         if len(ranked) == ncls:
             return colors
         ncls = len(ranked)
+
+
+def ref_min_encoding(masks: tuple[int, ...]) -> tuple[int, ...]:
+    """``oracle._min_encoding`` without its shortcut for discrete partitions,
+    on ``ref_refine``'s partition: the lexicographically minimal row
+    encoding over the labelings that respect it, found by search even when
+    the partition leaves one labeling."""
+    n = len(masks)
+    if n == 0:
+        return ()
+    colors = ref_refine(masks)
+    cells: dict[int, list[int]] = {}
+    for v, c in enumerate(colors):
+        cells.setdefault(c, []).append(v)
+    cell_order = [cells[c] for c in sorted(cells)]
+    slots: list[list[int]] = []
+    for cell in cell_order:
+        slots.extend([cell] * len(cell))
+
+    best: list[int] | None = None
+    placed: list[int] = []
+    rows: list[int] = []
+    in_use = 0
+
+    def dfs(p):
+        nonlocal best, in_use
+        if p == n:
+            best = rows.copy()
+            return
+        cand = []
+        for v in slots[p]:
+            if in_use >> v & 1:
+                continue
+            row = 0
+            for q, u in enumerate(placed):
+                if masks[v] >> u & 1:
+                    row |= 1 << q
+            cand.append((row, v))
+        cand.sort()
+        seen_open: set[int] = set()
+        seen_closed: set[int] = set()
+        for row, v in cand:
+            if best is not None:
+                if row > best[p]:
+                    break
+                if row < best[p]:
+                    best = None  # this branch strictly improves; rebuild below
+            # twins are interchangeable by an automorphism fixing everything
+            # else, so one representative per twin class suffices
+            open_key = masks[v]
+            closed_key = masks[v] | (1 << v)
+            if open_key in seen_open or closed_key in seen_closed:
+                continue
+            seen_open.add(open_key)
+            seen_closed.add(closed_key)
+            placed.append(v)
+            rows.append(row)
+            in_use |= 1 << v
+            dfs(p + 1)
+            in_use &= ~(1 << v)
+            rows.pop()
+            placed.pop()
+
+    dfs(0)
+    if best is None:
+        raise AssertionError("internal error: the labeling search found no complete labeling")
+    return tuple(best)
+
+
+def ref_twin_normal_form(masks, new_mask: int) -> int:
+    """The least mask reachable from ``new_mask`` by swapping twins of the
+    graph ``masks``: vertices u, v with N(u) - v == N(v) - u."""
+    n = len(masks)
+    moved = True
+    while moved:
+        moved = False
+        for u, v in combinations(range(n), 2):
+            twins = masks[u] & ~(1 << v) == masks[v] & ~(1 << u)
+            if twins and new_mask >> v & 1 and not new_mask >> u & 1:
+                new_mask ^= 1 << u | 1 << v
+                moved = True
+    return new_mask
 
 
 def ref_separation_pairs(g: Graph) -> dict[tuple[int, int], tuple[int, int]]:

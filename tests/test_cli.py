@@ -7,6 +7,7 @@ from isk4color.cli import cli_main
 from isk4color.families import path_graph
 from isk4color.formats import write_graph
 from isk4color.graph import Coloring
+from isk4color.oracle import ENUMERATION_CAP, enumerate_graphs
 
 from builders import complete_graph, complete_multipartite, cycle_graph, petersen
 
@@ -93,6 +94,16 @@ def test_usage_errors(files, capsys):
     capsys.readouterr()
     assert cli_main(["enumerate", "--n", "3", "--check", "bogus"]) == 2
     capsys.readouterr()
+
+
+def test_enumerate_order_out_of_range(capsys):
+    # a suite needs an order in 1..ENUMERATION_CAP; the enumeration itself
+    # still yields nothing for n = 0
+    for n in ("0", "-3"):
+        assert cli_main(["enumerate", "--n", n, "--check", "general-bound"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and f"1..{ENUMERATION_CAP}" in captured.err
+    assert list(enumerate_graphs(0)) == []
 
 
 def test_unreadable_input_is_a_usage_error(tmp_path, capsys):

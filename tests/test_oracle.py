@@ -35,11 +35,14 @@ from builders import (
 from reference import (
     canonical_graph,
     contains_isk4_anchored,
+    ref_contains_isk4,
     ref_isk4_vertex_sets,
     ref_isomorphic,
     ref_labeled_connected_classes,
     ref_labeled_iso_classes,
+    ref_min_encoding,
     ref_refine,
+    ref_twin_normal_form,
 )
 
 
@@ -75,6 +78,23 @@ def test_isk4_witness_is_minimum_size():
     g = disjoint_union(complete_graph(4), subdivided_complete(4, 1))
     w = contains_isk4(g)
     assert len(w.vertices) == 4
+
+
+def test_contains_isk4_rejects_a_vertex_out_of_range():
+    for g in (complete_graph(4), cycle_graph(3)):
+        for v in (g.n, g.n + 5, -1):
+            with pytest.raises(ValueError, match=rf"range\({g.n}\)"):
+                contains_isk4(g, through=v)
+
+
+def test_isk4_witness_matches_the_full_sweep(all_graphs_7):
+    # the degree pre-check skips only subsets the witness check rejects, so
+    # the witness itself, not just the verdict, is the full sweep's
+    for n in range(1, 8):
+        for g in all_graphs_7[n]:
+            for through in (None, *range(g.n)):
+                assert contains_isk4(g, through=through) == ref_contains_isk4(g, through), (
+                    list(g.edges()), through)
 
 
 def test_isk4_implementations_agree(all_graphs_7, isk4_free_7):
@@ -188,8 +208,9 @@ def test_enumeration_triangle_free_variant():
 
 def test_enumeration_canonicalises_few_extensions(monkeypatch):
     # an extension is canonicalised only when no deletable vertex beats the
-    # new one by (degree, sum of neighbour degrees): 1,701 of the 7,815
-    # connected extensions up to n = 7 (2,173 by degree alone)
+    # new one by (degree, sum of neighbour degrees), and each parent tries
+    # one mask per twin-swap orbit: 1,356 of the 7,815 connected extensions
+    # up to n = 7 (1,701 with every mask tried, 2,173 by degree alone)
     calls = 0
     min_encoding = oracle._min_encoding
 
@@ -200,7 +221,51 @@ def test_enumeration_canonicalises_few_extensions(monkeypatch):
 
     monkeypatch.setattr(oracle, "_min_encoding", counted)
     assert sum(1 for _ in enumerate_graphs(7, connected=True)) == 853
-    assert calls <= 1_701
+    assert calls <= 1_356
+
+
+def test_candidates_reach_the_same_classes():
+    # per parent, the pruned masks reach the classes that every mask of
+    # range(lo, 2^k) reaches, each first through the same mask; a dropped
+    # mask is outranked or a twin swap of a kept one
+    for connected in (False, True):
+        lo = 1 if connected else 0
+        for hereditary in (None, *HEREDITARY_CLASSES):
+            keep = oracle._EXTENSION_FILTERS.get(hereditary)
+            for parents in _levels(6, connected=connected, hereditary=hereditary):
+                for parent in parents:
+                    masks = parent._adj
+                    k = len(masks)
+                    every = [m for m in range(lo, 1 << k) if keep is None or keep(masks, m)]
+                    kept = oracle._candidates(masks, lo, connected)
+                    assert kept == sorted(set(kept)) and set(kept) <= set(range(lo, 1 << k))
+                    accepted = {}  # mask -> class of its child, when not outranked
+                    for m in every:
+                        child = [a | (m >> v & 1) << k for v, a in enumerate(masks)] + [m]
+                        if not oracle._outranked(child, connected):
+                            accepted[m] = ref_min_encoding(tuple(child))
+                    firsts = [{}, {}]
+                    for m, rows in accepted.items():
+                        firsts[0].setdefault(rows, m)
+                        if m in kept:
+                            firsts[1].setdefault(rows, m)
+                    assert firsts[0] == firsts[1], (list(parent.edges()), connected, hereditary)
+                    for m in accepted.keys() - set(kept):
+                        assert ref_twin_normal_form(masks, m) in kept
+
+
+def test_min_encoding_agrees_with_reference(all_graphs_7, connected_corpus_8):
+    graphs = [g for graphs in all_graphs_7.values() for g in graphs] + connected_corpus_8[8]
+    rng = random.Random(31)
+    for _ in range(1_000):
+        g = random_graph(rng, rng.randint(9, 16), rng.uniform(0.1, 0.9))
+        perm = list(range(g.n))
+        rng.shuffle(perm)
+        graphs.append(Graph(g.n, [(perm[u], perm[v]) for u, v in g.edges()]))
+    discrete = [max(oracle._refine(g._adj)) == g.n - 1 for g in graphs[-1_000:]]
+    assert 0 < sum(discrete) < len(discrete)
+    for g in graphs:
+        assert oracle._min_encoding(g._adj) == ref_min_encoding(g._adj), list(g.edges())
 
 
 def test_refine_agrees_with_reference(all_graphs_7, connected_corpus_8):

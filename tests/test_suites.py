@@ -181,7 +181,8 @@ def test_suite_grows_each_order_once(monkeypatch):
     # run_suite takes every order from one pass of the enumeration: as many
     # canonical labelings as enumerate_graphs(8) alone (29,005 when each
     # order was enumerated from scratch, 26,497 when the acceptance key was
-    # the degree alone)
+    # the degree alone, 19,473 before each parent pruned its masks by the
+    # degree floor and by twin swaps)
     calls = []
     min_encoding = oracle._min_encoding
     monkeypatch.setattr(oracle, "_min_encoding", lambda masks: calls.append(1) or min_encoding(masks))
@@ -189,7 +190,7 @@ def test_suite_grows_each_order_once(monkeypatch):
     # reports an ISK4, so every graph holds one and none is colored
     monkeypatch.setattr(suites, "contains_isk4", lambda g, **kwargs: g)
     report = run_suite("general-bound", 8)
-    assert report.counts["total"]["enumerated"] == 12113 and len(calls) == 19473
+    assert report.counts["total"]["enumerated"] == 12113 and len(calls) == 15808
     assert report.counts["total"]["passed_filters"] == 0
 
 
