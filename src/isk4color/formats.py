@@ -61,6 +61,8 @@ def parse_graph6_line(line: str, lineno: int = 1) -> Graph:
             raise GraphParseError(f"invalid graph6 character {ch!r}", lineno)
         vals.append(v)
     if vals[0] == 63:  # '~'
+        if vals[1:2] == [63]:
+            raise GraphParseError("graph6 size header '~~' (n >= 258048) is not supported", lineno)
         if len(vals) < 4:
             raise GraphParseError("truncated graph6 size", lineno)
         n = vals[1] << 12 | vals[2] << 6 | vals[3]
@@ -69,8 +71,12 @@ def parse_graph6_line(line: str, lineno: int = 1) -> Graph:
         n = vals[0]
         body = vals[1:]
     need = n * (n - 1) // 2
-    if len(body) * 6 < need:
-        raise GraphParseError("graph6 payload too short", lineno)
+    pad = -need % 6  # the zero bits that fill the last character
+    chars = (need + pad) // 6
+    if len(body) != chars:
+        raise GraphParseError(f"graph6 payload has {len(body)} characters; n={n} needs {chars}", lineno)
+    if body and body[-1] & ((1 << pad) - 1):
+        raise GraphParseError("graph6 padding bits are not zero", lineno)
     stream = []
     for v in body:
         for s6 in (5, 4, 3, 2, 1, 0):

@@ -439,10 +439,10 @@ def enumerate_graphs(
     refinement leaves every vertex its own colour.  At n = 8 connected,
     30,935 of the 116,146 extensions are left and 15,808 are canonicalised.
     """
-    graphs: Iterator[Graph] = iter(())
-    for graphs in _levels(n, connected=connected, hereditary=hereditary):
+    pairs: Iterator[tuple[Graph, bool]] = iter(())
+    for pairs in _levels(n, connected=connected, hereditary=hereditary):
         pass
-    yield from graphs
+    yield from (g for g, _ in pairs)
 
 
 def _levels(
@@ -450,20 +450,20 @@ def _levels(
     *,
     connected: bool = False,
     hereditary: str | None = None,
-    isk4_through: Callable[[Graph, int], bool] | None = None,
-) -> Iterator[Iterator]:
+    isk4: bool = False,
+) -> Iterator[Iterator[tuple[Graph, bool]]]:
     """The orders 1..n of ``enumerate_graphs`` in turn, each grown from the
-    one before: for each order, its graphs in sorted canonical order.
+    one before: for each order, ``(graph, holds)`` pairs in sorted canonical
+    order.  ``holds`` is False throughout unless ``isk4`` is set.
 
-    With ``isk4_through``, each order yields ``(graph, holds)`` pairs
-    instead, where ``holds`` tells whether the graph contains an induced
+    With ``isk4``, ``holds`` tells whether the graph contains an induced
     subdivision of K4.  The verdict is inherited: an induced subgraph of an
     ISK4-free graph is ISK4-free, so a class reached from any parent that
     holds an ISK4 holds one too.  A class whose parents are all ISK4-free
     holds one exactly when its stored labeling, whose last vertex w is the
-    one added to a parent, has one through w; ``isk4_through(graph, w)``
-    decides that.  Only the rows of the classes that hold an ISK4 are kept,
-    for the current order and the next.
+    one added to a parent, has one through w: one ``contains_isk4`` sweep
+    with ``through=w`` decides that.  Only the rows of the classes that hold
+    an ISK4 are kept, for the current order and the next.
     """
     if n > ENUMERATION_CAP:
         raise SizeLimitError(f"enumeration is capped at n={ENUMERATION_CAP}")
@@ -496,15 +496,15 @@ def _levels(
                     if parent_holds:
                         inherited.add(rows)
             level, held = nxt, inherited
-        order = sorted(level)
-        if isk4_through is None:
-            yield map(_graph_from_rows, order)
-        else:
+        if isk4:
+            # looked up at call time, so a rebound ``contains_isk4`` sees every sweep
             held |= {
                 rows for rows, masks in level.items()
-                if rows not in held and isk4_through(Graph.from_masks(masks), size - 1)
+                if rows not in held
+                and contains_isk4(Graph.from_masks(masks), through=size - 1) is not None
             }
-            yield zip(map(_graph_from_rows, order), map(held.__contains__, order))
+        order = sorted(level)
+        yield zip(map(_graph_from_rows, order), map(held.__contains__, order))
 
 
 # ---------------------------------------------------------------------------

@@ -14,9 +14,11 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
-from itertools import combinations, repeat
+from itertools import combinations
 
 from .colorers import (
+    BOUND_GENERAL,
+    BOUND_TRIANGLE_FREE,
     ClassViolationError,
     _suite_templates,
     color_general,
@@ -30,7 +32,6 @@ from .graph import (
     bits,
     chordless_order,
     component_masks,
-    girth,
     induced_plus_edge,
     is_proper_coloring,
     mask_of,
@@ -61,23 +62,18 @@ EXTREMAL_KEEP = 10
 RANDOM_N_MAX = 30
 RANDOM_PAIR_CAP = 3
 
-# run_suite decides the hereditary classes and ``isk4-free`` while it
-# enumerates; their entries name them and say what they mean
+# the per-graph test of each filter; run_suite decides the hereditary
+# classes and ``isk4-free`` while it enumerates, so they hold none
 FILTERS = {
-    "triangle-free": lambda g: find_triangle(g) is None,
-    "girth5": lambda g: girth(g) >= 5,
+    "triangle-free": None,
+    "girth5": None,
     "k33-free": lambda g: find_k33(g) is None,
     "k222-free": lambda g: find_k222(g) is None,
     "prism-free": lambda g: find_prism(g) is None,
     "boat-free": lambda g: find_boat(g) is None,
     "wheel-free": lambda g: find_wheel(g) is None,
-    "isk4-free": lambda g: contains_isk4(g) is None,
+    "isk4-free": None,
 }
-
-
-def _isk4_through(g: Graph, w: int) -> bool:
-    # reads the module attribute at call time, so a rebinding reaches it
-    return contains_isk4(g, through=w) is not None
 
 
 @dataclass
@@ -223,11 +219,11 @@ def _check_girth5_degree(g: Graph) -> dict:
 
 
 def _check_triangle_free_bound(g: Graph) -> dict:
-    return _check_colorer_bound(g, color_triangle_free, 4)
+    return _check_colorer_bound(g, color_triangle_free, BOUND_TRIANGLE_FREE)
 
 
 def _check_general_bound(g: Graph) -> dict:
-    return _check_colorer_bound(g, color_general, 24)
+    return _check_colorer_bound(g, color_general, BOUND_GENERAL)
 
 
 def _check_colorer_bound(g: Graph, colorer, bound: int) -> dict:
@@ -460,11 +456,11 @@ def run_suite(
 
     The graphs come from one pass of ``oracle._levels``, each order grown
     from the one before and pruned by the strictest hereditary class among
-    the filters, which implies the others.  The ``isk4-free`` verdict comes
-    from the enumeration too: a graph inherits it from its parent, or, when
-    the parent is ISK4-free, from one ``contains_isk4`` sweep through the
-    new vertex (``_isk4_through``).  The other filters run on each graph.
-    ``seed`` only drives the ``random_graphs`` random graphs of ``upstairs``.
+    the filters, which implies the others.  The enumeration decides
+    ``isk4-free`` too, from each graph's parent and one sweep through its
+    new vertex.  The other filters run their ``FILTERS`` test on each graph.
+    ``seed`` only drives the ``random_graphs`` random graphs of ``upstairs``;
+    ``random_graphs`` must not be negative.
     Workers only parallelize the per-graph checks; aggregation order is the
     enumeration order.  ``jobs`` is clamped to the CPU count.  The colorer
     calls of one run share their table of small-block templates, which is
@@ -472,6 +468,8 @@ def run_suite(
     """
     if n_max < 1:
         raise ValueError(f"n_max={n_max} is out of range: a suite runs over orders 1..{ENUMERATION_CAP}")
+    if random_graphs < 0:
+        raise ValueError(f"random_graphs={random_graphs} is negative")
     spec = resolve_suite(suite)
     t0 = time.monotonic()
     filters = list(dict.fromkeys(list(spec.filters) + list(extra_filters)))
@@ -479,10 +477,8 @@ def run_suite(
         if f not in FILTERS:
             raise ValueError(f"unknown filter {f!r}; known: {', '.join(FILTERS)}")
     hereditary = next((c for c in HEREDITARY_CLASSES if c in filters), None)
-    inherited = "isk4-free" in filters
-    runtime = [f for f in FILTERS if f in filters and f not in HEREDITARY_CLASSES + ("isk4-free",)]
-    levels = _levels(n_max, connected=connected, hereditary=hereditary,
-                     isk4_through=_isk4_through if inherited else None)
+    runtime = [test for f, test in FILTERS.items() if f in filters and test is not None]
+    levels = _levels(n_max, connected=connected, hereditary=hereditary, isk4="isk4-free" in filters)
 
     by_n: dict[str, dict] = {}
     violations: list[dict] = []
@@ -498,9 +494,9 @@ def run_suite(
         for n, source in enumerate(levels, 1):
             enumerated = 0
             graphs = []
-            for g, holds in source if inherited else zip(source, repeat(False)):
+            for g, holds in source:
                 enumerated += 1
-                if not holds and all(FILTERS[f](g) for f in runtime):
+                if not holds and all(test(g) for test in runtime):
                     graphs.append(g)
             if pool is None or len(graphs) < 4:
                 records = map(spec.check, graphs)

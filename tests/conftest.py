@@ -2,14 +2,13 @@ import pytest
 
 from isk4color.oracle import _levels, contains_isk4, enumerate_graphs
 from isk4color.patterns import find_k33, find_triangle
-from isk4color.suites import _isk4_through
 
 
 @pytest.fixture(scope="session")
 def all_levels_7():
     """Every graph up to isomorphism with 1..7 vertices (connected or not),
     each paired with the ISK4 verdict the enumeration inherits."""
-    return {n: list(pairs) for n, pairs in enumerate(_levels(7, isk4_through=_isk4_through), 1)}
+    return {n: list(pairs) for n, pairs in enumerate(_levels(7, isk4=True), 1)}
 
 
 @pytest.fixture(scope="session")
@@ -38,7 +37,7 @@ def all_graphs_of_order_8():
 def connected_levels_8():
     """Every connected graph up to isomorphism with 1..8 vertices, from one
     pass of the enumeration, each paired with its inherited ISK4 verdict."""
-    levels = _levels(8, connected=True, isk4_through=_isk4_through)
+    levels = _levels(8, connected=True, isk4=True)
     return {n: list(pairs) for n, pairs in enumerate(levels, 1)}
 
 

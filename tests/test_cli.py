@@ -2,12 +2,13 @@ import json
 
 import pytest
 
-from isk4color import cli, colorers
+from isk4color import cli, colorers, suites
 from isk4color.cli import cli_main
+from isk4color.colorers import ClassViolationError, Violation
 from isk4color.families import path_graph
-from isk4color.formats import write_graph
+from isk4color.formats import parse_graph6_line, write_graph
 from isk4color.graph import Coloring
-from isk4color.oracle import ENUMERATION_CAP, enumerate_graphs
+from isk4color.oracle import ENUMERATION_CAP, contains_isk4, enumerate_graphs
 
 from builders import complete_graph, complete_multipartite, cycle_graph, petersen
 
@@ -199,3 +200,89 @@ def test_cli_json_byte_determinism(files, capsys):
 def test_version_flag(capsys):
     assert cli_main(["--version"]) == 0
     capsys.readouterr()
+
+
+def test_parser_is_built_once_and_reused(files, capsys):
+    # one process: a usage error, a normal run and --version share one parser
+    assert cli_main(["color", files["c5.col"], "--algorithm", "bogus"]) == 2
+    capsys.readouterr()
+    code, out = run(capsys, "color", files["c5.col"], "--json")
+    assert code == 0 and json.loads(out)["result"]["palette_size"] == 3
+    assert cli_main(["--version"]) == 0
+    capsys.readouterr()
+    assert cli._build_parser() is cli._build_parser()
+
+
+def test_negative_random_graphs_is_a_usage_error(capsys):
+    assert cli_main(["enumerate", "--n", "3", "--check", "upstairs", "--random-graphs", "-3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "random_graphs=-3" in captured.err
+
+
+def test_suites_command_lists_every_suite(capsys):
+    code, out = run(capsys, "suites")
+    assert code == 0
+    for name, spec in suites.SUITES.items():
+        assert f"{name} (alias: {spec.alias})" in out
+    assert "  filters: none" in out  # upstairs has no filter
+
+
+def test_enumerate_text_output(capsys):
+    code, out = run(capsys, "enumerate", "--n", "4", "--check", "max-chi-general")
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[0] == "suite=max-chi-general graphs=9/10 checks=9 violations=0 max_chi=3"
+    assert lines[1].startswith("  extremal: {") and '"chi": 3' in lines[1]
+
+
+def test_suite_violations_are_reported(capsys, monkeypatch):
+    # a colorer that aborts on every graph makes general-bound report one
+    # violation per kept graph, each naming that graph in graph6
+    def aborting(g, mode):
+        raise ClassViolationError(Violation("k4", "stub abort"))
+
+    monkeypatch.setattr(suites, "color_general", aborting)
+    report = suites.run_suite("general-bound", 4)
+    kept = [g for n in range(1, 5) for g in enumerate_graphs(n, connected=True)
+            if contains_isk4(g) is None]
+    assert len(report.violations) == report.counts["total"]["passed_filters"] == len(kept)
+    for v, g in zip(report.violations, kept):
+        assert parse_graph6_line(v["graph6"]) == g and v["n"] == g.n
+        assert v["detail"] == "strict colorer aborted: k4: stub abort"
+    code, out = run(capsys, "enumerate", "--n", "4", "--check", "general-bound")
+    assert code == 1
+    lines = out.splitlines()
+    assert "violations=9" in lines[0]
+    assert len(lines) == 10 and all(l.startswith("  violation: {") for l in lines[1:])
+
+
+@pytest.mark.parametrize("algorithm, bound", [("c1", 6), ("c2", 12), ("c3", 24)])
+def test_color_layered_algorithms(files, capsys, algorithm, bound):
+    code, out = run(capsys, "color", files["c5.col"], "--algorithm", algorithm, "--json")
+    assert code == 0
+    result = json.loads(out)["result"]
+    assert result["algorithm"] == algorithm and result["bound_claimed"] == bound
+    assert result["palette_size"] == 3 and result["proper"]
+
+
+def test_color_tolerant_verify_input_puts_the_input_violation_first(files, capsys):
+    code, out = run(capsys, "color", files["k5.col"], "--algorithm", "general",
+                    "--tolerant", "--verify-input", "--json")
+    assert code == 0
+    assert [v["kind"] for v in json.loads(out)["violations"]] == ["isk4", "k4"]
+
+
+def test_violation_text_output(files, capsys):
+    code, out = run(capsys, "color", files["petersen.g6"], "--algorithm", "general", "--verify-input")
+    assert code == 1
+    assert out.startswith("violation isk4: input contains an induced K4 subdivision (vertices [")
+
+
+def test_oracle_isk4_json(files, capsys):
+    code, out = run(capsys, "oracle", "isk4", files["petersen.g6"], "--json")
+    assert code == 0
+    result = json.loads(out)["result"]
+    assert len(result["branch"]) == 4 and len(result["paths"]) == 6
+    assert set(result["branch"]) <= set(result["vertices"])
+    code, out = run(capsys, "oracle", "isk4", files["c5.col"], "--json")
+    assert code == 1 and json.loads(out)["result"] is None

@@ -1,5 +1,8 @@
+import random
+
 import pytest
 
+from isk4color.cli import cli_main
 from isk4color.graph import Graph
 from isk4color.formats import (
     FORMATS,
@@ -34,25 +37,6 @@ def test_parse_edge_list():
     assert g.m == 2
 
 
-def test_parse_errors_carry_line_numbers():
-    cases = [
-        ("p edge 3 1\ne 1 4\n", 2),        # vertex out of range
-        ("p edge 3 1\ne 2 2\n", 2),        # loop
-        ("p edge 3 2\ne 1 2\ne 2 1\n", 3), # duplicate edge
-        ("p edgy 3 1\n", 1),               # malformed header
-        ("e 1 2\n", 1),                    # edge before header
-        ("p edge 2 2\ne 1 2\n", 1),        # count mismatch
-    ]
-    for text, line in cases:
-        with pytest.raises(GraphParseError) as exc:
-            parse_graph(text, fmt="dimacs-col")
-        assert exc.value.line == line
-    with pytest.raises(GraphParseError):
-        parse_graph("3 1\n0 0\n", fmt="edge-list")
-    with pytest.raises(GraphParseError):
-        parse_graph("", fmt="edge-list")
-
-
 def test_graph6_roundtrip_examples():
     c5 = cycle_graph(5)
     line = write_graph6_line(c5)
@@ -67,6 +51,68 @@ def test_graph6_roundtrip_examples():
 def test_graph6_large_n_header():
     g = Graph(70, [(0, 69)])
     assert parse_graph6_line(write_graph6_line(g)) == g
+
+
+def test_graph6_roundtrip_every_order_to_70():
+    # the payload fills its last character with 0 to 5 zero bits, by n
+    rng = random.Random(6)
+    for n in range(71):
+        pairs = [(i, j) for j in range(n) for i in range(j)]
+        for g in (Graph(n, pairs), Graph(n, [p for p in pairs if rng.random() < 0.3])):
+            assert parse_graph6_line(write_graph6_line(g)) == g
+    assert parse_graph6_line("Bw") == complete_graph(3)
+
+
+@pytest.mark.parametrize("line, message", [
+    ("Bg~~~", "graph6 payload has 4 characters; n=3 needs 1"),  # trailing characters
+    ("B", "graph6 payload has 0 characters; n=3 needs 1"),
+    ("Bx", "graph6 padding bits are not zero"),  # "Bw" with the last padding bit set
+    ("~~?????????", "graph6 size header '~~' (n >= 258048) is not supported"),
+    ("~??", "truncated graph6 size"),
+])
+def test_graph6_rejects_malformed_lines(tmp_path, capsys, line, message):
+    with pytest.raises(GraphParseError) as exc:
+        parse_graph("\n" + line + "\n", fmt="graph6")
+    assert str(exc.value) == f"line 2: {message}" and exc.value.line == 2
+    bad = tmp_path / "bad.g6"
+    bad.write_text(line + "\n")
+    assert cli_main(["color", str(bad)]) == 2
+    assert capsys.readouterr().err == f"error: line 1: {message}\n"
+
+
+# every GraphParseError of the DIMACS and edge-list parsers: (format, text,
+# line, message)
+PARSE_ERRORS = [
+    ("dimacs-col", "p edge 3 0\np edge 3 0\n", 2, "duplicate problem line"),
+    ("dimacs-col", "p edgy 3 1\n", 1, "malformed problem line (want 'p edge <n> <m>')"),
+    ("dimacs-col", "p edge x 1\n", 1, "non-integer counts in problem line"),
+    ("dimacs-col", "p edge 3 -1\n", 1, "negative counts in problem line"),
+    ("dimacs-col", "e 1 2\n", 1, "edge before problem line"),
+    ("dimacs-col", "p edge 3 1\ne 1 2 3\n", 2, "malformed edge line (want 'e <u> <v>')"),
+    ("dimacs-col", "p edge 3 1\ne 1 b\n", 2, "non-integer vertex id"),
+    ("dimacs-col", "p edge 3 1\ne 1 4\n", 2, "vertex out of range 1..3"),
+    ("dimacs-col", "p edge 3 1\ne 2 2\n", 2, "self-loop"),
+    ("dimacs-col", "p edge 3 2\ne 1 2\ne 2 1\n", 3, "duplicate edge 2 1"),
+    ("dimacs-col", "p edge 3 0\nx 1 2\n", 2, "unknown line type 'x'"),
+    ("dimacs-col", "c only a comment\n", 1, "missing problem line"),
+    ("dimacs-col", "p edge 2 2\ne 1 2\n", 1, "header declares 2 edges, found 1"),
+    ("edge-list", "3 1\n0 1 2\n", 2, "expected two integers per line"),
+    ("edge-list", "3 1\n0 z\n", 2, "non-integer token"),
+    ("edge-list", "-3 1\n", 1, "negative counts in header"),
+    ("edge-list", "3 1\n# comment\n0 3\n", 3, "vertex out of range 0..2"),
+    ("edge-list", "3 1\n0 0\n", 2, "self-loop"),
+    ("edge-list", "3 2\n0 1\n1 0\n", 3, "duplicate edge 1 0"),
+    ("edge-list", "# nothing\n", 1, "empty input"),
+    ("edge-list", "", 1, "empty input"),
+    ("edge-list", "3 2\n0 1\n", 1, "header declares 2 edges, found 1"),
+]
+
+
+def test_parse_errors_carry_line_numbers():
+    for fmt, text, line, message in PARSE_ERRORS:
+        with pytest.raises(GraphParseError) as exc:
+            parse_graph(text, fmt=fmt)
+        assert str(exc.value) == f"line {line}: {message}" and exc.value.line == line, text
 
 
 def test_format_detection():

@@ -20,7 +20,6 @@ from isk4color.oracle import (
 )
 from isk4color.colorers import color_general, greedy_fallback
 from isk4color.patterns import find_triangle
-from isk4color.suites import _isk4_through
 from builders import (
     complete_graph,
     complete_multipartite,
@@ -128,7 +127,7 @@ def test_inherited_isk4_verdicts_match_the_full_sweep(
     for hereditary in HEREDITARY_CLASSES:
         # the pruned streams draw their verdicts from pruned parents
         for connected, n, free in ((False, 7, free_7), (True, 8, free_8)):
-            levels = _levels(n, connected=connected, hereditary=hereditary, isk4_through=_isk4_through)
+            levels = _levels(n, connected=connected, hereditary=hereditary, isk4=True)
             streams.append(({k: list(pairs) for k, pairs in enumerate(levels, 1)}, free))
     for levels, free in streams:
         for pairs in levels.values():
@@ -233,7 +232,7 @@ def test_candidates_reach_the_same_classes():
         for hereditary in (None, *HEREDITARY_CLASSES):
             keep = oracle._EXTENSION_FILTERS.get(hereditary)
             for parents in _levels(6, connected=connected, hereditary=hereditary):
-                for parent in parents:
+                for parent, _ in parents:
                     masks = parent._adj
                     k = len(masks)
                     every = [m for m in range(lo, 1 << k) if keep is None or keep(masks, m)]
