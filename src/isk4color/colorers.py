@@ -226,7 +226,6 @@ def color_thick_multipartite(shape: MultipartiteShape) -> Coloring:
 class EdgeColoring:
     assignment: dict[tuple[int, int], int]
     palette_size: int
-    max_degree: int
     out_of_contract: bool  # set when the input exceeded max degree 3
 
 
@@ -260,16 +259,12 @@ def edge_color_subcubic(h: Graph) -> EdgeColoring:
         chain = []
         cur = start
         want = d
-        prev = -1
         while True:
             hit = edge_at(cur, want)
             if hit is None:
                 break
-            w, e = hit
-            if w == prev:
-                break
+            cur, e = hit
             chain.append(e)
-            prev, cur = cur, w
             want = c if want == d else d
         for e in chain:
             color[e] = c if color[e] == d else d
@@ -335,7 +330,7 @@ def edge_color_subcubic(h: Graph) -> EdgeColoring:
             color = tight
             palette = delta
     _assert_proper_edge_coloring(h, color)
-    return EdgeColoring(color, palette, delta, delta > 3)
+    return EdgeColoring(color, palette, delta > 3)
 
 
 _EXACT_EDGE_SEARCH_EDGE_CAP = 60

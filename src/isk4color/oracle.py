@@ -67,11 +67,10 @@ def _subdivision_witness(g: Graph, subset) -> Isk4Witness | None:
             return None
     if len(branch) != 4:
         return None
-    # no connectivity sweep: six chains, one per branch pair, covering the rest connect vs
+    # the chains have no loop and no shared pair of ends, so six of them join
+    # every branch pair and, covering the rest, connect vs: no connectivity sweep
     chains = suppress_chains(g, vmask, mask_of(branch))
     if chains is None or len(chains) != 6:
-        return None
-    if set(chains) != {tuple(p) for p in combinations(branch, 2)}:
         return None
     paths = tuple(tuple(chains[p]) for p in sorted(chains))
     return Isk4Witness(frozenset(vs), tuple(branch), paths)
@@ -167,25 +166,32 @@ def chromatic_number_exact(g: Graph, *, limit: int | None = SUBSET_SWEEP_CAP) ->
 
 
 def _colorable(g: Graph, order, k) -> bool:
+    """Backtracking over ``order``, each vertex trying its colors in increasing
+    order up to one past the palette used so far.  The search keeps its own
+    stack, so a long path does not reach the recursion limit."""
     n = g.n
     assign = [-1] * n
-
-    def rec(idx, used):
-        if idx == n:
-            return True
-        v = order[idx]
+    # per vertex on the stack: the colors it has left to try, and the palette
+    # size used before it
+    stack: list[tuple[Iterator[int], int]] = []
+    used = 0
+    while len(stack) < n:
+        v = order[len(stack)]
         forbidden = {assign[w] for w in bits(g.mask(v)) if assign[w] != -1}
-        cap = min(used + 1, k)
-        for c in range(cap):
-            if c in forbidden:
-                continue
-            assign[v] = c
-            if rec(idx + 1, max(used, c + 1)):
-                return True
-        assign[v] = -1
-        return False
-
-    return rec(0, 0)
+        stack.append((iter([c for c in range(min(used + 1, k)) if c not in forbidden]), used))
+        while stack:
+            colors, used = stack[-1]
+            c = next(colors, None)
+            v = order[len(stack) - 1]
+            if c is not None:
+                assign[v] = c
+                used = max(used, c + 1)
+                break
+            assign[v] = -1
+            stack.pop()
+        else:
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -517,13 +523,6 @@ class HoleAttachmentClassification:
     attachers: tuple[int, ...]
     hole_vertices: tuple[int, ...]
 
-    def to_dict(self) -> dict:
-        return {
-            "case": self.output_case,
-            "attachers": list(self.attachers),
-            "hole_vertices": list(self.hole_vertices),
-        }
-
 
 def classify_hole_attachment(g: Graph, hole: Iterable[int], s: Iterable[int]) -> HoleAttachmentClassification | None:
     """Match a dominating attachment set against the three structural outcomes:
@@ -575,10 +574,8 @@ def classify_hole_attachment(g: Graph, hole: Iterable[int], s: Iterable[int]) ->
                 if v1 == v2:
                     continue
                 if v1 in arc_a and v2 in arc_b:
-                    u1 = singles[v1][0]
-                    u2 = next(u for u in singles[v2] if u != u1)
-                    if u1 == u3 or u2 == u3:
-                        continue
+                    # a single attacher sees one hole vertex and u3 two, so all three differ
+                    u1, u2 = singles[v1][0], singles[v2][0]
                     return HoleAttachmentClassification(3, (u1, u2, u3), (v1, v2, v3, v3p))
     return None
 
@@ -624,20 +621,3 @@ def verify_layer_forests(g: Graph) -> LayerCycleWitness | None:
                 return LayerCycleWitness(root, i, tuple(ids[v] for v in cyc))
     return None
 
-
-__all__ = [
-    "ENUMERATION_CAP",
-    "HEREDITARY_CLASSES",
-    "SUBSET_SWEEP_CAP",
-    "SizeLimitError",
-    "Isk4Witness",
-    "contains_isk4",
-    "chromatic_number_exact",
-    "canonical_form",
-    "are_isomorphic",
-    "enumerate_graphs",
-    "HoleAttachmentClassification",
-    "classify_hole_attachment",
-    "LayerCycleWitness",
-    "verify_layer_forests",
-]

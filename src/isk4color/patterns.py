@@ -535,9 +535,6 @@ def _build_krausz(g, edge_clique):
         if len(slots) == 1:
             slots = slots + [nxt]
             nxt += 1
-        elif not slots:
-            slots = [nxt, nxt + 1]
-            nxt += 2
         root_edge_of[v] = (slots[0], slots[1])
     root = Graph(nxt, sorted(root_edge_of.values()))
     return KrauszPartition(

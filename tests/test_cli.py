@@ -95,6 +95,9 @@ def test_usage_errors(files, capsys):
     capsys.readouterr()
     assert cli_main(["enumerate", "--n", "3", "--check", "bogus"]) == 2
     capsys.readouterr()
+    for seed in ("-1", str(2**64)):
+        assert cli_main(["enumerate", "--n", "3", "--check", "general-bound", "--seed", seed]) == 2
+        assert "unsigned 64-bit" in capsys.readouterr().err
 
 
 def test_enumerate_order_out_of_range(capsys):
@@ -170,6 +173,39 @@ def test_enumerate_suite_json(capsys):
     # the generator streams triangle-free graphs directly for this suite
     assert payload["result"]["counts"]["total"]["enumerated"] == 12
     assert "wall_time_s" not in payload["result"]
+
+
+@pytest.mark.parametrize("flags, enumerated, kept, connected", [
+    ((), 31, 25, True),
+    (("--all-graphs",), 52, 45, False),
+])
+def test_enumerate_all_graphs(capsys, flags, enumerated, kept, connected):
+    code, out = run(capsys, "enumerate", "--n", "5", "--check", "general-bound", "--json", *flags)
+    assert code == 0
+    result = json.loads(out)["result"]
+    assert result["counts"]["total"]["enumerated"] == enumerated
+    assert result["counts"]["total"]["passed_filters"] == kept
+    assert result["parameters"]["connected"] is connected
+
+
+@pytest.mark.parametrize("algorithm", cli._ALGORITHMS)
+def test_color_empty_graph(tmp_path, capsys, algorithm):
+    path = tmp_path / "empty.col"
+    path.write_text("p edge 0 0\n")
+    code, out = run(capsys, "color", str(path), "--algorithm", algorithm, "--json")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["result"]["palette_size"] == 0 and payload["result"]["assignment"] == []
+    assert payload["violations"] == []
+    # greedy records its one rule; the structural colorers have no block to trace
+    assert payload["trace"] == ([{"rule": "greedy"}] if algorithm == "greedy" else [])
+
+
+def test_oracle_chi_force_on_a_long_path(tmp_path, capsys):
+    path = tmp_path / "p3000.col"
+    path.write_text(write_graph(path_graph(3000), "dimacs-col"))
+    code, out = run(capsys, "oracle", "chi", "--force", str(path))
+    assert code == 0 and out == "chi=2\n"
 
 
 def test_enumerate_alias_and_filter(capsys):

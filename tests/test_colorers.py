@@ -161,6 +161,29 @@ def test_color_c1_examples():
     assert color_c1(Graph(1)).coloring.palette_size == 1
 
 
+def test_color_c1_layer_of_girth_5_that_is_not_2_degenerate():
+    # the Petersen graph under an apex numbered 0 is layer 1: girth 5 but
+    # 3-degenerate, so the layer breaks the girth-5 colorer's contract
+    pet = petersen()
+    g = Graph(11, [(0, v) for v in range(1, 11)] + [(a + 1, b + 1) for a, b in pet.edges()])
+    r = color_c1(g, "tolerant")
+    assert [v.to_dict() for v in r.violations] == [{
+        "kind": "layer_degeneracy", "message": "layer is not 2-degenerate",
+        "vertices": list(range(1, 11)),
+    }]
+    assert is_proper_coloring(g, r.coloring)
+    with pytest.raises(ClassViolationError) as exc:
+        color_c1(g)
+    assert exc.value.violation.kind == "layer_degeneracy"
+    assert exc.value.violation.vertices == tuple(range(1, 11))
+
+
+@pytest.mark.parametrize("colorer", [color_general, color_triangle_free, color_c1, color_c2, color_c3])
+def test_empty_graph_needs_no_color(colorer):
+    r = colorer(Graph(0))
+    assert r.coloring == Coloring((), 0) and r.trace == [] and r.violations == []
+
+
 def test_color_c2_examples():
     assert color_c2(path_graph(4)).coloring.palette_size == 2
     r = color_c2(cycle_graph(7))

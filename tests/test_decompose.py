@@ -63,6 +63,7 @@ def test_clique_cutset_examples():
     cut = find_clique_cutset(diamond)
     assert cut.clique == (0, 1)
     assert find_clique_cutset(cycle_graph(5)) is None
+    assert find_clique_cutset(Graph(0)) is None
 
 
 def test_clique_cutset_preconditions():
@@ -184,6 +185,7 @@ def test_proper_2cutset_examples():
     assert cut.side_x.bit_count() == 2 and cut.side_y.bit_count() == 2
     assert find_proper_2cutset(complete_multipartite(2, 3)) is None
     assert find_proper_2cutset(cycle_graph(5)) is None
+    assert find_proper_2cutset(Graph(0)) is None
     with pytest.raises(ValueError):
         find_proper_2cutset(Graph(3, [(0, 1)]))
 

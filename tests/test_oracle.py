@@ -19,6 +19,7 @@ from isk4color.oracle import (
     verify_layer_forests,
 )
 from isk4color.colorers import color_general, greedy_fallback
+from isk4color.families import path_graph
 from isk4color.patterns import find_triangle
 from builders import (
     complete_graph,
@@ -145,6 +146,11 @@ def test_chromatic_examples():
     assert chromatic_number_exact(petersen()) == 3
     with pytest.raises(SizeLimitError):
         chromatic_number_exact(Graph(20))
+
+
+def test_chromatic_number_of_a_long_path_within_the_recursion_limit():
+    # the search keeps its own stack: one frame per vertex would overflow
+    assert chromatic_number_exact(path_graph(3000), limit=None) == 2
 
 
 def test_chromatic_against_greedy_random():
@@ -306,6 +312,7 @@ def test_canonical_form_invariance():
         assert are_isomorphic(g, h)
         assert ref_isomorphic(canonical_graph(g), g)
     assert not are_isomorphic(cycle_graph(6), disjoint_union(complete_graph(3), complete_graph(3)))
+    assert canonical_form(Graph(0)) == (0, ()) and are_isomorphic(Graph(0), Graph(0))
 
 
 def test_classify_hole_attachment_examples():

@@ -184,6 +184,8 @@ def test_recognize_line_graph_subcubic_examples():
     assert kp is not None and are_isomorphic(kp.root, c5)
 
     assert recognize_line_graph_subcubic(complete_multipartite(3, 3)) is None
+    kp = recognize_line_graph_subcubic(Graph(0))
+    assert kp.cliques == () and kp.root.m == 0 and line_graph(kp.root) == Graph(0)
     with pytest.raises(ValueError):
         recognize_line_graph_subcubic(Graph(4, [(0, 1), (2, 3)]))
 

@@ -2,11 +2,17 @@ import hashlib
 import json
 import os
 import random
+from functools import partial
 
 import pytest
 
 from isk4color import oracle, suites
-from isk4color.graph import Graph
+from isk4color.colorers import ColoringResult, Violation
+from isk4color.formats import parse_graph6_line
+from isk4color.graph import Coloring, Graph, bfs_layering
+from isk4color.layering import Confluence
+from isk4color.oracle import LayerCycleWitness, contains_isk4, enumerate_graphs
+from isk4color.patterns import find_triangle
 from isk4color.suites import (
     FILTERS,
     SUITES,
@@ -17,6 +23,7 @@ from isk4color.suites import (
     run_suite,
 )
 
+from builders import complete_graph, petersen
 from reference import ref_maximal_flat_paths
 
 
@@ -208,6 +215,149 @@ def test_isk4_verdicts_sweep_through_the_rebound_oracle(monkeypatch):
     monkeypatch.setattr(oracle, "contains_isk4", counted)
     run_suite("general-bound", 6)
     assert len(throughs) == 133 and None not in throughs
+
+
+def _kept(n_max, *tests):
+    """The connected ISK4-free graphs on 1..n_max vertices that pass every
+    test, in the order a suite reports them."""
+    return [g for n in range(1, n_max + 1) for g in enumerate_graphs(n, connected=True)
+            if all(test(g) for test in tests) and contains_isk4(g) is None]
+
+
+def _triangle_free(g):
+    return find_triangle(g) is None
+
+
+def _reported(violations):
+    """(graph, detail) of each violation; each graph6 parses back to a graph
+    of the reported order."""
+    out = []
+    for v in violations:
+        g = parse_graph6_line(v["graph6"])
+        assert g.n == v["n"]
+        out.append((g, v["detail"]))
+    return out
+
+
+# each check reports a claim its callee breaks: the callee is stubbed by its
+# name in ``suites``, so the enumeration and its filters stay real
+
+
+def test_flat_reduction_reports_violations(monkeypatch):
+    monkeypatch.setattr(suites, "contains_isk4", lambda g: g)
+    expected = [(g, f"reducing flat path {list(fp)} created an induced K4 subdivision")
+                for g in _kept(5) for fp in maximal_flat_paths(g)]
+    assert expected and _reported(run_suite("flat-reduction", 5).violations) == expected
+
+
+def test_wheel_free_chi_reports_violations(monkeypatch):
+    monkeypatch.setattr(suites, "chromatic_number_exact", lambda g: 4)
+    report = run_suite("wheel-free-chi", 5)
+    expected = [(g, "wheel-free graph with chromatic number 4 > 3")
+                for g in _kept(5, FILTERS["wheel-free"])]
+    assert expected and _reported(report.violations) == expected
+    assert report.max_observed["chi"] == 4
+
+
+def test_layer_forests_reports_violations(monkeypatch):
+    monkeypatch.setattr(suites, "verify_layer_forests", lambda g: LayerCycleWitness(0, 1, (1, 2, 3)))
+    expected = [(g, "layer 1 from root 0 contains the cycle [1, 2, 3]")
+                for g in _kept(5, _triangle_free)]
+    assert expected and _reported(run_suite("layer-forests", 5).violations) == expected
+
+
+def test_hole_attachment_reports_violations(monkeypatch):
+    monkeypatch.setattr(suites, "classify_hole_attachment", lambda g, hole, s: None)
+    report = run_suite("hole-attachment", 7)
+    reported = _reported(report.violations)
+    assert len(reported) == report.counts["total"]["checks"] > 0
+    kept = _kept(7, _triangle_free, FILTERS["k33-free"])
+    for g, detail in reported:
+        assert g in kept and detail.startswith("no attachment case matched hole [")
+
+
+def test_upstairs_reports_violations(monkeypatch):
+    # every pair gets a path with wrong ends and every triple a triangle-
+    # centered confluence, which a triangle-free graph must not give
+    monkeypatch.setattr(suites, "upstairs_path", lambda g, layers, i, x, y: [])
+    monkeypatch.setattr(suites, "find_confluence",
+                        lambda g, layers, i, x, y, z: Confluence(2, (x, y, z), ((x,), (y,), (z,)), (x, y, z)))
+    report = run_suite("upstairs", 4, extra_filters=("triangle-free",), random_graphs=0)
+    reported = _reported(report.violations)
+    assert len(reported) == report.counts["total"]["checks"] > 0
+    for g, detail in reported:
+        assert _triangle_free(g)
+        assert detail == "triangle-free graph produced a triangle-centered confluence" or (
+            detail.startswith("upstairs path [] for (") and detail.endswith(": wrong endpoints"))
+
+
+@pytest.mark.parametrize("stub, detail, checked", [
+    (lambda g, mode: ColoringResult(Coloring((0,) * g.n, 1), 4),
+     "coloring not proper", lambda g: g.m > 0),
+    (lambda g, mode: ColoringResult(Coloring(tuple(range(g.n)), 5), 4),
+     "palette 5 exceeds the bound 4", lambda g: True),
+    (lambda g, mode: ColoringResult(Coloring(tuple(range(g.n)), 4), 4, violations=[Violation("k33", "stub")]),
+     "unexpected class violations: ['k33']", lambda g: True),
+], ids=["improper", "over-bound", "violations"])
+def test_triangle_free_bound_reports_violations(monkeypatch, stub, detail, checked):
+    monkeypatch.setattr(suites, "color_triangle_free", stub)
+    expected = [(g, detail) for g in _kept(4, _triangle_free) if checked(g)]
+    assert expected and _reported(run_suite("triangle-free-bound", 4).violations) == expected
+
+
+def test_girth5_degree_reports_both_violations():
+    g = petersen()
+    assert _reported(suites._check_girth5_degree(g)["violations"]) == [
+        (g, "girth >= 5 graph with minimum degree 3 > 2"),
+        (g, "degeneracy check failed: degeneracy 3 exceeds 2"),
+    ]
+
+
+def test_min_degree_returns_a_counterexample():
+    record = suites._check_min_degree(complete_graph(5), 3)
+    assert record["violations"] == []
+    assert record["counterexample"]["detail"] == "minimum degree 4 exceeds 3"
+    assert parse_graph6_line(record["counterexample"]["graph6"]) == complete_graph(5)
+
+
+def test_max_chi_reports_graphs_over_the_expected_bound(monkeypatch):
+    monkeypatch.setattr(suites, "chromatic_number_exact", lambda g: 5)
+    report = run_suite("max-chi-general", 4)
+    over = [e for e in report.extremal if e.get("exceeds_expected")]
+    assert [(parse_graph6_line(e["graph6"]), e["n"], e["chi"]) for e in over] == [
+        (g, g.n, 5) for g in _kept(4)]
+    assert report.max_observed["chi"] == 5
+
+
+def test_min_degree_counterexamples_reach_the_report(monkeypatch):
+    monkeypatch.setattr(SUITES["min-degree-c3"], "check", partial(suites._check_min_degree, bound=1))
+    report = run_suite("min-degree-c3", 5)
+    kept = _kept(5, FILTERS["k33-free"], FILTERS["k222-free"], FILTERS["prism-free"])
+    expected = [(g, f"minimum degree {d} exceeds 1") for g in kept
+                if (d := min(map(g.degree, range(g.n)))) > 1]
+    assert expected and report.violations == []
+    assert _reported(report.extremal) == expected
+
+
+# layers {0}, {1, 2, 3}, {4, 5}, {6}: a path 1-2-3 in layer 1, 4 and 5 below
+# its ends, and 6 below both
+_UPSTAIRS = Graph(7, [(0, 1), (0, 2), (0, 3), (1, 2), (2, 3), (1, 4), (3, 5), (4, 6), (5, 6)])
+
+
+@pytest.mark.parametrize("i, x, y, path, reason", [
+    (1, 1, 3, (1, 0, 3), None),
+    (1, 1, 3, (), "wrong endpoints"),
+    (1, 1, 3, (3, 0, 1), "wrong endpoints"),
+    (1, 1, 3, (1, 0, 1, 3), "repeated vertex"),
+    (1, 1, 3, (1, 3), "consecutive vertices not adjacent"),
+    (1, 1, 3, (1, 0, 2, 3), "path has a chord"),
+    (2, 4, 5, (4, 6, 5), "path leaves the allowed layers"),
+    (2, 4, 5, (4, 1, 2, 3, 5), "more than two vertices in one layer"),
+])
+def test_validate_upstairs_path_reasons(i, x, y, path, reason):
+    layers = bfs_layering(_UPSTAIRS, 0)
+    assert layers == (0b1, 0b1110, 0b110000, 0b1000000)
+    assert suites._validate_upstairs_path(_UPSTAIRS, layers, i, x, y, path) == reason
 
 
 # sha256 of json.dumps(report.to_dict(), sort_keys=True) for every suite:
