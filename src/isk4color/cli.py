@@ -1,7 +1,7 @@
 """Command-line surface.
 
 Subcommands: ``detect`` (pattern witnesses), ``color`` (bounded colorers),
-``oracle`` (exact chromatic number / induced-K4-subdivision sweep), and
+``oracle`` (exact chromatic number / induced-K4-subdivision search), and
 ``enumerate`` (verification suites over exhaustively enumerated graphs).
 
 Exit codes: 0 success; 1 pattern not found or class violation in strict mode;
@@ -104,7 +104,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_color.add_argument("--verify-input", action="store_true",
                          help="run the induced-K4-subdivision oracle on the input first")
     p_color.add_argument("--json", action="store_true")
-    p_color.add_argument("--seed", type=_seed_type, default=0)
     p_color.add_argument("--format", choices=FORMATS)
 
     p_oracle = sub.add_parser("oracle", help="exact brute-force checks")
@@ -113,17 +112,15 @@ def _build_parser() -> argparse.ArgumentParser:
     p_oracle.add_argument("--format", choices=FORMATS)
     p_oracle.add_argument("--json", action="store_true")
     p_oracle.add_argument("--force", action="store_true",
-                          help="lift the size cap on the subset sweep")
+                          help="lift the size cap on the exact searches")
 
     p_enum = sub.add_parser(
         "enumerate",
         help="run a verification suite over all graphs with up to N vertices",
     )
     p_enum.add_argument("--n", type=int, required=True, metavar="N")
-    p_enum.add_argument("--connected", action="store_true", default=True,
-                        help="restrict to connected graphs (default)")
     p_enum.add_argument("--all-graphs", dest="connected", action="store_false",
-                        help="include disconnected graphs")
+                        help="include disconnected graphs (default: connected graphs only)")
     p_enum.add_argument("--filter", default="",
                         help=f"comma-separated extra filters: {', '.join(FILTERS)}")
     p_enum.add_argument("--check", required=True,
@@ -208,7 +205,7 @@ def _cmd_color(args, argv) -> int:
     if not proper:
         raise AssertionError(f"algorithm {algorithm} produced an improper coloring")
     result.violations = pre_violations + result.violations
-    extra = {"algorithm": algorithm, "mode": args.mode, "seed": args.seed, "proper": proper}
+    extra = {"algorithm": algorithm, "mode": args.mode, "proper": proper}
     text = serialize_coloring(result, as_json=args.json, command=argv,
                               input_sha256=digest, extra=extra)
     _emit(text)

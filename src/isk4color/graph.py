@@ -3,8 +3,8 @@ and layering primitives shared by every other module.
 
 Adjacency is one arbitrary-precision int bitmask per vertex.  Python ints
 serve both as the small-n fast path and as the general fallback, which keeps
-the subset-sweeping oracles and the exhaustive enumerator fast without a
-second representation.
+the exhaustive oracles and the enumerator fast without a second
+representation.
 
 Each graph primitive has one implementation here, and every other module
 calls it:
@@ -16,6 +16,8 @@ calls it:
 - ``suppress_chains``: the branch-to-branch chains of a subdivision;
 - ``k_core``: the k-core by repeated peeling;
 - ``chordless_order``: the walk along an induced path or hole;
+- ``grow_induced_paths``: induced paths grown between given ends, the one
+  search behind the prism and K4-subdivision detectors;
 - ``induced_plus_edge``: an induced subgraph plus one edge (a 2-cutset
   block with its marker edge, a graph with a flat path reduced to an edge).
 
@@ -391,7 +393,6 @@ def suppress_chains(g: Graph, vmask: int, bmask: int) -> dict[tuple[int, int], l
     every chain joins two distinct branch vertices, and no two chains join
     the same pair (suppressing the interiors leaves a simple graph).
     """
-    limit = vmask.bit_count() + 1
     chains: dict[tuple[int, int], list[int]] = {}
     interiors = 0
     for b in bits(bmask):
@@ -399,9 +400,10 @@ def suppress_chains(g: Graph, vmask: int, bmask: int) -> dict[tuple[int, int], l
             path = [b, w]
             prev = b
             cur = w
+            # each interior vertex passed has two neighbours in vmask, the one
+            # before it and the one after, so the walk cannot come back to
+            # one of them: it ends at a branch vertex, possibly b itself
             while not bmask >> cur & 1:
-                if len(path) > limit:
-                    return None
                 nbrs = g.mask(cur) & vmask & ~(1 << prev)
                 if nbrs.bit_count() != 1:
                     return None
@@ -454,3 +456,40 @@ def chordless_order(g: Graph, vertices, *, hole: bool) -> tuple[int, ...] | None
         order.append(w)
         cur, prev = w, 1 << cur
     return tuple(order) if len(order) == size else None
+
+
+def grow_induced_paths(g: Graph, chosen: int, pairs) -> int | None:
+    """The mask ``chosen`` plus one induced path per (s, t) of ``pairs``,
+    both ends in ``chosen``, such that each added vertex sees no vertex of
+    the result but its two neighbours on its path; or None when there is
+    no such set.
+
+    The paths grow one vertex at a time, in the order of ``pairs``, on an
+    explicit stack.  A vertex joins path i only if its neighbours among the
+    vertices chosen so far are exactly the end of path i, plus t when it
+    closes the path.  Adjacent ends take the direct edge: any longer path
+    would have it as a chord.  Every vertex of such a set passes that test,
+    so the search is complete and what it returns needs no re-check.
+    Candidates are tried smallest first, so the result is deterministic.
+    """
+    adj = g._adj
+    stack = [(0, -1, chosen)]
+    while stack:
+        i, end, chosen = stack.pop()
+        if i == len(pairs):
+            return chosen
+        s, t = pairs[i]
+        if end < 0:
+            end = s
+            if adj[s] >> t & 1:
+                stack.append((i + 1, -1, chosen))
+                continue
+        close = 1 << end | 1 << t
+        # pushed in decreasing order, so the smallest candidate is tried first
+        for v in reversed(list(bits(adj[end] & ~chosen))):
+            seen = adj[v] & chosen
+            if seen == 1 << end:
+                stack.append((i, v, chosen | 1 << v))
+            elif seen == close:
+                stack.append((i + 1, -1, chosen | 1 << v))
+    return None

@@ -4,7 +4,8 @@ attachment classifier.  The verification suite driver that runs them over
 the enumerated graphs lives in ``suites.py``.
 
 Everything here trades polynomial niceties for certainty at desk scale; the
-enumeration is capped at n = 9 and the subset sweeps at n = 16.
+enumeration is capped at n = 9, and the ISK4 search and the exact chromatic
+number at n = 16.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from .graph import (
     chordless_order,
     find_cycle,
     greedy_coloring,
+    grow_induced_paths,
     induced_subgraph,
     k_core,
     mask_of,
@@ -76,58 +78,30 @@ def _subdivision_witness(g: Graph, subset) -> Isk4Witness | None:
     return Isk4Witness(frozenset(vs), tuple(branch), paths)
 
 
-def contains_isk4(
-    g: Graph,
-    *,
-    limit: int | None = SUBSET_SWEEP_CAP,
-    through: int | None = None,
-) -> Isk4Witness | None:
-    """Sweep vertex subsets in increasing size for an induced subdivision of
-    K4; witnesses are therefore minimum-size.  ``through`` restricts the
-    sweep to the subsets that contain that vertex, one of ``range(g.n)``.
-    ``limit=None`` lifts the cap.
+def contains_isk4(g: Graph, *, limit: int | None = SUBSET_SWEEP_CAP) -> Isk4Witness | None:
+    """An induced subdivision of K4 in g, or None.  ``limit=None`` lifts the
+    cap.
 
-    A subset reaches the chain check of ``_subdivision_witness`` only when
-    each of its vertices has 2 or 3 neighbours inside it and exactly four
-    have 3; the others are skipped on their degrees alone, in the same order,
-    so the witness is the one the full check would return first."""
+    Every vertex of a K4 subdivision has degree 2 or 3 inside it, so it lies
+    in the 2-core, and its four branch vertices have core degree >= 3.
+    Those vertices are ordered by decreasing core degree, then id; for each
+    4-set of them in that order, ``grow_induced_paths`` grows the six paths
+    between its pairs.  The search is complete, but the first subdivision it
+    grows need not be a smallest one.  ``_subdivision_witness`` re-checks it
+    and builds the certificate."""
     if limit is not None and g.n > limit:
-        raise SizeLimitError(f"n={g.n} exceeds the subset-sweep cap {limit} (pass limit=None to override)")
-    if through is not None and not 0 <= through < g.n:
-        raise ValueError(f"through={through} is not a vertex of the graph: expected one of range({g.n})")
-    if g.m < 6:
-        return None
-    # every vertex of a K4 subdivision keeps degree >= 2 inside it, so the
-    # witness lives in the 2-core; branch vertices need core degree >= 3
-    core = k_core(g, 2)
-    cmask = mask_of(core)
-    if sum(1 for v in core if (g.mask(v) & cmask).bit_count() >= 3) < 4:
-        return None
+        raise SizeLimitError(f"n={g.n} exceeds the ISK4 search cap {limit} (pass limit=None to override)")
     adj = g._adj
-    head = head_adj = 0  # the vertex in every subset, when ``through`` names one
-    if through is not None:
-        if not cmask >> through & 1:
-            return None
-        head, head_adj = 1 << through, adj[through]
-        core.remove(through)
-    pairs = [(1 << v, adj[v]) for v in core]
-    for size in range(4 - (through is not None), len(core) + 1):
-        for subset in combinations(pairs, size):
-            smask = head
-            for b, _ in subset:
-                smask |= b
-            threes = 4  # vertices of degree 3 the subset itself must hold
-            if head:
-                d = (head_adj & smask).bit_count()
-                if d != 2 and d != 3:
-                    continue
-                threes -= d == 3
-            degs = [(a & smask).bit_count() for _, a in subset]
-            if degs.count(3) != threes or degs.count(2) != size - threes:
-                continue
-            w = _subdivision_witness(g, bits(smask))
-            if w is not None:
-                return w
+    core = mask_of(k_core(g, 2))
+    deg = {v: (adj[v] & core).bit_count() for v in bits(core)}
+    branches = sorted((v for v, d in deg.items() if d >= 3), key=lambda v: (-deg[v], v))
+    for quad in combinations(branches, 4):
+        found = grow_induced_paths(g, mask_of(quad), list(combinations(quad, 2)))
+        if found is not None:
+            w = _subdivision_witness(g, bits(found))
+            if w is None:
+                raise AssertionError(f"internal error: grown set {list(bits(found))} is no K4 subdivision")
+            return w
     return None
 
 
@@ -153,13 +127,10 @@ def chromatic_number_exact(g: Graph, *, limit: int | None = SUBSET_SWEEP_CAP) ->
     first-use pruning on the color classes."""
     if limit is not None and g.n > limit:
         raise SizeLimitError(f"n={g.n} exceeds the exact-coloring cap {limit}")
-    if g.n == 0:
-        return 0
-    if g.m == 0:
-        return 1
     order = sorted(range(g.n), key=lambda v: (-g.degree(v), v))
     upper = greedy_coloring(g).palette_size
-    for k in range(max(2, _greedy_clique(g)), upper + 1):
+    # the greedy palette is a coloring, so only the k below it need a search
+    for k in range(max(2, _greedy_clique(g)), upper):
         if _colorable(g, order, k):
             return k
     return upper
@@ -240,16 +211,9 @@ def _min_encoding(masks: tuple[int, ...]) -> tuple[int, ...]:
     for cell in cell_order:
         slots.extend([cell] * len(cell))
 
-    best: list[int] | None = None
-    placed: list[int] = []
-    rows: list[int] = []
-    in_use = 0
-
-    def dfs(p):
-        nonlocal best, in_use
-        if p == n:
-            best = rows.copy()
-            return
+    def frame(p):
+        # the vertices that may take position p, by the row they would get,
+        # and the twin keys tried there so far
         cand = []
         for v in slots[p]:
             if in_use >> v & 1:
@@ -260,11 +224,26 @@ def _min_encoding(masks: tuple[int, ...]) -> tuple[int, ...]:
                     row |= 1 << q
             cand.append((row, v))
         cand.sort()
-        seen_open: set[int] = set()
-        seen_closed: set[int] = set()
-        for row, v in cand:
+        return iter(cand), set(), set()
+
+    best: list[int] | None = None
+    placed: list[int] = []
+    rows: list[int] = []
+    in_use = 0
+    # one frame per position being filled, so a long path does not reach the
+    # recursion limit
+    stack = [frame(0)]
+    while stack:
+        p = len(stack) - 1
+        if len(placed) > p:
+            # back at position p: take back the vertex placed there
+            in_use ^= 1 << placed.pop()
+            rows.pop()
+        cands, seen_open, seen_closed = stack[-1]
+        for row, v in cands:
             if best is not None:
                 if row > best[p]:
+                    stack.pop()
                     break
                 if row < best[p]:
                     best = None  # this branch strictly improves; rebuild below
@@ -279,12 +258,13 @@ def _min_encoding(masks: tuple[int, ...]) -> tuple[int, ...]:
             placed.append(v)
             rows.append(row)
             in_use |= 1 << v
-            dfs(p + 1)
-            in_use &= ~(1 << v)
-            rows.pop()
-            placed.pop()
-
-    dfs(0)
+            if p + 1 == n:
+                best = rows.copy()
+            else:
+                stack.append(frame(p + 1))
+            break
+        else:
+            stack.pop()
     if best is None:
         raise AssertionError("internal error: the labeling search found no complete labeling")
     return tuple(best)
@@ -466,9 +446,8 @@ def _levels(
     subdivision of K4.  The verdict is inherited: an induced subgraph of an
     ISK4-free graph is ISK4-free, so a class reached from any parent that
     holds an ISK4 holds one too.  A class whose parents are all ISK4-free
-    holds one exactly when its stored labeling, whose last vertex w is the
-    one added to a parent, has one through w: one ``contains_isk4`` sweep
-    with ``through=w`` decides that.  Only the rows of the classes that hold
+    gets one ``contains_isk4`` search; every ISK4 it holds passes through
+    the vertex added to a parent.  Only the rows of the classes that hold
     an ISK4 are kept, for the current order and the next.
     """
     if n > ENUMERATION_CAP:
@@ -503,11 +482,10 @@ def _levels(
                         inherited.add(rows)
             level, held = nxt, inherited
         if isk4:
-            # looked up at call time, so a rebound ``contains_isk4`` sees every sweep
+            # looked up at call time, so a rebound ``contains_isk4`` sees every search
             held |= {
                 rows for rows, masks in level.items()
-                if rows not in held
-                and contains_isk4(Graph.from_masks(masks), through=size - 1) is not None
+                if rows not in held and contains_isk4(Graph.from_masks(masks)) is not None
             }
         order = sorted(level)
         yield zip(map(_graph_from_rows, order), map(held.__contains__, order))

@@ -19,6 +19,7 @@ from .graph import (
     bits,
     chordless_order,
     component_masks,
+    grow_induced_paths,
     induced_subgraph,
     is_connected,
     mask_of,
@@ -248,16 +249,20 @@ def check_prism(g: Graph, vertices) -> dict | None:
 def find_prism(g: Graph) -> PatternWitness | None:
     """First induced prism: over the vertex-disjoint pairs of triangles in
     listing order and the six matchings between them, the first prism that
-    ``_induced_prism`` grows.  The search is complete.  It is exponential in
-    the worst case (detecting an induced prism is NP-complete) and has no
-    cap."""
+    ``grow_induced_paths`` grows from the matched pairs, once no triangle
+    vertex sees a vertex of the other triangle but its match.  The search
+    is complete.  It is exponential in the worst case (detecting an induced
+    prism is NP-complete) and has no cap."""
     tris = list(triangles(g))
     for i, t1 in enumerate(tris):
         for t2 in tris[i + 1 :]:
             if set(t1) & set(t2):
                 continue
+            t2mask = mask_of(t2)
             for matching in permutations(t2):
-                found = _induced_prism(g, t1, matching)
+                if any(g.mask(a) & t2mask & ~(1 << b) for a, b in zip(t1, matching)):
+                    continue
+                found = grow_induced_paths(g, mask_of(t1) | t2mask, list(zip(t1, matching)))
                 if found is None:
                     continue
                 vertices = frozenset(bits(found))
@@ -265,40 +270,6 @@ def find_prism(g: Graph) -> PatternWitness | None:
                 if ann is None:
                     raise AssertionError(f"internal error: grown set {sorted(vertices)} is no prism")
                 return PatternWitness("prism", vertices, ann)
-    return None
-
-
-def _induced_prism(g: Graph, t1, t2) -> int | None:
-    """Vertex mask of an induced prism on the triangles ``t1`` and ``t2``
-    whose paths join t1[i] to t2[i], or None.
-
-    The paths grow one vertex at a time, path 0 first, on an explicit stack.
-    A vertex joins path i only if its neighbours among the vertices chosen so
-    far are exactly the end of path i, plus t2[i] when it closes the path.
-    Every vertex of such a prism passes that test, so the search is complete
-    and what it returns needs no re-check.
-    """
-    if any(g.mask(a) & mask_of(t2) & ~(1 << b) for a, b in zip(t1, t2)):
-        return None
-    stack = [(0, None, mask_of(t1) | mask_of(t2))]
-    while stack:
-        i, end, chosen = stack.pop()
-        if i == 3:
-            return chosen
-        if end is None:
-            end = t1[i]
-            if g.has_edge(end, t2[i]):
-                # any longer path would have this edge as a chord
-                stack.append((i + 1, None, chosen))
-                continue
-        close = (1 << end) | (1 << t2[i])
-        # pushed in decreasing order, so the smallest candidate is tried first
-        for v in reversed(list(bits(g.mask(end) & ~chosen))):
-            seen = g.mask(v) & chosen
-            if seen == 1 << end:
-                stack.append((i, v, chosen | 1 << v))
-            elif seen == close:
-                stack.append((i + 1, None, chosen | 1 << v))
     return None
 
 

@@ -457,8 +457,9 @@ def run_suite(
     The graphs come from one pass of ``oracle._levels``, each order grown
     from the one before and pruned by the strictest hereditary class among
     the filters, which implies the others.  The enumeration decides
-    ``isk4-free`` too, from each graph's parent and one sweep through its
-    new vertex.  The other filters run their ``FILTERS`` test on each graph.
+    ``isk4-free`` too, from each graph's parents or else one
+    ``contains_isk4`` search.  The other filters run their ``FILTERS`` test
+    on each graph.
     ``seed`` only drives the ``random_graphs`` random graphs of ``upstairs``;
     ``random_graphs`` must not be negative.
     Workers only parallelize the per-graph checks; aggregation order is the

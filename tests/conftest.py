@@ -19,8 +19,7 @@ def all_graphs_7(all_levels_7):
 
 @pytest.fixture(scope="session")
 def isk4_free_7(all_graphs_7):
-    """The graphs of ``all_graphs_7`` that the full subset sweep finds
-    ISK4-free."""
+    """The graphs of ``all_graphs_7`` that the ISK4 search finds ISK4-free."""
     return {
         n: [g for g in graphs if contains_isk4(g) is None]
         for n, graphs in all_graphs_7.items()

@@ -259,14 +259,16 @@ def ref_isk4_vertex_sets(g: Graph) -> list[int]:
     brute force over all subsets: the induced subgraph has only degrees 2
     and 3, and suppressing its degree-2 vertices one at a time in a
     multigraph leaves exactly K4 on its four degree-3 vertices."""
-    out = []
-    for s in range(1 << g.n):
-        vs = [v for v in range(g.n) if s >> v & 1]
-        deg = {v: (g.mask(v) & s).bit_count() for v in vs}
-        if set(deg.values()) <= {2, 3} and list(deg.values()).count(3) == 4:
-            if _ref_suppresses_to_k4(g, vs, deg):
-                out.append(s)
-    return out
+    return [s for s in range(1 << g.n) if ref_induces_isk4(g, s)]
+
+
+def ref_induces_isk4(g: Graph, s: int) -> bool:
+    """Whether the vertex mask ``s`` induces a subdivision of K4, by the
+    test of ``ref_isk4_vertex_sets``."""
+    vs = [v for v in range(g.n) if s >> v & 1]
+    deg = {v: (g.mask(v) & s).bit_count() for v in vs}
+    return (set(deg.values()) <= {2, 3} and list(deg.values()).count(3) == 4
+            and _ref_suppresses_to_k4(g, vs, deg))
 
 
 def _ref_suppresses_to_k4(g: Graph, vs, deg) -> bool:
@@ -285,26 +287,13 @@ def _ref_suppresses_to_k4(g: Graph, vs, deg) -> bool:
     return sorted(edges) == list(combinations(branch, 2))
 
 
-def ref_contains_isk4(g: Graph, through: int | None = None) -> Isk4Witness | None:
-    """``oracle.contains_isk4`` without its degree pre-check and size cap:
-    every subset of the 2-core, in the same order, goes through
-    ``_subdivision_witness``, so the first witness found is the one the
-    library must return."""
-    if g.m < 6:
-        return None
+def ref_contains_isk4(g: Graph) -> Isk4Witness | None:
+    """A smallest induced subdivision of K4: every subset of the 2-core, in
+    increasing size, goes through ``_subdivision_witness``."""
     core = k_core(g, 2)
-    cmask = mask_of(core)
-    if sum(1 for v in core if (g.mask(v) & cmask).bit_count() >= 3) < 4:
-        return None
-    fixed: tuple[int, ...] = ()
-    if through is not None:
-        if not cmask >> through & 1:
-            return None
-        fixed = (through,)
-        core.remove(through)
-    for size in range(4 - len(fixed), len(core) + 1):
+    for size in range(4, len(core) + 1):
         for subset in combinations(core, size):
-            w = _subdivision_witness(g, subset + fixed)
+            w = _subdivision_witness(g, subset)
             if w is not None:
                 return w
     return None

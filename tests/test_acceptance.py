@@ -220,7 +220,7 @@ def test_criterion_11_cli_determinism(tmp_path, capsys):
     f = tmp_path / "p.g6"
     f.write_text(write_graph(petersen(), "graph6"))
     commands = [
-        ["color", str(f), "--algorithm", "general", "--json", "--seed", "5"],
+        ["color", str(f), "--algorithm", "general", "--json"],
         ["detect", "--pattern", "hole", str(f), "--json"],
         ["oracle", "chi", str(f), "--json"],
         ["enumerate", "--n", "5", "--check", "max-chi-general", "--json", "--seed", "5"],

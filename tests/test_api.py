@@ -50,7 +50,7 @@ def test_graph_public_names():
     assert _public(graph, own_only=True) == [
         "Coloring", "Graph", "bfs_layering", "bfs_path", "bits", "chordless_order",
         "component_masks", "connected_components", "degeneracy_order", "find_cycle",
-        "girth", "greedy_coloring", "induced_plus_edge", "induced_subgraph",
+        "girth", "greedy_coloring", "grow_induced_paths", "induced_plus_edge", "induced_subgraph",
         "is_connected", "is_proper_coloring", "k_core", "mask_of", "shortest_cycle",
         "suppress_chains", "triangles",
     ]

@@ -100,6 +100,14 @@ def test_usage_errors(files, capsys):
         assert "unsigned 64-bit" in capsys.readouterr().err
 
 
+def test_color_takes_no_seed(files, capsys):
+    # the colorers draw no random numbers, so a seed would change nothing
+    assert cli_main(["color", files["c5.col"], "--seed", "1"]) == 2
+    capsys.readouterr()
+    code, out = run(capsys, "color", files["c5.col"], "--json")
+    assert code == 0 and "seed" not in json.loads(out)["result"]
+
+
 def test_enumerate_order_out_of_range(capsys):
     # a suite needs an order in 1..ENUMERATION_CAP; the enumeration itself
     # still yields nothing for n = 0
@@ -218,8 +226,7 @@ def test_enumerate_alias_and_filter(capsys):
 def test_cli_json_byte_determinism(files, capsys):
     outs = []
     for _ in range(2):
-        code, out = run(capsys, "color", files["k222.el"], "--algorithm", "general",
-                        "--json", "--seed", "7")
+        code, out = run(capsys, "color", files["k222.el"], "--algorithm", "general", "--json")
         assert code == 0
         outs.append(out)
     assert outs[0] == outs[1]

@@ -36,6 +36,7 @@ from reference import (
     canonical_graph,
     contains_isk4_anchored,
     ref_contains_isk4,
+    ref_induces_isk4,
     ref_isk4_vertex_sets,
     ref_isomorphic,
     ref_labeled_connected_classes,
@@ -80,21 +81,47 @@ def test_isk4_witness_is_minimum_size():
     assert len(w.vertices) == 4
 
 
-def test_contains_isk4_rejects_a_vertex_out_of_range():
-    for g in (complete_graph(4), cycle_graph(3)):
-        for v in (g.n, g.n + 5, -1):
-            with pytest.raises(ValueError, match=rf"range\({g.n}\)"):
-                contains_isk4(g, through=v)
-
-
-def test_isk4_witness_matches_the_full_sweep(all_graphs_7):
-    # the degree pre-check skips only subsets the witness check rejects, so
-    # the witness itself, not just the verdict, is the full sweep's
+def test_isk4_witness_is_one_of_the_reference_sets(all_graphs_7):
+    # the search finds a witness exactly when some vertex set induces a K4
+    # subdivision, and its witness is one of those sets
     for n in range(1, 8):
         for g in all_graphs_7[n]:
-            for through in (None, *range(g.n)):
-                assert contains_isk4(g, through=through) == ref_contains_isk4(g, through), (
-                    list(g.edges()), through)
+            sets = ref_isk4_vertex_sets(g)
+            w = contains_isk4(g)
+            assert (w is None) == (not sets), list(g.edges())
+            if w is not None:
+                assert mask_of(w.vertices) in sets, list(g.edges())
+
+
+def test_isk4_verdicts_match_the_reference_sweep_n8(connected_corpus_8):
+    for graphs in connected_corpus_8.values():
+        for g in graphs:
+            assert (contains_isk4(g) is None) == (ref_contains_isk4(g) is None), list(g.edges())
+
+
+def test_isk4_verdicts_on_seeded_random_graphs():
+    # every odd graph plants a subdivided K4 on random vertices; no other
+    # edge joins two of them, so the planted set stays induced
+    rng = random.Random(26)
+    found = []
+    for i in range(100):
+        if i % 2:
+            k4 = subdivided_complete(4, {e: rng.randint(0, 1) for e in combinations(range(4), 2)})
+            n = rng.randint(max(9, k4.n), 14)
+            place = rng.sample(range(n), k4.n)
+            edges = {tuple(sorted((place[u], place[v]))) for u, v in k4.edges()}
+            edges |= {e for e in combinations(range(n), 2)
+                      if not (e[0] in place and e[1] in place) and rng.random() < 0.2}
+            g = Graph(n, edges)
+        else:
+            g = random_graph(rng, rng.randint(9, 14), 0.25)
+        w = contains_isk4(g)
+        assert (w is None) == (ref_contains_isk4(g) is None), list(g.edges())
+        if w is not None:
+            assert ref_induces_isk4(g, mask_of(w.vertices)), list(g.edges())
+        found.append(w is not None)
+    # 25 of the 50 unplanted graphs are ISK4-free
+    assert all(found[1::2]) and found[::2].count(False) == 25
 
 
 def test_isk4_implementations_agree(all_graphs_7, isk4_free_7):
@@ -102,21 +129,6 @@ def test_isk4_implementations_agree(all_graphs_7, isk4_free_7):
         free = set(isk4_free_7[n])
         for g in all_graphs_7[n]:
             assert (g in free) == (contains_isk4_anchored(g) is None), list(g.edges())
-
-
-def test_isk4_through_agrees_with_reference(all_graphs_7):
-    # the sweep through v finds a witness exactly when some vertex set that
-    # contains v induces a K4 subdivision, and its witness is a smallest one
-    for n in range(1, 8):
-        for g in all_graphs_7[n]:
-            sets = ref_isk4_vertex_sets(g)
-            for v in range(g.n):
-                mine = [s for s in sets if s >> v & 1]
-                w = contains_isk4(g, through=v)
-                assert (w is None) == (not mine), (list(g.edges()), v)
-                if w is not None:
-                    assert mask_of(w.vertices) in mine
-                    assert len(w.vertices) == min(s.bit_count() for s in mine)
 
 
 def test_inherited_isk4_verdicts_match_the_full_sweep(
@@ -149,8 +161,21 @@ def test_chromatic_examples():
 
 
 def test_chromatic_number_of_a_long_path_within_the_recursion_limit():
-    # the search keeps its own stack: one frame per vertex would overflow
-    assert chromatic_number_exact(path_graph(3000), limit=None) == 2
+    # the search keeps its own stack: one frame per vertex would overflow.
+    # On a long odd cycle the 2-coloring fails only at the last vertex and
+    # backs out of every frame; a long path needs no search, since its
+    # greedy palette is already 2
+    assert chromatic_number_exact(cycle_graph(3001), limit=None) == 3
+
+
+def test_canonical_form_of_a_long_path_within_the_recursion_limit():
+    # the labeling search keeps its own stack: one frame per position
+    g = path_graph(1500)
+    perm = list(range(g.n))
+    random.Random(3).shuffle(perm)
+    h = Graph(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
+    key = canonical_form(g)
+    assert canonical_form(h) == key and sum(r.bit_count() for r in key[1]) == g.n - 1
 
 
 def test_chromatic_against_greedy_random():

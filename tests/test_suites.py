@@ -193,8 +193,8 @@ def test_suite_grows_each_order_once(monkeypatch):
     calls = []
     min_encoding = oracle._min_encoding
     monkeypatch.setattr(oracle, "_min_encoding", lambda masks: calls.append(1) or min_encoding(masks))
-    # enumeration only: every sweep, the one through the new vertex included,
-    # reports an ISK4, so every graph holds one and none is colored
+    # enumeration only: every search reports an ISK4, so every graph holds
+    # one and none is colored
     monkeypatch.setattr(oracle, "contains_isk4", lambda g, **kwargs: g)
     report = run_suite("general-bound", 8)
     assert report.counts["total"]["enumerated"] == 12113 and len(calls) == 15808
@@ -203,18 +203,17 @@ def test_suite_grows_each_order_once(monkeypatch):
 
 def test_isk4_verdicts_sweep_through_the_rebound_oracle(monkeypatch):
     # the enumeration calls oracle.contains_isk4 by its module name, so a
-    # wrapper rebound there (as an outside tracer does) sees every sweep,
-    # and each sweep runs only through the new vertex
-    throughs = []
+    # wrapper rebound there (as an outside tracer does) sees every search
+    calls = []
     contains_isk4 = oracle.contains_isk4
 
     def counted(g, **kwargs):
-        throughs.append(kwargs.get("through"))
+        calls.append(g)
         return contains_isk4(g, **kwargs)
 
     monkeypatch.setattr(oracle, "contains_isk4", counted)
     run_suite("general-bound", 6)
-    assert len(throughs) == 133 and None not in throughs
+    assert len(calls) == 133
 
 
 def _kept(n_max, *tests):
