@@ -4,7 +4,7 @@ from itertools import combinations
 
 import pytest
 
-from isk4color.graph import Graph, girth, mask_of
+from isk4color.graph import Graph, girth, induced_subgraph, mask_of
 from isk4color import oracle
 from isk4color.oracle import (
     HEREDITARY_CLASSES,
@@ -81,9 +81,9 @@ def test_isk4_witness_is_minimum_size():
     assert len(w.vertices) == 4
 
 
-def test_isk4_witness_is_one_of_the_reference_sets(all_graphs_7):
+def test_isk4_witness_matches_the_full_sweep(all_graphs_7):
     # the search finds a witness exactly when some vertex set induces a K4
-    # subdivision, and its witness is one of those sets
+    # subdivision, and its witness is one of the sets the full sweep finds
     for n in range(1, 8):
         for g in all_graphs_7[n]:
             sets = ref_isk4_vertex_sets(g)
@@ -91,6 +91,25 @@ def test_isk4_witness_is_one_of_the_reference_sets(all_graphs_7):
             assert (w is None) == (not sets), list(g.edges())
             if w is not None:
                 assert mask_of(w.vertices) in sets, list(g.edges())
+
+
+def test_isk4_through_agrees_with_reference(all_graphs_7):
+    # the enumeration asks only whether an ISK4 passes through the new
+    # vertex v of a graph whose parent g - v is ISK4-free; then every
+    # witness of g must pass through v. Deleting v decides g - v, and when
+    # that is free, g holds an ISK4 exactly when some set through v does
+    for n in range(1, 8):
+        for g in all_graphs_7[n]:
+            sets = ref_isk4_vertex_sets(g)
+            w = contains_isk4(g)
+            for v in range(g.n):
+                h, _ = induced_subgraph(g, ((1 << g.n) - 1) & ~(1 << v))
+                avoiding = [s for s in sets if not s >> v & 1]
+                assert (contains_isk4(h) is None) == (not avoiding), (list(g.edges()), v)
+                if not avoiding:
+                    assert (w is None) == (not sets), (list(g.edges()), v)
+                    if w is not None:
+                        assert v in w.vertices, (list(g.edges()), v)
 
 
 def test_isk4_verdicts_match_the_reference_sweep_n8(connected_corpus_8):
