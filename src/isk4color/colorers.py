@@ -11,23 +11,26 @@ progressively simpler (4-wheel-free, then boat-free, then girth >= 5).
 
 The decomposition terminates because every cutset block misses a non-empty
 side of its cut and so is smaller than its parent.  A split rule returns its
-two blocks to ``_drive``, which keeps them on one explicit stack and merges
-their colorings on the cut, so a long chain of clique cutsets or proper
-2-cutsets (a path peels one vertex per cutset) costs no Python frames; only
-the layer tables call ``_drive`` again, at most three deep.  The trace holds
-one entry per block, with the block's size and its parent entry, so it grows
-linearly with the number of blocks.
+blocks to ``_drive``, which keeps them on one explicit stack and merges
+their colorings on the cuts, so a long chain of clique cutsets or proper
+2-cutsets costs no Python frames; only the layer tables call ``_drive``
+again, at most three deep.  A cut vertex splits the block at every cut
+vertex at once, into all of its blocks, read off the one DFS that found it:
+a path, a tree or a caterpillar takes one search at its root and one merge
+per edge, each renaming only the edge's own coloring, so it colors in
+linear time.  The trace holds one entry per block, with the block's size
+and its parent entry, so it grows linearly with the number of blocks.  A
+one-vertex layer, or a one-vertex component of a layer, is no block: it
+takes color 0 with no entry, and its layering's entry counts it.
 
 Small blocks repeat, and ``_drive`` replays them.  A block of at most five
 vertices is keyed by its rule table and labelled adjacency; the first time
 its subtree finishes, its coloring and trace entries are recorded, and a
-later block with the same key replays them.  Most blocks of a layered
-coloring are single vertices, the components of a layer, and each table
-colors one vertex the same way every time, so they are replayed too.  The
-table lasts for one call, or for one ``run_suite`` call, whose graphs share
-it; no replay state outlives it.  A replayed block costs a constant, runs no
-detector and builds no subgraph, so a rebound detector sees only the blocks
-that are decomposed.
+later block with the same key replays them: the many edges that split off
+a tree are decomposed once.  The table lasts for one call, or for one
+``run_suite`` call, whose graphs share it; no replay state outlives it.  A
+replayed block costs a constant, runs no detector and builds no subgraph,
+so a rebound detector sees only the blocks that are decomposed.
 
 Class assumptions are checked operationally along the way.  In strict mode
 the first failure raises ``ClassViolationError`` with a witness; in tolerant
@@ -58,6 +61,7 @@ from .graph import (
     shortest_cycle,
 )
 from .decompose import (
+    _blocks_of,
     _merge_blocks,
     build_2cutset_blocks,
     find_clique_cutset,
@@ -452,10 +456,13 @@ def _drive(g: Graph, ids, run: _Run, rules) -> Coloring:
     ``handler(b, ids, run, witness, rules[i:])`` and reads its params from
     its own rule, ``rules[0]`` (a fixed-arity call is cheaper than
     ``*params`` on the many small blocks of the cutsets).  It returns the
-    block's coloring; a split ``(shared input ids, x, y)``, each side a
-    ``(block, ids, rules)``; or None, which passes on to the next rule.
-    X's subtree is colored first; Y's coloring is then renamed to agree
-    with X's on the cut (``_merge_blocks``), on input ids.
+    block's coloring; a split ``(cuts, children)``, each child a
+    ``(block, ids, rules)`` and ``cuts`` the input ids that each child after
+    the first shares with the children before it; or None, which passes on
+    to the next rule.  The children's subtrees are colored in order; then
+    each child after the first is folded into the first, its coloring
+    renamed to agree on its cut (``_merge_blocks``, on input ids), so a
+    merge costs O(child) however many blocks came before.
 
     A block decomposes the same way wherever it occurs: its rules and its
     labelled adjacency decide its subtree, and the input ids only name its
@@ -463,23 +470,25 @@ def _drive(g: Graph, ids, run: _Run, rules) -> Coloring:
     vertices is keyed by ``(rules, adjacency)`` in ``run.templates``, the
     first time its subtree finishes it is recorded there (``_record``), and
     a later block with the same key appends the entries renamed to its own
-    ids and takes the coloring, running no rule and no detector.  Most
-    blocks of a layered coloring are single vertices, the components of a
-    layer, and each table's one-vertex block is recorded and replayed so.
+    ids and takes the coloring, running no rule and no detector.
     """
     outer = run.slot
     templates = run.templates
-    # blocks (graph, ids, rules, parent entry), and after the two sides of a
-    # split, (None, cut, the split block's ``_record`` arguments or None, None)
+    # blocks (graph, ids, rules, parent entry), and after the children of a
+    # split, (None, cuts, the split block's ``_record`` arguments or None, None)
     todo = [(g, ids, rules, outer)]
     done = []  # colorings of finished blocks, ({input id: color}, palette)
     while todo:
         b, bids, brules, parent = todo.pop()
-        if b is None:  # both sides of the split on the cut ``bids`` are colored
-            done.append(_merge_blocks(done.pop(-2), done.pop(), bids))
+        if b is None:  # every child of the split is colored: fold them into the first
+            k = len(bids)
+            first = done[-k - 1]
+            for cut, child in zip(bids, done[-k:]):
+                first = _merge_blocks(first, child, cut)
+            done[-k - 1:] = [first]
             if brules is not None:  # the split block is small: record it
                 key, split_ids, start, violations = brules
-                colors, palette = done[-1]
+                colors, palette = first
                 out = Coloring(tuple(colors[v] for v in split_ids), palette)
                 _record(run, key, split_ids, start, violations, out)
             continue
@@ -513,11 +522,10 @@ def _drive(g: Graph, ids, run: _Run, rules) -> Coloring:
                 return out
             done.append((dict(zip(bids, out.assignment)), out.palette_size))
         else:
-            shared, x, y = out
+            cuts, children = out
             pending = None if key is None else (key, bids, start, violations)
-            todo.append((None, shared, pending, None))
-            todo.append((*y, run.slot))
-            todo.append((*x, run.slot))
+            todo.append((None, cuts, pending, None))
+            todo += [(*child, run.slot) for child in reversed(children)]
     run.slot = outer
     colors, palette = done.pop()
     return Coloring(tuple(colors[v] for v in ids), palette)
@@ -532,11 +540,12 @@ def _drive(g: Graph, ids, run: _Run, rules) -> Coloring:
 _TEMPLATE_MAX_N = 5
 
 # The trace fields that list vertices by input id; ``root`` names one.
-_VERTEX_LISTS = frozenset(("clique", "cut", "square"))
+_VERTEX_LISTS = frozenset(("clique", "cut", "cuts", "square"))
 
-# The block of every one-vertex component or layer, which then builds no
-# subgraph.
+# The block of a one-vertex component of the input, which then builds no
+# subgraph, and the coloring of a one-vertex layer or component of a layer.
 _ONE = Graph(1)
+_ONE_COLORING = Coloring((0,), 1)
 
 
 def _record(run: _Run, key, ids, start: int, violations: int, out: Coloring) -> None:
@@ -576,7 +585,11 @@ def _remap(entries, names, shift: int, parent) -> list[dict]:
     return out
 
 
-def _per_component(g: Graph, ids, run: _Run, rules) -> Coloring:
+def _per_component(g: Graph, ids, run: _Run, rules, layer: bool = True) -> Coloring:
+    """Color each component of g with ``_drive``.  A one-vertex component
+    of a ``layer`` takes color 0 with no ``_drive`` call and no trace entry:
+    the layering's entry counts it in its layer sizes and palettes.  One of
+    the input is a block like any other."""
     comps = component_masks(g)
     if len(comps) == 1:
         return _drive(g, ids, run, rules)
@@ -587,9 +600,10 @@ def _per_component(g: Graph, ids, run: _Run, rules) -> Coloring:
     for comp in comps:
         if comp & (comp - 1):
             sub, sub_ids = induced_subgraph(g, comp)
+            c = _drive(sub, _map_ids(ids, sub_ids), run, rules)
         else:  # one vertex: no subgraph to build
-            sub, sub_ids = _ONE, (comp.bit_length() - 1,)
-        c = _drive(sub, _map_ids(ids, sub_ids), run, rules)
+            sub_ids = (comp.bit_length() - 1,)
+            c = _ONE_COLORING if layer else _drive(_ONE, _map_ids(ids, sub_ids), run, rules)
         for k, v in enumerate(sub_ids):
             assign[v] = c.assignment[k]
         palette = max(palette, c.palette_size)
@@ -606,19 +620,35 @@ def _fallback(g: Graph, ids, run: _Run, vertices, rules) -> Coloring:
 
 def _recurse_clique_cutset(g, ids, run, _witness, rules):
     """Split ``g`` on its first clique cutset K into the blocks induced on
-    X + K and Y + K.  Both keep ``rules``, so what the rules before this one
-    ruled out stays ruled out; a block with no clique cutset is an atom and
-    goes on to the rest of the table."""
+    X + K and Y + K.  When ``g`` has a cut vertex, split it at every cut
+    vertex at once instead, into its blocks in the preorder of the DFS that
+    the search has just run (``_Blocks.blocks``), each sharing its head
+    with the blocks before it.  That holds also when K is an edge or a
+    triangle through a cut vertex, which comes first when a leaf is
+    numbered below its neighbour: peeling K would take one level, and one
+    search of the rest, per cut vertex.  Every block keeps ``rules``, so
+    what the rules before this one ruled out stays ruled out; a block with
+    no clique cutset is an atom and goes on to the rest of the table."""
     cut = find_clique_cutset(g)
     if cut is None:
         return None
+    blocks = _blocks_of(g)
+    if blocks.cuts:
+        members = blocks.blocks()[2]
+        heads = [(ids[block[0]],) for block in members[1:]]  # each cut vertex heads one or more
+        run.note("cut_vertices", g.n, cuts=sorted({v for v, in heads}), blocks=len(members))
+        children = []
+        for block in members:
+            sub, sub_ids = induced_subgraph(g, mask_of(block))
+            children.append((sub, _map_ids(ids, sub_ids), rules))
+        return heads, children
     run.note("clique_cutset", g.n, clique=[ids[v] for v in cut.clique],
              sides=[cut.side_x.bit_count(), cut.side_y.bit_count()])
     clique = mask_of(cut.clique)
     bx, ids_x = induced_subgraph(g, cut.side_x | clique)
     by, ids_y = induced_subgraph(g, cut.side_y | clique)
-    return (_map_ids(ids, cut.clique), (bx, _map_ids(ids, ids_x), rules),
-            (by, _map_ids(ids, ids_y), rules))
+    return ([_map_ids(ids, cut.clique)], [(bx, _map_ids(ids, ids_x), rules),
+                                          (by, _map_ids(ids, ids_y), rules)])
 
 
 def _recurse_2cutset(g, ids, run, cut2, _rules):
@@ -627,8 +657,8 @@ def _recurse_2cutset(g, ids, run, cut2, _rules):
     run.note("proper_2cutset", g.n, cut=[ids[cut2.a], ids[cut2.b]],
              sides=[cut2.side_x.bit_count(), cut2.side_y.bit_count()])
     bx, ids_x, by, ids_y = build_2cutset_blocks(g, cut2)
-    return ((ids[cut2.a], ids[cut2.b]), (bx, _map_ids(ids, ids_x), _GENERAL),
-            (by, _map_ids(ids, ids_y), _GENERAL))
+    return ([(ids[cut2.a], ids[cut2.b])], [(bx, _map_ids(ids, ids_x), _GENERAL),
+                                           (by, _map_ids(ids, ids_y), _GENERAL)])
 
 
 def _thick(g, ids, run, k33, rules) -> Coloring:
@@ -668,9 +698,9 @@ def _layered(g: Graph, ids, run: _Run, _witness, rules) -> Coloring:
     for layer in layers:
         if layer & (layer - 1):
             sub, sub_ids = induced_subgraph(g, layer)
-        else:  # one vertex: no subgraph to build
-            sub, sub_ids = _ONE, (layer.bit_length() - 1,)
-        per_layer.append(color_layer(sub, _map_ids(ids, sub_ids), run, layer_rules))
+            per_layer.append(color_layer(sub, _map_ids(ids, sub_ids), run, layer_rules))
+        else:  # one vertex: color 0, no subgraph and no trace entry
+            per_layer.append(_ONE_COLORING)
         layer_palettes.append(per_layer[-1].palette_size)
     combined = combine_layer_colorings(g, layers, per_layer)
     run.note(
@@ -769,7 +799,7 @@ def _color(g: Graph, mode: str, rules, bound: int) -> ColoringResult:
     ``run_suite``, and this call's own otherwise."""
     templates = _SUITE_TEMPLATES.get()
     run = _Run(mode, {} if templates is None else templates)
-    coloring = _per_component(g, tuple(range(g.n)), run, rules)
+    coloring = _per_component(g, tuple(range(g.n)), run, rules, layer=False)
     if not is_proper_coloring(g, coloring):
         raise AssertionError("internal error: produced an improper coloring")
     if not run.violations and coloring.palette_size > bound:

@@ -28,9 +28,11 @@ the 2-cutset search each non-adjacent pair, in the same order and with the
 same rule, and each stops at the same winner.
 
 A cutset's sides are vertex masks of g.  Both kinds of cutset give two
-blocks, each missing a non-empty side of the cut, so every block is
-smaller than its parent and the colorers' decomposition terminates
-without a depth guard, on one explicit stack.
+blocks, each missing a non-empty side of the cut, and the colorers split a
+graph with a cut vertex into all of its blocks at once (``_Blocks.blocks``),
+each missing a vertex of another.  So every block is smaller than its
+parent and the colorers' decomposition terminates without a depth guard,
+on one explicit stack.
 """
 
 from __future__ import annotations
@@ -521,13 +523,13 @@ def _spqr_pairs(adj, tree, ids, host_deg, pairs: dict, cycles: list) -> None:
 
 class _Blocks:
     """The degree of each vertex (``deg``) and the cut vertices (``cuts``)
-    of a connected graph, from one ``_low_points`` DFS, and on demand the
-    separation pairs of its blocks.
+    of a connected graph, from one ``_low_points`` DFS, and on demand its
+    blocks and their separation pairs.
 
     Raises ValueError when the graph is not connected.
     """
 
-    __slots__ = ("g", "tree", "cuts", "deg", "_separations")
+    __slots__ = ("g", "tree", "cuts", "deg", "_blocks", "_separations")
 
     def __init__(self, g: Graph):
         self.g = g
@@ -536,7 +538,35 @@ class _Blocks:
             raise ValueError("input must be connected")
         self.cuts = self.tree[6]
         self.deg = [mask.bit_count() for mask in g._adj]
+        self._blocks = None
         self._separations = None
+
+    def blocks(self) -> tuple[list[int], list[int], list[list[int]]]:
+        """The blocks of g in the preorder of the DFS: ``(block, loc,
+        members)``.  ``members`` lists each block's vertices in preorder,
+        its head, the vertex it hangs from, first: the DFS root for the
+        first block, and for every later one a vertex of an earlier block.
+        ``block[v]`` is the block of the tree edge into each non-root
+        vertex v (-1 at the root), and ``loc[v]`` v's place in it.  A
+        non-root vertex v opens a block under its parent p when low1[v] >=
+        num[p].  Built on the first call, then kept; O(n).
+        """
+        if self._blocks is None:
+            order, num, parent, low1, _, _, _ = self.tree
+            block = [-1] * self.g.n
+            loc = [0] * self.g.n
+            members: list[list[int]] = []
+            for v in order[1:]:
+                p = parent[v]
+                if low1[v] >= num[p]:
+                    block[v] = len(members)
+                    members.append([p])
+                else:
+                    block[v] = block[p]
+                loc[v] = len(members[block[v]])
+                members[block[v]].append(v)
+            self._blocks = block, loc, members
+        return self._blocks
 
     def separations(self) -> tuple[dict, list]:
         """The separation pairs of every block B with four or more vertices,
@@ -566,20 +596,9 @@ class _Blocks:
         g = self.g
         n = g.n
         order, num, parent, low1, low2, nd, _ = self.tree
+        block, loc, members = self.blocks()
         pairs: dict[tuple[int, int], tuple[int, int]] = {}
         cycles: list[list[int]] = []
-        block = [-1] * n  # block of the tree edge into each non-root vertex
-        loc = [0] * n  # place of each non-root vertex in that block
-        members: list[list[int]] = []  # per block: its vertices in preorder
-        for v in order[1:]:
-            p = parent[v]
-            if low1[v] >= num[p]:
-                block[v] = len(members)
-                members.append([p])
-            else:
-                block[v] = block[p]
-            loc[v] = len(members[block[v]])
-            members[block[v]].append(v)
         if len(members) == 1 and n >= 4:  # g is 2-connected: its own block
             adj = [list(bits(mask)) for mask in g._adj]
             _spqr_pairs(adj, (num, parent, low1, low2, nd), range(n), self.deg, pairs, cycles)

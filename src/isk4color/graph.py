@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from heapq import heapify, heappop, heappush
 from typing import Iterable, Iterator
 
 INFINITE_GIRTH = math.inf
@@ -268,18 +269,28 @@ def find_cycle(g: Graph) -> list[int] | None:
 
 
 def degeneracy_order(g: Graph) -> tuple[list[int], int]:
-    """Repeated minimum-degree removal order (ties to lowest id) and the degeneracy."""
-    alive = (1 << g.n) - 1
-    degs = [g.degree(v) for v in range(g.n)]
+    """Repeated minimum-degree removal order (ties to lowest id) and the
+    degeneracy.  A heap of (degree, id) with lazy deletion: a vertex's
+    degree only falls, and each fall pushes one entry, so every entry but
+    the one with its current degree is stale and skipped.  O(n + m) heap
+    operations."""
+    degs = [mask.bit_count() for mask in g._adj]
+    heap = [(d, v) for v, d in enumerate(degs)]
+    heapify(heap)
+    removed = bytearray(g.n)
     order: list[int] = []
     degeneracy = 0
-    for _ in range(g.n):
-        v = min(bits(alive), key=lambda u: (degs[u], u))
-        degeneracy = max(degeneracy, degs[v])
+    while heap:
+        d, v = heappop(heap)
+        if d != degs[v]:
+            continue
+        degeneracy = max(degeneracy, d)
         order.append(v)
-        alive &= ~(1 << v)
-        for w in bits(g.mask(v) & alive):
-            degs[w] -= 1
+        removed[v] = 1
+        for w in bits(g._adj[v]):
+            if not removed[w]:
+                degs[w] -= 1
+                heappush(heap, (degs[w], w))
     return order, degeneracy
 
 

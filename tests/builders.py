@@ -154,3 +154,30 @@ def ring_of_beads(k: int) -> Graph:
 def random_graph(rng: random.Random, n: int, p: float) -> Graph:
     edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
     return Graph(n, edges)
+
+
+def caterpillar(spine: int) -> Graph:
+    """A path on the spine 0..spine-1, numbered first, and one leaf
+    spine + i on each spine vertex i."""
+    edges = [(i, i + 1) for i in range(spine - 1)] + [(i, spine + i) for i in range(spine)]
+    return Graph(2 * spine, edges)
+
+
+def random_recursive_tree(rng: random.Random, n: int) -> Graph:
+    """Each vertex i > 0 joined to a uniformly chosen earlier vertex."""
+    return Graph(n, [(rng.randrange(i), i) for i in range(1, n)])
+
+
+def chain_of_cycles(k: int, length: int) -> Graph:
+    """k cycles of ``length`` vertices in a chain: cycle i runs from the
+    vertex i to i + 1 and back, through inner vertices numbered from k + 1,
+    so the cut vertices 1..k-1 come first."""
+    edges = []
+    nxt = k + 1
+    for i in range(k):
+        inner = list(range(nxt, nxt + length - 2))
+        nxt += length - 2
+        half = (length - 2) // 2
+        ring = [i, *inner[:half], i + 1, *inner[half:]]
+        edges += [(ring[j - 1], ring[j]) for j in range(length)]
+    return Graph(nxt, edges)

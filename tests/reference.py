@@ -28,6 +28,24 @@ def ref_isomorphic(g: Graph, h: Graph) -> bool:
     return False
 
 
+def ref_degeneracy_order(g: Graph) -> tuple[list[int], int]:
+    """Repeated minimum-degree removal, each step a scan of every remaining
+    vertex for the least (degree, id), and the largest degree removed."""
+    alive = set(range(g.n))
+    degs = [g.degree(v) for v in range(g.n)]
+    order: list[int] = []
+    degeneracy = 0
+    while alive:
+        v = min(alive, key=lambda u: (degs[u], u))
+        degeneracy = max(degeneracy, degs[v])
+        order.append(v)
+        alive.remove(v)
+        for w in g.neighbors(v):
+            if w in alive:
+                degs[w] -= 1
+    return order, degeneracy
+
+
 def canonical_graph(g: Graph) -> Graph:
     """The graph that ``canonical_form`` encodes: g relabeled to its minimal
     row encoding, so ``ref_isomorphic(canonical_graph(g), g)`` checks it."""

@@ -39,6 +39,8 @@ from isk4color.patterns import (
     recognize_thick_multipartite,
 )
 from builders import (
+    caterpillar,
+    chain_of_cycles,
     complete_graph,
     complete_multipartite,
     cycle_graph,
@@ -47,6 +49,7 @@ from builders import (
     line_graph,
     petersen,
     prism_graph,
+    random_recursive_tree,
     rich_square_graph,
     ring_of_beads,
     star_graph,
@@ -389,13 +392,13 @@ def test_no_assert_statements_in_package():
 # and violations must stay byte-identical across refactors of the colorers
 _PINNED_RESULTS = [
     ("P40-general", color_general, lambda: path_graph(40),
-     "3f96fbca4497364af859283ed81db9d86529346cda7d90efcf4c0d568882a7df"),
+     "6426f5fa6e99d8eeaff36a4fd64a071fa5da7f0b43527aaa7c03a3e363e5ff4a"),
     ("P40-triangle-free", color_triangle_free, lambda: path_graph(40),
-     "c1012a340fb54225e50964128de9e349d86eb3754c93ae03dd108ae746727e40"),
+     "8f3690c28ad9b64152d929fa467635a9f8f6c890c044372d036bde80eda364b3"),
     ("C12-general", color_general, lambda: cycle_graph(12),
-     "80fed18fb1e87114e566d925fe35430c8d8effd71b04f857a9661f0ad841bf06"),
+     "7dac674b854e112d05d1da79fe802e156cbc8a410667ad5ba4762eb045671d65"),
     ("theta345-general", color_general, lambda: theta_graph(3, 4, 5),
-     "e2665b31a119d33a9eca171a2d4d60e9308c6517a50c7982a682d30da2ef2643"),
+     "8a48b20045850aff9b9dd20d131b7fd71d38f4e92a012128d04797d6104e99fd"),
     ("theta345-triangle-free", color_triangle_free, lambda: theta_graph(3, 4, 5),
      "705a50ba2b010b4d0cc49f064c8abd610f3dafc0fef52de0fbb9af26faacbb67"),
     ("L(petersen)-general", color_general, lambda: line_graph(petersen()),
@@ -419,7 +422,7 @@ def test_result_bytes_pinned(colorer, make, digest):
 # graphs with up to 7 vertices.  This corpus reaches every rule and every
 # violation kind except layer_degeneracy, so it pins the fallback paths that
 # the strict inputs above do not reach.
-_TOLERANT_DIGEST = "d7f5365bfea50fa41f01b6b6252909069709605e5aa404c506167ddbbfd81dd4"
+_TOLERANT_DIGEST = "cc77251d148b0f38565933425ad3c7d6462edaa249926f4ebb68b77fa809a3fb"
 
 
 @pytest.fixture(scope="module")
@@ -443,9 +446,11 @@ def test_tolerant_results_pinned(tolerant_payloads):
 
 
 def test_trace_entries_follow_their_parents(tolerant_payloads):
-    # a block's entry comes after the entry of the rule that produced it, and
-    # the blocks of a cutset are its two sides, each with the cut
-    checked = 0
+    # a block's entry comes after the entry of the rule that produced it;
+    # the blocks of a cutset are its two sides, each with the cut, and a
+    # split at the cut vertices has ``blocks`` blocks, which share a vertex
+    # with the blocks before them
+    checked = split = 0
     for payload in tolerant_payloads:
         trace = payload.get("trace", [])
         children = {}
@@ -458,17 +463,21 @@ def test_trace_entries_follow_their_parents(tolerant_payloads):
             if cut is not None:
                 assert sorted(children[i]) == sorted(side + cut for side in entry["sides"])
                 checked += 1
+            elif entry["rule"] == "cut_vertices":
+                assert len(children[i]) == entry["blocks"] >= 2 and entry["cuts"]
+                assert sum(children[i]) == entry["size"] + entry["blocks"] - 1
+                split += 1
             else:
                 assert sum(children.get(i, ())) <= entry["size"]
         if trace:
             assert sum(children[None]) == len(payload["assignment"])
-    assert checked > 1000
+    assert checked > 500 and split > 300
 
 
 # sha256 over (palette_size, assignment, violations) of the pinned cases and
 # the tolerant corpus, without the trace: a change of the trace format alone
 # must leave it as it is
-_COLORINGS_DIGEST = "234da402b2b036d2156d04190c174a2d86240bf93c86f423146cd4123667d70c"
+_COLORINGS_DIGEST = "79efdbbf0c5de1202ea15b46031dd1f2a7943037f564ba220be61b43565992d6"
 
 
 def _coloring_only(payload: dict) -> list:
@@ -551,11 +560,77 @@ def test_trace_grows_linearly_on_paths():
     assert size[800] < 2.2 * size[400]
 
 
+def _reversed(g: Graph) -> Graph:
+    # g with its ids reversed: a caterpillar's leaves come first, so its
+    # first clique cutset is an edge from a leaf to a spine vertex
+    return Graph(g.n, [(g.n - 1 - u, g.n - 1 - v) for u, v in g.edges()])
+
+
+@pytest.mark.parametrize("make", [lambda: path_graph(4800), lambda: caterpillar(5000),
+                                  lambda: _reversed(caterpillar(5000)),
+                                  lambda: random_recursive_tree(random.Random(27), 5000)],
+                         ids=["P4800", "caterpillar-10000", "caterpillar-10000-leaves-first",
+                              "random-recursive-tree-5000"])
+def test_trees_split_at_every_cut_vertex_at_once(make):
+    # the root's one clique cutset search meets a cut vertex, and the tree is
+    # split into all of its edges by one entry, even when the first clique
+    # cutset is an edge; no block below has a cut vertex
+    g = make()
+    result = color_general(g)
+    assert is_proper_coloring(g, result.coloring) and result.coloring.palette_size == 2
+    assert not result.violations
+    root = result.trace[0]
+    assert root["rule"] == "cut_vertices" and root["parent"] is None
+    assert root["blocks"] == g.n - 1 and root["size"] == g.n
+    assert root["cuts"] == [v for v in range(g.n) if g.degree(v) > 1]
+    assert sum(e["rule"] == "cut_vertices" for e in result.trace) == 1
+    assert len(result.trace) == g.n
+
+
+def test_split_work_is_linear_in_the_blocks(monkeypatch):
+    # one search at the root finds every block.  Blocks of at most five
+    # vertices replay the first one's subtree, so a tree searches twice in
+    # all (the root and its first edge) and builds one subgraph per edge;
+    # a block of six vertices, a hexagon, is searched once and builds
+    # itself and its two 2-vertex layers.  The wrappers count the calls and
+    # the vertices of the graphs searched and of the subgraphs built.
+    from isk4color import colorers
+
+    work = {}
+
+    def counting(name, size):
+        fn = getattr(colorers, name)
+
+        def wrapper(*args):
+            calls, total = work.get(name, (0, 0))
+            work[name] = calls + 1, total + size(*args)
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(colorers, "find_clique_cutset",
+                        counting("find_clique_cutset", lambda g: g.n))
+    monkeypatch.setattr(colorers, "induced_subgraph",
+                        counting("induced_subgraph", lambda g, mask: mask.bit_count()))
+    for n in (100, 200, 400):
+        for g in (path_graph(n), caterpillar(n // 2), _reversed(caterpillar(n // 2)),
+                  random_recursive_tree(random.Random(n), n)):
+            work.clear()
+            assert is_proper_coloring(g, color_general(g).coloring)
+            assert work == {"find_clique_cutset": (2, n + 2),
+                            "induced_subgraph": (n - 1, 2 * (n - 1))}
+        k = n // 10
+        work.clear()
+        g = chain_of_cycles(k, 6)
+        assert is_proper_coloring(g, color_general(g).coloring)
+        assert work == {"find_clique_cutset": (1 + k, g.n + 6 * k),
+                        "induced_subgraph": (3 * k, 10 * k)}
+
+
 def test_one_vertex_blocks_cost_a_constant(monkeypatch):
-    # the leaves of a star are one layer of one-vertex components; after
-    # the first one-vertex block of a table, none of them layers or builds
-    # a subgraph.  Each call starts from an empty table, so two identical
-    # calls count the same.
+    # the leaves of a star are one layer of one-vertex components; each is
+    # colored 0 directly, so none of them layers, builds a subgraph or has
+    # a trace entry: the star's one entry counts them in its layer sizes.
+    # Two identical calls count the same.
     from isk4color import colorers
 
     calls = {"bfs_layering": 0, "induced_subgraph": 0}
@@ -577,7 +652,7 @@ def test_one_vertex_blocks_cost_a_constant(monkeypatch):
                 calls[name] = 0
             result = colorer(star_graph(k))
             assert is_proper_coloring(star_graph(k), result.coloring)
-            assert {e["root"] for e in result.trace[1:]} == set(range(k + 1))
+            assert len(result.trace) == 1 and result.trace[0]["layer_sizes"] == [1, k]
             counts.append(dict(calls))
         assert counts[0] == counts[1] == counts[2] == counts[3], counts
 
@@ -611,7 +686,9 @@ def test_one_vertex_layers_build_no_subgraph(monkeypatch):
 def test_suite_templates_do_not_depend_on_the_recording_mode():
     # a suite's table is filled by whichever mode reaches a block first;
     # what the other mode then replays must be what a fresh call returns.
-    # The first mode leaves each table's one-vertex block in the table.
+    # A one-vertex component of the input is a block with its own entry, so
+    # the first mode leaves each table's one-vertex block in the table; a
+    # one-vertex layer or component of a layer never reaches it.
     from isk4color import colorers
 
     graphs = [star_graph(4), path_graph(7), theta_graph(3, 4, 5),
@@ -631,6 +708,10 @@ def test_suite_templates_do_not_depend_on_the_recording_mode():
         return out
 
     fresh = {mode: results(mode) for mode in ("strict", "tolerant")}
+    with colorers._suite_templates():
+        for colorer in tables:
+            colorer(star_graph(4))
+        assert not any(adj == (0,) for _, adj in colorers._SUITE_TEMPLATES.get())
     for first, then in (("strict", "tolerant"), ("tolerant", "strict")):
         with colorers._suite_templates():
             assert results(first) == fresh[first]
@@ -652,7 +733,8 @@ def _windmill(blades: int) -> Graph:
 def test_small_block_templates_last_one_call(monkeypatch):
     # a repeated triangle block runs its detectors once per call, so the
     # windmills make as many detector calls as one blade does; a second
-    # call on the same graph starts from an empty table
+    # call on the same graph starts from an empty table.  A windmill is
+    # split at its hub into all of its blades at once.
     from isk4color import colorers
 
     calls = dict.fromkeys(rule[0] for rule in colorers._GENERAL if rule[0])
@@ -666,7 +748,10 @@ def test_small_block_templates_last_one_call(monkeypatch):
         calls.update(dict.fromkeys(calls, 0))
         result = color_general(g)
         assert is_proper_coloring(g, result.coloring) and not result.violations
-        assert sum(e["rule"] == "clique_cutset" for e in result.trace) == g.n // 2 - 1
+        blades = g.n // 2
+        assert [e["blocks"] for e in result.trace if e["rule"] == "cut_vertices"] == (
+            [blades] if blades > 1 else [])
+        assert not any(e["rule"] == "clique_cutset" for e in result.trace)
         counts.append(dict(calls))
     assert counts[0] == counts[1] == counts[2] == counts[3], counts
     assert all(counts[0].values()), counts
@@ -709,13 +794,15 @@ def test_block_templates_change_no_result(monkeypatch, connected_corpus_8):
     # replay them, and with them the renamed square and the counts root_n
     # and cliques, which are not renamed.  A rich square, a line graph and
     # a proper 2-cutset get a pendant vertex, numbered last and then first,
-    # so the second replays the block on other ids.
+    # so the second replays the block on other ids; the second of two paths
+    # replays the first's split at its cut vertices.
     from isk4color import colorers
 
     graphs = [g for n in range(1, 8) for g in connected_corpus_8[n]]
     for h in (rich_square_graph([(0, False)] * 3), prism_graph(), ring_of_beads(2)):
         graphs.append(Graph(h.n + 1, [*h.edges(), (0, h.n)]))
         graphs.append(Graph(h.n + 1, [(u + 1, v + 1) for u, v in h.edges()] + [(0, 1)]))
+    graphs.append(disjoint_union(path_graph(5), path_graph(5)))
     colorer_fns = (color_general, color_triangle_free, color_c1, color_c2, color_c3)
     replayed = set()
     remap = colorers._remap
@@ -745,6 +832,6 @@ def test_block_templates_change_no_result(monkeypatch, connected_corpus_8):
     assert not replayed
     assert payloads(cap, False) == expected
     assert payloads(cap, True) == expected
-    assert {"clique_cutset", "layering_girth5"} <= replayed
+    assert {"clique_cutset", "cut_vertices", "layering_girth5"} <= replayed
     assert payloads(7, True) == expected
     assert {"rich_square", "line_graph_subcubic", "proper_2cutset"} <= replayed

@@ -37,7 +37,7 @@ from builders import (
     petersen,
     random_graph,
 )
-from reference import ref_girth
+from reference import ref_degeneracy_order, ref_girth
 
 
 def test_graph_construction_rejects_bad_edges():
@@ -155,6 +155,16 @@ def test_degeneracy_examples():
     assert degeneracy_order(path_graph(5))[1] == 1
     assert degeneracy_order(cycle_graph(7))[1] == 2
     assert degeneracy_order(complete_graph(4))[1] == 3
+
+
+def test_degeneracy_order_agrees_with_reference(all_graphs_7):
+    # the heap gives the min-scan's order, ties to the lowest id, on every
+    # graph with n <= 7 and on seeded random graphs up to 30 vertices
+    graphs = [g for level in all_graphs_7.values() for g in level]
+    rng = random.Random(27)
+    graphs += [random_graph(rng, rng.randint(8, 30), rng.random()) for _ in range(500)]
+    for g in graphs:
+        assert degeneracy_order(g) == ref_degeneracy_order(g)
 
 
 def test_degeneracy_greedy_bound_small_corpus(all_graphs_7):
