@@ -113,6 +113,37 @@ def test_edge_color_bound_subcubic_8(connected_corpus_8):
         assert ec.palette_size <= 4 and not ec.out_of_contract
 
 
+def _shuffled_generalized_petersen(rng: random.Random, n: int, k: int) -> Graph:
+    perm = list(range(2 * n))
+    rng.shuffle(perm)
+    edges = [(i, (i + 1) % n) for i in range(n)] + [(i, n + i) for i in range(n)]
+    edges += [(n + i, n + (i + k) % n) for i in range(n)]
+    return Graph(2 * n, [(perm[u], perm[v]) for u, v in edges])
+
+
+# sha256 over (palette_size, sorted assignment) of ``edge_color_subcubic`` on
+# every connected subcubic graph with n <= 8, the Petersen graph, and twelve
+# relabelled generalized Petersen graphs.  The exact search replaces the fan
+# pass's result on small class-1 graphs, so the cubic graphs of 42 to 80
+# vertices, above its edge cap, are what pin the fan rotation itself.
+_EDGE_COLORINGS_DIGEST = "6e7d6b9d327142e84d3e28a323b98d91e6caba04bf6fa4f842f0c96227726fe1"
+
+
+def test_edge_colorings_pinned(connected_corpus_8):
+    graphs = [g for n in range(1, 9) for g in connected_corpus_8[n]
+              if all(g.degree(v) <= 3 for v in range(g.n))]
+    graphs.append(petersen())
+    rng = random.Random(7)
+    graphs += [_shuffled_generalized_petersen(rng, n, k)
+               for n, k in ((21, 2), (24, 5), (31, 1), (40, 3), *[(25, 2)] * 8)]
+    h = hashlib.sha256()
+    for g in graphs:
+        ec = edge_color_subcubic(g)
+        h.update(json.dumps([ec.palette_size, sorted(ec.assignment.items())]).encode() + b"\n")
+    assert len(graphs) == 320
+    assert h.hexdigest() == _EDGE_COLORINGS_DIGEST
+
+
 def test_color_line_graph_examples():
     k222 = complete_multipartite(2, 2, 2)
     kp = recognize_line_graph_subcubic(k222)
