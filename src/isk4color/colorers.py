@@ -142,32 +142,28 @@ class _Run:
     Every block that a rule colors has one trace entry: the rule, its
     details, the block's vertex count ``size`` and ``parent``, the index of
     the entry whose rule produced the block (None for a component of the
-    input).  ``enter`` reserves the entry when the block is entered, so a
-    parent comes before its children; ``slot`` is the entry of the block
-    whose rule is running.  ``templates`` holds the small blocks already
-    decomposed in this call or suite (``_drive``).
+    input).  ``note`` appends the entry when the rule fires, so a parent
+    comes before its children, and makes it ``parent``, the entry that the
+    blocks the rule goes on to produce point to.  ``templates`` holds the
+    small blocks already decomposed in this call or suite (``_drive``).
     """
 
     def __init__(self, mode: str, templates: dict):
         _check_mode(mode)
         self.mode = mode
         self.templates = templates
-        self.trace: list = []
+        self.trace: list[dict] = []
         self.violations: list[Violation] = []
-        self.slot: int | None = None
+        self.parent: int | None = None
 
-    def enter(self, parent: int | None) -> None:
-        """Reserve the entry of a block produced by the rule of entry
-        ``parent`` and make it the running one."""
-        self.slot = len(self.trace)
-        self.trace.append(parent)  # until ``note`` fills the entry
-
-    def note(self, rule: str, size: int, **detail):
+    def note(self, rule: str, size: int, **detail) -> dict:
         entry = {"rule": rule}
         entry.update(detail)
         entry["size"] = size
-        entry["parent"] = self.trace[self.slot]
-        self.trace[self.slot] = entry
+        entry["parent"] = self.parent
+        self.parent = len(self.trace)
+        self.trace.append(entry)
+        return entry
 
     def violate(self, kind: str, message: str, vertices=()) -> None:
         violation = Violation(kind, message, tuple(sorted(vertices)))
@@ -226,6 +222,11 @@ def color_thick_multipartite(shape: MultipartiteShape) -> Coloring:
     return Coloring(tuple(assign), len(shape.parts))
 
 
+def _edge(v: int, w: int) -> tuple[int, int]:
+    """The key of the edge vw in an edge coloring: its ends in order."""
+    return (v, w) if v < w else (w, v)
+
+
 @dataclass
 class EdgeColoring:
     assignment: dict[tuple[int, int], int]
@@ -253,10 +254,13 @@ def edge_color_subcubic(h: Graph) -> EdgeColoring:
 
     def edge_at(v, c):
         for w in h.neighbors(v):
-            e = (min(v, w), max(v, w))
+            e = _edge(v, w)
             if color.get(e) == c:
                 return w, e
         return None
+
+    def recount(v):
+        used[v] = {color[e] for w in h.neighbors(v) if (e := _edge(v, w)) in color}
 
     def invert_path(start, c, d):
         # flip colors along the maximal path from ``start`` alternating d, c
@@ -273,8 +277,7 @@ def edge_color_subcubic(h: Graph) -> EdgeColoring:
         for e in chain:
             color[e] = c if color[e] == d else d
         for v in set(x for e in chain for x in e):
-            used[v] = {color[(min(v, w), max(v, w))] for w in h.neighbors(v)
-                       if (min(v, w), max(v, w)) in color}
+            recount(v)
 
     for u, v in sorted(h.edges()):
         e = (u, v)
@@ -293,7 +296,7 @@ def edge_color_subcubic(h: Graph) -> EdgeColoring:
             for w in h.neighbors(u):
                 if w in fan:
                     continue
-                ew = (min(u, w), max(u, w))
+                ew = _edge(u, w)
                 if ew in color and color[ew] not in used[last]:
                     ext = (w, ew)
                     break
@@ -321,11 +324,7 @@ def edge_color_subcubic(h: Graph) -> EdgeColoring:
         for e2, c2 in new_colors.items():
             color[e2] = c2
         for x in {u, *fan[: w_idx + 1]}:
-            used[x] = {
-                color[(min(x, y), max(x, y))]
-                for y in h.neighbors(x)
-                if (min(x, y), max(x, y)) in color
-            }
+            recount(x)
 
     palette = max(color.values(), default=-1) + 1
     if palette == delta + 1 and h.m <= _EXACT_EDGE_SEARCH_EDGE_CAP:
@@ -384,7 +383,7 @@ def _assert_proper_edge_coloring(h: Graph, color) -> None:
         if (u, v) not in color:
             raise AssertionError(f"edge ({u},{v}) left uncolored")
     for v in range(h.n):
-        cs = [color[(min(v, w), max(v, w))] for w in h.neighbors(v)]
+        cs = [color[_edge(v, w)] for w in h.neighbors(v)]
         if len(cs) != len(set(cs)):
             raise AssertionError(f"color clash at vertex {v}")
 
@@ -396,10 +395,7 @@ def color_line_graph(g: Graph, kp: KrauszPartition) -> Coloring:
     if rebuilt_edges != sorted(kp.root.edges()) or len(rebuilt_edges) != g.n:
         raise ValueError("partition does not match the graph")
     ec = edge_color_subcubic(kp.root)
-    assign = []
-    for v in range(g.n):
-        a, b = kp.root_edge_of[v]
-        assign.append(ec.assignment[(min(a, b), max(a, b))])
+    assign = [ec.assignment[_edge(*kp.root_edge_of[v])] for v in range(g.n)]
     palette = max(assign, default=-1) + 1
     coloring = Coloring(tuple(assign), max(palette, 1) if g.n else 0)
     if not is_proper_coloring(g, coloring):
@@ -470,9 +466,12 @@ def _drive(g: Graph, ids, run: _Run, rules) -> Coloring:
     vertices is keyed by ``(rules, adjacency)`` in ``run.templates``, the
     first time its subtree finishes it is recorded there (``_record``), and
     a later block with the same key appends the entries renamed to its own
-    ids and takes the coloring, running no rule and no detector.
+    ids and takes the coloring, running no rule and no detector; it then
+    leaves as a colored block does.  ``run.parent``, the parent of ``g``'s
+    entry, is set to each block's parent before its rules run and restored
+    on return.
     """
-    outer = run.slot
+    outer = run.parent
     templates = run.templates
     # blocks (graph, ids, rules, parent entry), and after the children of a
     # split, (None, cuts, the split block's ``_record`` arguments or None, None)
@@ -492,41 +491,35 @@ def _drive(g: Graph, ids, run: _Run, rules) -> Coloring:
                 out = Coloring(tuple(colors[v] for v in split_ids), palette)
                 _record(run, key, split_ids, start, violations, out)
             continue
-        key = None
-        if b.n <= _TEMPLATE_MAX_N:
-            key = brules, b._adj
-            template = templates.get(key)
-            if template is not None:
-                entries, old_ids, start, out = template
-                names = dict(zip(old_ids, bids))
-                run.trace += _remap(entries, names, len(run.trace) - start, parent)
-                if not todo:
-                    run.slot = outer
-                    return out
-                done.append((dict(zip(bids, out.assignment)), out.palette_size))
+        key = (brules, b._adj) if b.n <= _TEMPLATE_MAX_N else None
+        template = key and templates.get(key)
+        if template is not None:
+            entries, old_ids, start, out = template
+            names = dict(zip(old_ids, bids))
+            run.trace += _remap(entries, names, len(run.trace) - start, parent)
+        else:
+            start, violations = len(run.trace), len(run.violations)
+            run.parent = parent
+            for i, rule in enumerate(brules):
+                detector = rule[0]
+                witness = globals()[detector](b) if detector else None
+                if witness is not None or not detector:
+                    out = rule[1](b, bids, run, witness, brules[i:])
+                    if out is not None:
+                        break
+            if type(out) is not Coloring:  # a split: its rule's entry parents the children
+                cuts, children = out
+                pending = None if key is None else (key, bids, start, violations)
+                todo.append((None, cuts, pending, None))
+                todo += [(*child, run.parent) for child in reversed(children)]
                 continue
-        start, violations = len(run.trace), len(run.violations)
-        run.enter(parent)
-        for i, rule in enumerate(brules):
-            detector = rule[0]
-            witness = globals()[detector](b) if detector else None
-            if witness is not None or not detector:
-                out = rule[1](b, bids, run, witness, brules[i:])
-                if out is not None:
-                    break
-        if type(out) is Coloring:
             if key is not None:
                 _record(run, key, bids, start, violations, out)
-            if not todo:  # ``g`` itself was not split
-                run.slot = outer
-                return out
-            done.append((dict(zip(bids, out.assignment)), out.palette_size))
-        else:
-            cuts, children = out
-            pending = None if key is None else (key, bids, start, violations)
-            todo.append((None, cuts, pending, None))
-            todo += [(*child, run.slot) for child in reversed(children)]
-    run.slot = outer
+        if not todo:  # ``g`` itself was not split
+            run.parent = outer
+            return out
+        done.append((dict(zip(bids, out.assignment)), out.palette_size))
+    run.parent = outer
     colors, palette = done.pop()
     return Coloring(tuple(colors[v] for v in ids), palette)
 
@@ -542,9 +535,7 @@ _TEMPLATE_MAX_N = 5
 # The trace fields that list vertices by input id; ``root`` names one.
 _VERTEX_LISTS = frozenset(("clique", "cut", "cuts", "square"))
 
-# The block of a one-vertex component of the input, which then builds no
-# subgraph, and the coloring of a one-vertex layer or component of a layer.
-_ONE = Graph(1)
+# The coloring of a one-vertex layer or component of a layer.
 _ONE_COLORING = Coloring((0,), 1)
 
 
@@ -553,17 +544,15 @@ def _record(run: _Run, key, ids, start: int, violations: int, out: Coloring) -> 
     start, coloring)``: its trace entries, which begin at index ``start``
     and name the block's vertices by the input ids ``ids``, and its
     coloring in block order.  A replay renames them (``_remap``), so
-    recording a block that never repeats copies no entry.
+    recording a block that never repeats copies no entry.  A rule notes
+    before it makes a block, so the first entry, if any, is the block's own.
 
     A subtree that recorded a violation (its count moved from
     ``violations``) is not stored, so a strict call still meets the
-    violation; nor is one whose trace has an unfilled slot, left by a rule
-    that returns a coloring without ``run.note``.
+    violation.
     """
-    entries = run.trace[start:]
-    if len(run.violations) != violations or any(type(e) is not dict for e in entries):
-        return
-    run.templates[key] = entries, ids, start, out
+    if len(run.violations) == violations:
+        run.templates[key] = run.trace[start:], ids, start, out
 
 
 def _remap(entries, names, shift: int, parent) -> list[dict]:
@@ -598,12 +587,12 @@ def _per_component(g: Graph, ids, run: _Run, rules, layer: bool = True) -> Color
     assign = [-1] * g.n
     palette = 0
     for comp in comps:
-        if comp & (comp - 1):
+        if comp & (comp - 1) or not layer:
             sub, sub_ids = induced_subgraph(g, comp)
             c = _drive(sub, _map_ids(ids, sub_ids), run, rules)
-        else:  # one vertex: no subgraph to build
+        else:  # one vertex of a layer: no subgraph to build
             sub_ids = (comp.bit_length() - 1,)
-            c = _ONE_COLORING if layer else _drive(_ONE, _map_ids(ids, sub_ids), run, rules)
+            c = _ONE_COLORING
         for k, v in enumerate(sub_ids):
             assign[v] = c.assignment[k]
         palette = max(palette, c.palette_size)
@@ -635,20 +624,17 @@ def _recurse_clique_cutset(g, ids, run, _witness, rules):
     blocks = _blocks_of(g)
     if blocks.cuts:
         members = blocks.blocks()[2]
-        heads = [(ids[block[0]],) for block in members[1:]]  # each cut vertex heads one or more
-        run.note("cut_vertices", g.n, cuts=sorted({v for v, in heads}), blocks=len(members))
-        children = []
-        for block in members:
-            sub, sub_ids = induced_subgraph(g, mask_of(block))
-            children.append((sub, _map_ids(ids, sub_ids), rules))
-        return heads, children
-    run.note("clique_cutset", g.n, clique=[ids[v] for v in cut.clique],
-             sides=[cut.side_x.bit_count(), cut.side_y.bit_count()])
-    clique = mask_of(cut.clique)
-    bx, ids_x = induced_subgraph(g, cut.side_x | clique)
-    by, ids_y = induced_subgraph(g, cut.side_y | clique)
-    return ([_map_ids(ids, cut.clique)], [(bx, _map_ids(ids, ids_x), rules),
-                                          (by, _map_ids(ids, ids_y), rules)])
+        cuts = [(ids[block[0]],) for block in members[1:]]  # each cut vertex heads one or more
+        run.note("cut_vertices", g.n, cuts=sorted({v for v, in cuts}), blocks=len(members))
+        masks = map(mask_of, members)  # lazily: a mask has up to g.n bits
+    else:
+        run.note("clique_cutset", g.n, clique=[ids[v] for v in cut.clique],
+                 sides=[cut.side_x.bit_count(), cut.side_y.bit_count()])
+        cuts = [_map_ids(ids, cut.clique)]
+        clique = mask_of(cut.clique)
+        masks = [cut.side_x | clique, cut.side_y | clique]
+    subs = (induced_subgraph(g, mask) for mask in masks)
+    return cuts, [(sub, _map_ids(ids, sub_ids), rules) for sub, sub_ids in subs]
 
 
 def _recurse_2cutset(g, ids, run, cut2, _rules):
@@ -693,24 +679,17 @@ def _layered(g: Graph, ids, run: _Run, _witness, rules) -> Coloring:
     even palettes."""
     rule, color_layer, layer_rules = rules[0][2:]
     layers = bfs_layering(g, 0)
+    entry = run.note(rule, g.n, root=ids[0], layer_sizes=[layer.bit_count() for layer in layers])
     per_layer = []
-    layer_palettes = []
     for layer in layers:
         if layer & (layer - 1):
             sub, sub_ids = induced_subgraph(g, layer)
             per_layer.append(color_layer(sub, _map_ids(ids, sub_ids), run, layer_rules))
         else:  # one vertex: color 0, no subgraph and no trace entry
             per_layer.append(_ONE_COLORING)
-        layer_palettes.append(per_layer[-1].palette_size)
     combined = combine_layer_colorings(g, layers, per_layer)
-    run.note(
-        rule,
-        g.n,
-        root=ids[0],
-        layer_sizes=[layer.bit_count() for layer in layers],
-        layer_palettes=layer_palettes,
-        palette=combined.palette_size,
-    )
+    entry["layer_palettes"] = [c.palette_size for c in per_layer]
+    entry["palette"] = combined.palette_size
     return combined
 
 

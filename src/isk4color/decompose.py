@@ -872,28 +872,25 @@ def _validate_2cutset(g: Graph, cut: Proper2Cutset) -> None:
         raise ValueError("edge crosses the cut")
 
 
-def _align_colors(shared1, shared2, palette: int) -> list[int]:
-    """The permutation of range(palette) that takes the colors ``shared2`` of
-    the shared vertices in one block to their colors ``shared1`` in the
-    other, and the remaining colors, in increasing order, to the free ones.
-    The shared vertices must be rainbow in both blocks."""
-    if palette < len(shared1):
-        raise ValueError("palette smaller than the shared overlap")
-    if len(set(shared1)) != len(shared1) or len(set(shared2)) != len(shared2):
-        raise ValueError("shared vertices are not rainbow in both blocks")
-    perm = [-1] * palette
-    for c2, c1 in zip(shared2, shared1):
-        perm[c2] = c1
-    free = iter(sorted(set(range(palette)).difference(shared1)))
-    return [next(free) if c == -1 else c for c in perm]
-
-
 def _merge_blocks(x, y, shared):
     """The union of two block colorings ``({vertex: color}, palette)`` that
-    overlap on ``shared``, Y's renamed to agree with X's (X's dict grows)."""
+    overlap on ``shared``, Y's renamed to agree with X's (X's dict grows).
+    The shared vertices must be rainbow in both blocks.  The renaming takes
+    each shared vertex's color in Y to its color in X, and Y's other
+    colors, in increasing order, to the ones X leaves free on ``shared``."""
     (colors, px), (colors_y, py) = x, y
     palette = max(px, py)
-    perm = _align_colors([colors[v] for v in shared], [colors_y[v] for v in shared], palette)
+    shared_x = [colors[v] for v in shared]
+    shared_y = [colors_y[v] for v in shared]
+    if palette < len(shared_x):
+        raise ValueError("palette smaller than the shared overlap")
+    if len(set(shared_x)) != len(shared_x) or len(set(shared_y)) != len(shared_y):
+        raise ValueError("shared vertices are not rainbow in both blocks")
+    perm = [-1] * palette
+    for cy, cx in zip(shared_y, shared_x):
+        perm[cy] = cx
+    free = iter(sorted(set(range(palette)).difference(shared_x)))
+    perm = [next(free) if c == -1 else c for c in perm]
     for v, c in colors_y.items():
         colors[v] = perm[c]
     return colors, palette

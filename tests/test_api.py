@@ -1,6 +1,8 @@
 """The public names of the package and of the modules whose API shrinks, pinned
 so that every addition or removal shows up as a diff here."""
 
+import ast
+import pathlib
 import types
 
 import isk4color
@@ -66,3 +68,27 @@ def test_oracle_public_names():
         "are_isomorphic", "canonical_form", "chromatic_number_exact", "classify_hole_attachment",
         "contains_isk4", "enumerate_graphs", "verify_layer_forests",
     ]
+
+
+def test_no_module_imports_a_name_it_never_reads():
+    # a deletion must not leave its imports behind.  A name is read where it
+    # appears as a name or as a string constant: the rule tables of the
+    # colorers name their detectors, which are looked up at call time.  The
+    # package's __init__.py imports only to re-export, and is exempt.
+    unread = []
+    for path in sorted(pathlib.Path(isk4color.__file__).parent.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        imported, read = {}, set()
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                    continue
+                for alias in node.names:
+                    imported[alias.asname or alias.name.partition(".")[0]] = node.lineno
+            elif isinstance(node, ast.Name):
+                read.add(node.id)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                read.add(node.value)
+        unread += [f"{path.name}:{line} {name}" for name, line in imported.items() if name not in read]
+    assert unread == []

@@ -803,18 +803,28 @@ def test_tolerant_violation_is_not_replayed_in_strict_mode():
     assert complete_graph(4)._adj not in {adj for _, adj in table}
 
 
-def test_block_with_an_unfilled_trace_slot_is_not_recorded():
-    # a rule that returns a coloring without run.note leaves its trace slot
-    # unfilled; the block is not stored, and the certificate check still
-    # reports the improper coloring
+def test_block_whose_rule_notes_nothing_leaves_no_entry():
+    # a rule that returns a coloring without run.note leaves no trace
+    # entry, and a replay of its block adds none; the certificate check
+    # still reports the improper coloring, on the replay too
     from isk4color import colorers
 
-    stub = ((None, lambda g, ids, run, witness, rules: Coloring((0,) * g.n, 1)),)
+    sizes = []
+
+    def unnoted(g, ids, run, witness, rules):
+        sizes.append(g.n)
+        return Coloring((0,) * g.n, 1)
+
+    stub = ((None, unnoted),)
     with colorers._suite_templates():
         for _ in range(2):
             with pytest.raises(AssertionError, match="improper coloring"):
                 colorers._color(complete_graph(2), "strict", stub, BOUND_GENERAL)
-        assert colorers._SUITE_TEMPLATES.get() == {}
+        # two one-vertex components: the second replays the first
+        result = colorers._color(empty_graph(2), "strict", stub, BOUND_GENERAL)
+        entries = [entries for entries, *_ in colorers._SUITE_TEMPLATES.get().values()]
+    assert sizes == [2, 1] and entries == [[], []]
+    assert result.trace == [] and result.coloring.assignment == (0, 0)
 
 
 def test_block_templates_change_no_result(monkeypatch, connected_corpus_8):
