@@ -9,8 +9,9 @@ fields, so identical inputs produce byte-identical reports.
 from __future__ import annotations
 
 import json
+import re
 
-from .graph import Graph
+from .graph import Graph, bits
 
 FORMATS = ("dimacs-col", "edge-list", "graph6")
 
@@ -23,6 +24,10 @@ class GraphParseError(ValueError):
 
 # ---------------------------------------------------------------------------
 # graph6
+
+# a graph6 character is 63 plus six payload bits, written high bit first
+_NOT_GRAPH6 = re.compile(r"[^?-~]")
+_SIX_BITS = {63 + v: format(v, "06b") for v in range(64)}
 
 
 def write_graph6_line(g: Graph) -> str:
@@ -54,41 +59,38 @@ def parse_graph6_line(line: str, lineno: int = 1) -> Graph:
         s = s[len(">>graph6<<") :]
     if not s:
         raise GraphParseError("empty graph6 line", lineno)
-    vals = []
-    for ch in s:
-        v = ord(ch) - 63
-        if not 0 <= v <= 63:
-            raise GraphParseError(f"invalid graph6 character {ch!r}", lineno)
-        vals.append(v)
-    if vals[0] == 63:  # '~'
-        if vals[1:2] == [63]:
+    bad = _NOT_GRAPH6.search(s)
+    if bad:
+        raise GraphParseError(f"invalid graph6 character {bad.group()!r}", lineno)
+    if s[0] == "~":
+        if s[1:2] == "~":
             raise GraphParseError("graph6 size header '~~' (n >= 258048) is not supported", lineno)
-        if len(vals) < 4:
+        if len(s) < 4:
             raise GraphParseError("truncated graph6 size", lineno)
-        n = vals[1] << 12 | vals[2] << 6 | vals[3]
-        body = vals[4:]
+        n = (ord(s[1]) - 63) << 12 | (ord(s[2]) - 63) << 6 | ord(s[3]) - 63
+        body = s[4:]
     else:
-        n = vals[0]
-        body = vals[1:]
+        n = ord(s[0]) - 63
+        body = s[1:]
     need = n * (n - 1) // 2
     pad = -need % 6  # the zero bits that fill the last character
     chars = (need + pad) // 6
     if len(body) != chars:
         raise GraphParseError(f"graph6 payload has {len(body)} characters; n={n} needs {chars}", lineno)
-    if body and body[-1] & ((1 << pad) - 1):
+    if body and (ord(body[-1]) - 63) & ((1 << pad) - 1):
         raise GraphParseError("graph6 padding bits are not zero", lineno)
-    stream = []
-    for v in body:
-        for s6 in (5, 4, 3, 2, 1, 0):
-            stream.append(v >> s6 & 1)
-    edges = []
-    k = 0
+    # column j of the upper triangle is the j bits from j(j - 1)/2, one per
+    # i < j; reversed, they read as j's neighbours below j
+    stream = body.translate(_SIX_BITS)
+    adj = [0] * n
     for j in range(1, n):
-        for i in range(j):
-            if stream[k]:
-                edges.append((i, j))
-            k += 1
-    return Graph(n, edges)
+        start = j * (j - 1) // 2
+        column = stream[start : start + j]
+        if "1" in column:
+            adj[j] = below = int(column[::-1], 2)
+            for i in bits(below):
+                adj[i] |= 1 << j
+    return Graph.from_masks(adj)
 
 
 # ---------------------------------------------------------------------------

@@ -40,12 +40,36 @@ from typing import Iterable, Iterator
 INFINITE_GIRTH = math.inf
 
 
-def bits(mask: int) -> Iterator[int]:
-    """Yield set bit positions of ``mask`` in ascending order."""
+def _set_bits(mask: int) -> Iterator[int]:
     while mask:
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
+
+
+def _bits_table(width: int) -> tuple[tuple[int, ...], ...]:
+    # the masks from 2**i to 2**(i + 1) - 1 are those below 2**i plus bit i
+    table: list[tuple[int, ...]] = [()]
+    for i in range(width):
+        table += [t + (i,) for t in table]
+    return tuple(table)
+
+
+# every vertex mask of a graph with at most 10 vertices, which covers the
+# whole enumeration (at most oracle.ENUMERATION_CAP vertices)
+_BITS_TABLE = _bits_table(10)
+_TABLE_SIZE = len(_BITS_TABLE)
+
+
+def bits(mask: int) -> Iterable[int]:
+    """The set bit positions of ``mask`` in ascending order.
+
+    A mask below 2**10 gets a tuple shared through a table built at import,
+    a larger one a lazy generator; iterate the result once.
+    """
+    if 0 <= mask < _TABLE_SIZE:
+        return _BITS_TABLE[mask]
+    return _set_bits(mask)
 
 
 def mask_of(vertices: Iterable[int]) -> int:

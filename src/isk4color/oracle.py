@@ -170,9 +170,9 @@ def _colorable(g: Graph, order, k) -> bool:
 
 
 def _refine(masks: tuple[int, ...]) -> list[int]:
-    # lists: tuples built here raised the peak memory of enumeration at
-    # n = 8 by about 1 MB
-    nbrs = [list(bits(m)) for m in masks]
+    # read every round; below 2**10 tuple() returns bits()' shared table
+    # tuple itself, so the enumeration copies no neighbourhood
+    nbrs = [tuple(bits(m)) for m in masks]
     colors = [m.bit_count() for m in masks]
     n, ncls = len(masks), len(set(colors))
     while True:

@@ -8,11 +8,68 @@ search paths.
 from itertools import combinations, permutations
 
 from isk4color.decompose import CliqueCutset, Proper2Cutset, _cliques_lex
+from isk4color.formats import GraphParseError
 from isk4color.graph import Graph, bits, component_masks, induced_subgraph, is_connected, k_core, mask_of
 from isk4color.oracle import Isk4Witness, _graph_from_rows, _min_encoding, _subdivision_witness
 from isk4color.patterns import find_k4
 
 from builders import prism_graph
+
+
+def ref_bits(mask: int) -> tuple[int, ...]:
+    """The set bit positions of ``mask``, ascending, peeled off one lowest
+    bit at a time with no table."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return tuple(out)
+
+
+def ref_parse_graph6_line(line: str, lineno: int = 1) -> Graph:
+    """``formats.parse_graph6_line`` one character and one pair at a time:
+    the payload as a list of bits, walked over every pair i < j."""
+    s = line.strip()
+    if s.startswith(">>graph6<<"):
+        s = s[len(">>graph6<<") :]
+    if not s:
+        raise GraphParseError("empty graph6 line", lineno)
+    vals = []
+    for ch in s:
+        v = ord(ch) - 63
+        if not 0 <= v <= 63:
+            raise GraphParseError(f"invalid graph6 character {ch!r}", lineno)
+        vals.append(v)
+    if vals[0] == 63:  # '~'
+        if vals[1:2] == [63]:
+            raise GraphParseError("graph6 size header '~~' (n >= 258048) is not supported", lineno)
+        if len(vals) < 4:
+            raise GraphParseError("truncated graph6 size", lineno)
+        n = vals[1] << 12 | vals[2] << 6 | vals[3]
+        body = vals[4:]
+    else:
+        n = vals[0]
+        body = vals[1:]
+    need = n * (n - 1) // 2
+    pad = -need % 6
+    chars = (need + pad) // 6
+    if len(body) != chars:
+        raise GraphParseError(f"graph6 payload has {len(body)} characters; n={n} needs {chars}", lineno)
+    if body and body[-1] & ((1 << pad) - 1):
+        raise GraphParseError("graph6 padding bits are not zero", lineno)
+    stream = []
+    for v in body:
+        for s6 in (5, 4, 3, 2, 1, 0):
+            stream.append(v >> s6 & 1)
+    edges = []
+    k = 0
+    for j in range(1, n):
+        for i in range(j):
+            if stream[k]:
+                edges.append((i, j))
+            k += 1
+    return Graph(n, edges)
 
 
 def ref_isomorphic(g: Graph, h: Graph) -> bool:

@@ -17,7 +17,8 @@ from isk4color.formats import (
 from isk4color.colorers import ColoringResult, Violation
 from isk4color.graph import Coloring
 
-from builders import complete_graph, cycle_graph, petersen
+from builders import complete_graph, cycle_graph, petersen, random_graph, random_recursive_tree
+from reference import ref_parse_graph6_line
 
 
 def test_parse_dimacs_triangle():
@@ -61,6 +62,41 @@ def test_graph6_roundtrip_every_order_to_70():
         for g in (Graph(n, pairs), Graph(n, [p for p in pairs if rng.random() < 0.3])):
             assert parse_graph6_line(write_graph6_line(g)) == g
     assert parse_graph6_line("Bw") == complete_graph(3)
+
+
+def _parsed_or_error(parse, line):
+    try:
+        return parse(line)
+    except GraphParseError as exc:
+        return str(exc)
+
+
+def test_graph6_parser_agrees_with_reference():
+    # the '~' size header starts at n = 63
+    rng = random.Random(5)
+    lines = []
+    for n in (0, 1, 62, 63, 64, 300):
+        for p in (0.0, 0.05, 0.5, 1.0):
+            lines.append(write_graph6_line(random_graph(rng, n, p)))
+    lines.append(write_graph6_line(random_recursive_tree(rng, 300)))
+    for line in lines:
+        g = parse_graph6_line(line)
+        assert g == ref_parse_graph6_line(line)
+        assert write_graph6_line(g) == line
+    # seeded corruptions: the same error for the same input
+    alphabet = "?@~_w\x01 >\u00e9\x7f"
+    for _ in range(2000):
+        line = list(rng.choice(lines[:12]))
+        k = rng.randrange(len(line) + 1)
+        op = rng.randrange(3)
+        if op == 0 and k < len(line):
+            line[k] = rng.choice(alphabet)
+        elif op == 1:
+            line.insert(k, rng.choice(alphabet))
+        else:
+            del line[k:k + rng.randint(1, 3)]
+        line = "".join(line)
+        assert _parsed_or_error(parse_graph6_line, line) == _parsed_or_error(ref_parse_graph6_line, line), line
 
 
 @pytest.mark.parametrize("line, message", [

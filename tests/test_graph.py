@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from itertools import combinations
+from itertools import combinations, islice
 
 from isk4color.graph import (
     Graph,
@@ -37,7 +37,26 @@ from builders import (
     petersen,
     random_graph,
 )
-from reference import ref_degeneracy_order, ref_girth
+from reference import ref_bits, ref_degeneracy_order, ref_girth
+
+
+def test_bits_agrees_with_reference():
+    # every mask of the table, its bound 2**10 and the masks just past it
+    for mask in range((1 << 10) + 3):
+        assert tuple(bits(mask)) == ref_bits(mask), mask
+    rng = random.Random(5)
+    for _ in range(40):
+        width = rng.randint(100, 5000)
+        dense = rng.getrandbits(width) | 1 << (width - 1)
+        sparse = dense & rng.getrandbits(width) & rng.getrandbits(width)
+        assert tuple(bits(dense)) == ref_bits(dense)
+        assert tuple(bits(sparse)) == ref_bits(sparse)
+
+
+def test_bits_reads_no_table_entry_for_a_negative_mask():
+    # -1 has every bit set; a lookup at index -1 would stop after bit 9
+    assert tuple(islice(bits(-1), 12)) == tuple(range(12))
+    assert tuple(islice(bits(-8), 3)) == (3, 4, 5)
 
 
 def test_graph_construction_rejects_bad_edges():

@@ -377,6 +377,19 @@ SUITE_REPORT_SHA256 = {
 }
 
 
+# the same at n = 8, for the triangle-free suite alone (about 0.1 s): a
+# byte-level check of the n = 8 enumeration the verifier runs
+SUITE_REPORT_SHA256_N8 = {
+    "triangle-free-bound": "7d83554a88446070265e13896fe689a7b961c033dbc16d8662ef2fb9886dde3d",
+}
+
+
+@pytest.mark.parametrize("name", sorted(SUITE_REPORT_SHA256_N8))
+def test_suite_report_bytes_pinned_n8(name):
+    payload = json.dumps(run_suite(name, 8).to_dict(), sort_keys=True)
+    assert hashlib.sha256(payload.encode()).hexdigest() == SUITE_REPORT_SHA256_N8[name]
+
+
 @pytest.mark.parametrize("name", sorted(SUITES))
 def test_suite_report_bytes_pinned(name):
     # n = 7 is the smallest order with hole-attachment checks
