@@ -181,3 +181,17 @@ def chain_of_cycles(k: int, length: int) -> Graph:
         ring = [i, *inner[:half], i + 1, *inner[half:]]
         edges += [(ring[j - 1], ring[j]) for j in range(length)]
     return Graph(nxt, edges)
+
+
+def flower_snark(k: int) -> Graph:
+    """The flower snark J_k, k >= 3: for each i < k a claw 4i with leaves
+    4i + 1, 4i + 2 and 4i + 3.  The leaves 4i + 1 form a k-cycle, and the
+    leaves 4i + 2 and then 4i + 3 one 2k-cycle.  Cubic with 6k edges; for
+    odd k >= 5 a snark, and J_3 has no 3-edge-coloring either."""
+    edges = []
+    for i in range(k):
+        j = 4 * ((i + 1) % k)
+        edges += [(4 * i, 4 * i + 1), (4 * i, 4 * i + 2), (4 * i, 4 * i + 3), (4 * i + 1, j + 1)]
+        # the two outer arcs swap over at the wrap
+        edges += [(4 * i + 2, j + 2), (4 * i + 3, j + 3)] if i < k - 1 else [(4 * i + 2, 3), (4 * i + 3, 2)]
+    return Graph(4 * k, edges)

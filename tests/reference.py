@@ -301,6 +301,49 @@ def ref_edge_chromatic(g: Graph) -> int:
     return k
 
 
+def ref_exact_edge_coloring(h: Graph, k: int) -> dict | None:
+    """The first proper k-edge-coloring of h found by a recursive search,
+    or None.  The edges are taken in the order of a stack walk (pop the
+    last edge, push its unseen neighbours in index order; then the edges
+    the walk missed), and each tries every color from 0 up, with no
+    first-use pruning."""
+    edges = sorted(h.edges())
+    order: list[tuple[int, int]] = []
+    seen = set()
+    frontier = list(edges[:1])
+    while frontier:
+        e = frontier.pop()
+        if e in seen:
+            continue
+        seen.add(e)
+        order.append(e)
+        for f in edges:
+            if f not in seen and set(e) & set(f):
+                frontier.append(f)
+    order += [e for e in edges if e not in seen]
+    used: list[set[int]] = [set() for _ in range(h.n)]
+    assign: dict[tuple[int, int], int] = {}
+
+    def rec(i):
+        if i == len(order):
+            return True
+        u, v = order[i]
+        for c in range(k):
+            if c in used[u] or c in used[v]:
+                continue
+            used[u].add(c)
+            used[v].add(c)
+            assign[(u, v)] = c
+            if rec(i + 1):
+                return True
+            used[u].discard(c)
+            used[v].discard(c)
+            del assign[(u, v)]
+        return False
+
+    return dict(assign) if rec(0) else None
+
+
 def ref_labeled_iso_classes(n: int) -> int:
     """Number of isomorphism classes on n vertices by bucketing all labeled
     graphs with a brute-force isomorphism test (n <= 5)."""

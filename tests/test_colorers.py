@@ -29,6 +29,7 @@ from isk4color.colorers import (
     color_rich_square,
     color_thick_multipartite,
     color_triangle_free,
+    _exact_edge_coloring,
     edge_color_subcubic,
     greedy_fallback,
 )
@@ -46,6 +47,7 @@ from builders import (
     cycle_graph,
     disjoint_union,
     empty_graph,
+    flower_snark,
     line_graph,
     petersen,
     prism_graph,
@@ -55,7 +57,7 @@ from builders import (
     star_graph,
     theta_graph,
 )
-from reference import ref_edge_chromatic
+from reference import ref_edge_chromatic, ref_exact_edge_coloring
 
 
 def test_color_forest_examples():
@@ -142,6 +144,49 @@ def test_edge_colorings_pinned(connected_corpus_8):
         h.update(json.dumps([ec.palette_size, sorted(ec.assignment.items())]).encode() + b"\n")
     assert len(graphs) == 320
     assert h.hexdigest() == _EDGE_COLORINGS_DIGEST
+
+
+def _random_subcubic(rng: random.Random, n: int, max_edges: int) -> Graph:
+    """A connected graph of max degree 3 on n vertices, relabelled: a tree,
+    then random pairs of low-degree vertices joined while the edge budget
+    lasts."""
+    deg = [0] * n
+    edges = set()
+    for v in range(1, n):
+        u = rng.choice([w for w in range(v) if deg[w] < 3])
+        edges.add((u, v))
+        deg[u] += 1
+        deg[v] = 1
+    for _ in range(3 * n):
+        low = [v for v in range(n) if deg[v] < 3]
+        if len(edges) >= max_edges or len(low) < 2:
+            break
+        u, v = sorted(rng.sample(low, 2))
+        if (u, v) not in edges:
+            edges.add((u, v))
+            deg[u] += 1
+            deg[v] += 1
+    perm = list(range(n))
+    rng.shuffle(perm)
+    return Graph(n, [(perm[u], perm[v]) for u, v in sorted(edges)])
+
+
+def test_exact_edge_coloring_agrees_with_reference():
+    # the same assignment as a recursive search that tries every color at
+    # every edge, on graphs well above the n <= 8 corpus.  The edge budget
+    # stays at most 3 * (n // 2): past it no 3-edge-coloring exists, and
+    # both searches take up to minutes to refute one on 40 vertices
+    rng = random.Random(11)
+    for _ in range(50):
+        n = rng.randint(10, 40)
+        h = _random_subcubic(rng, n, rng.randint(n, min(60, 3 * (n // 2))))
+        delta = max(h.degree(v) for v in range(h.n))
+        assert _exact_edge_coloring(h, delta) == ref_exact_edge_coloring(h, delta), list(h.edges())
+    # J3 and J5 have no 3-edge-coloring; J4 has one
+    for k, colorable in ((3, False), (4, True), (5, False)):
+        snark = flower_snark(k)
+        found = _exact_edge_coloring(snark, 3)
+        assert found == ref_exact_edge_coloring(snark, 3) and (found is not None) == colorable
 
 
 def test_color_line_graph_examples():
