@@ -68,6 +68,7 @@ from .decompose import (
     find_proper_2cutset,
 )
 from .layering import combine_layer_colorings
+from .oracle import _colorable
 from .patterns import (
     KrauszPartition,
     MultipartiteShape,
@@ -340,42 +341,37 @@ _EXACT_EDGE_SEARCH_EDGE_CAP = 60
 
 
 def _exact_edge_coloring(h: Graph, k: int) -> dict | None:
-    """Backtracking k-edge-coloring; edges ordered to keep assignments forced."""
+    """A proper k-edge-coloring of h, as a k-coloring of its line graph by
+    ``oracle._colorable``, or None.
+
+    The edges, in sorted order, are the vertices of L(h), taken in the order
+    of a stack walk that keeps assignments forced: pop the last edge, push
+    its unseen neighbours in increasing order; then the edges the walk
+    missed, in order.  Along that order the search returns the
+    lexicographically first proper k-coloring, the same one as a search that
+    tries every color at every edge: the first coloring is first-use
+    canonical, since one that skipped a color at some edge would, with the
+    two colors swapped from there on, give a smaller coloring, so the
+    first-use pruning never cuts it off.
+    """
     edges = sorted(h.edges())
-    order: list[tuple[int, int]] = []
-    seen = set()
-    frontier = list(edges[:1])
-    while frontier:
-        e = frontier.pop()
-        if e in seen:
-            continue
-        seen.add(e)
-        order.append(e)
-        for f in edges:
-            if f not in seen and set(e) & set(f):
-                frontier.append(f)
-    order += [e for e in edges if e not in seen]
-    used: list[set[int]] = [set() for _ in range(h.n)]
-    assign: dict[tuple[int, int], int] = {}
-
-    def rec(i):
-        if i == len(order):
-            return True
-        u, v = order[i]
-        for c in range(k):
-            if c in used[u] or c in used[v]:
-                continue
-            used[u].add(c)
-            used[v].add(c)
-            assign[(u, v)] = c
-            if rec(i + 1):
-                return True
-            used[u].discard(c)
-            used[v].discard(c)
-            del assign[(u, v)]
-        return False
-
-    return dict(assign) if rec(0) else None
+    at = [0] * h.n  # the edges at each vertex, as a mask of edge indices
+    for i, (u, v) in enumerate(edges):
+        at[u] |= 1 << i
+        at[v] |= 1 << i
+    line = Graph.from_masks((at[u] | at[v]) ^ 1 << i for i, (u, v) in enumerate(edges))
+    order: list[int] = []
+    seen = 0
+    stack = [0] if edges else []
+    while stack:
+        i = stack.pop()
+        if not seen >> i & 1:
+            seen |= 1 << i
+            order.append(i)
+            stack += bits(line.mask(i) & ~seen)
+    order += [i for i in range(len(edges)) if not seen >> i & 1]
+    colors = _colorable(line, order, k)
+    return None if colors is None else dict(zip(edges, colors))
 
 
 def _assert_proper_edge_coloring(h: Graph, color) -> None:
@@ -623,7 +619,7 @@ def _recurse_clique_cutset(g, ids, run, _witness, rules):
         return None
     blocks = _blocks_of(g)
     if blocks.cuts:
-        members = blocks.blocks()[2]
+        members = blocks.blocks()
         cuts = [(ids[block[0]],) for block in members[1:]]  # each cut vertex heads one or more
         run.note("cut_vertices", g.n, cuts=sorted({v for v, in cuts}), blocks=len(members))
         masks = map(mask_of, members)  # lazily: a mask has up to g.n bits

@@ -9,15 +9,17 @@ One iterative low-point DFS (``_low_points``) gives the cut vertices and the
 blocks of the graph.  On demand, the SPQR tree of each block with four or
 more vertices (``_triconnected_components``: Hopcroft-Tarjan with the
 Gutwenger-Mutzel corrections, on explicit stacks) gives every separation
-pair {a, b} of the block, with the number of components of B - {a, b} and
-how many of them are bare a-b paths.  In a block, a 2-clique cutset is an
-adjacent separation pair, the real edge of a P-node.  The proper 2-cutset
-search takes only graphs with no cut vertex, a single block, which is all
-the colorers give it: a cut vertex is a clique cutset, split first.  There
-a proper 2-cutset is a non-adjacent separation pair whose components fall
-into two sides, neither of them one bare path.  Each search then runs the
-component sweep once, on its winner, so the witness and its sides are
-those of a sweep over every candidate.  Apart from the sweeps of the
+pair {a, b} of the block B, with the number of components of B - {a, b}
+and how many of them are bare a-b paths.  A 2-connected graph hands its
+tree that DFS; a block of a graph with a cut vertex is built as an
+induced subgraph and runs a DFS of its own.  In a block, a 2-clique
+cutset is an adjacent separation pair, the real edge of a P-node.  The
+proper 2-cutset search takes only graphs with no cut vertex, a single
+block, which is all the colorers give it: a cut vertex is a clique
+cutset, split first.  There a proper 2-cutset is a non-adjacent
+separation pair whose components fall into two sides, neither of them one
+bare path.  Each search then runs the component sweep once, on its winner,
+so the witness and its sides are those of a sweep over every candidate.  Apart from the sweeps of the
 cut-vertex cliques and the triangles that a degree bound lets through,
 each search is O(n + m).  The colorers ask both searches about the same
 block in turn, so the second reuses the DFS and the SPQR trees of the
@@ -45,6 +47,7 @@ from .graph import (
     bits,
     component_masks,
     induced_plus_edge,
+    induced_subgraph,
     is_proper_coloring,
     mask_of,
 )
@@ -523,8 +526,8 @@ def _spqr_pairs(adj, tree, ids, host_deg, pairs: dict, cycles: list) -> None:
 
 class _Blocks:
     """The degree of each vertex (``deg``) and the cut vertices (``cuts``)
-    of a connected graph, from one ``_low_points`` DFS, and on demand its
-    blocks and their separation pairs.
+    of a connected graph, from one ``_low_points`` DFS (``tree``), and on
+    demand the vertex lists of its blocks and their separation pairs.
 
     Raises ValueError when the graph is not connected.
     """
@@ -541,20 +544,17 @@ class _Blocks:
         self._blocks = None
         self._separations = None
 
-    def blocks(self) -> tuple[list[int], list[int], list[list[int]]]:
-        """The blocks of g in the preorder of the DFS: ``(block, loc,
-        members)``.  ``members`` lists each block's vertices in preorder,
-        its head, the vertex it hangs from, first: the DFS root for the
-        first block, and for every later one a vertex of an earlier block.
-        ``block[v]`` is the block of the tree edge into each non-root
-        vertex v (-1 at the root), and ``loc[v]`` v's place in it.  A
-        non-root vertex v opens a block under its parent p when low1[v] >=
-        num[p].  Built on the first call, then kept; O(n).
+    def blocks(self) -> list[list[int]]:
+        """The vertices of each block of g, in the preorder of the DFS.  Each
+        block lists its vertices in preorder, its head, the vertex it hangs
+        from, first: the DFS root for the first block, and for every later
+        one a vertex of an earlier block.  A non-root vertex v opens a block
+        under its parent p when low1[v] >= num[p].  Built on the first call,
+        then kept; O(n).
         """
         if self._blocks is None:
             order, num, parent, low1, _, _, _ = self.tree
-            block = [-1] * self.g.n
-            loc = [0] * self.g.n
+            block = [-1] * self.g.n  # the block of the tree edge into each vertex
             members: list[list[int]] = []
             for v in order[1:]:
                 p = parent[v]
@@ -563,9 +563,8 @@ class _Blocks:
                     members.append([p])
                 else:
                     block[v] = block[p]
-                loc[v] = len(members[block[v]])
                 members[block[v]].append(v)
-            self._blocks = block, loc, members
+            self._blocks = members
         return self._blocks
 
     def separations(self) -> tuple[dict, list]:
@@ -584,46 +583,25 @@ class _Blocks:
         3-connected and a P-node has only its two poles, so any other pair
         leaves every skeleton, and with them B, connected.
 
-        The DFS of g serves every block: restricted to a block, it is a DFS
-        of the block from the vertex the block hangs from, with the same low
-        points, since back edges from the blocks below a vertex end at or
-        under it.  Each edge belongs to the block of the tree edge into its
-        deeper end, so one pass over the edges gives every block its
-        adjacency lists.  O(n + m) time and memory.
+        A 2-connected g is its own block and hands its SPQR tree the DFS of
+        g.  Every block of a graph with a cut vertex is built as an induced
+        subgraph and gets a DFS of its own.  O(n + m) time and memory.
         """
         if self._separations is not None:
             return self._separations
         g = self.g
-        n = g.n
-        order, num, parent, low1, low2, nd, _ = self.tree
-        block, loc, members = self.blocks()
         pairs: dict[tuple[int, int], tuple[int, int]] = {}
         cycles: list[list[int]] = []
-        if len(members) == 1 and n >= 4:  # g is 2-connected: its own block
-            adj = [list(bits(mask)) for mask in g._adj]
-            _spqr_pairs(adj, (num, parent, low1, low2, nd), range(n), self.deg, pairs, cycles)
-        elif len(members) > 1:
-            # a block's head, the vertex it hangs from, is its vertex 0
-            adjs = [[[] for _ in ids] if len(ids) >= 4 else None for ids in members]
-            for v in range(n):
-                for w in bits(g._adj[v]):
-                    b = block[v] if num[w] < num[v] else block[w]
-                    if adjs[b] is not None:
-                        adjs[b][loc[v] if block[v] == b else 0].append(loc[w] if block[w] == b else 0)
-            for b, ids in enumerate(members):
-                if adjs[b] is None:
-                    continue
-                k = len(ids)
-                up = [-1] + [loc[parent[v]] if block[parent[v]] == b else 0 for v in ids[1:]]
-                size = [1] * k
-                for i in range(k - 1, 0, -1):
-                    size[up[i]] += size[i]
-                lows = []
-                for low in (low1, low2):
-                    ends = (order[low[v] - 1] for v in ids[1:])
-                    lows.append([1] + [loc[u] + 1 if block[u] == b else 1 for u in ends])
-                tree = (list(range(1, k + 1)), up, lows[0], lows[1], size)
-                _spqr_pairs(adjs[b], tree, ids, self.deg, pairs, cycles)
+        for ids in self.blocks():
+            if len(ids) < 4:
+                continue
+            if len(ids) == g.n:  # g is 2-connected: its own block
+                block, ids, tree = g, range(g.n), self.tree
+            else:
+                block, ids = induced_subgraph(g, mask_of(ids))
+                tree = _low_points(block._adj)
+            adj = [list(bits(mask)) for mask in block._adj]
+            _spqr_pairs(adj, tree[1:6], ids, self.deg, pairs, cycles)
         self._separations = pairs, cycles
         return pairs, cycles
 

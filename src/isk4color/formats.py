@@ -28,6 +28,7 @@ class GraphParseError(ValueError):
 # a graph6 character is 63 plus six payload bits, written high bit first
 _NOT_GRAPH6 = re.compile(r"[^?-~]")
 _SIX_BITS = {63 + v: format(v, "06b") for v in range(64)}
+_CHAR_OF_SIX_BITS = {six: chr(c) for c, six in _SIX_BITS.items()}
 
 
 def write_graph6_line(g: Graph) -> str:
@@ -38,19 +39,10 @@ def write_graph6_line(g: Graph) -> str:
         head = chr(n + 63)
     else:
         head = "~" + "".join(chr(((n >> s) & 63) + 63) for s in (12, 6, 0))
-    bits_out = []
-    for j in range(1, n):
-        for i in range(j):
-            bits_out.append(1 if g.has_edge(i, j) else 0)
-    while len(bits_out) % 6:
-        bits_out.append(0)
-    chars = []
-    for k in range(0, len(bits_out), 6):
-        val = 0
-        for b in bits_out[k : k + 6]:
-            val = val << 1 | b
-        chars.append(chr(val + 63))
-    return head + "".join(chars)
+    # column j is j's neighbours below j, lowest first: the parser's reading
+    stream = "".join(format(g.mask(j) & ((1 << j) - 1), f"0{j}b")[::-1] for j in range(1, n))
+    stream += "0" * (-len(stream) % 6)
+    return head + "".join(_CHAR_OF_SIX_BITS[stream[k : k + 6]] for k in range(0, len(stream), 6))
 
 
 def parse_graph6_line(line: str, lineno: int = 1) -> Graph:
@@ -97,11 +89,25 @@ def parse_graph6_line(line: str, lineno: int = 1) -> Graph:
 # DIMACS and edge lists
 
 
+def _checked_edge(u: int, v: int, n: int, base: int, seen: set, lineno: int) -> tuple[int, int]:
+    """Check the edge uv of a file whose ids start at ``base`` (1 or 0): in
+    range, no loop, not already in ``seen``.  Add it to ``seen`` and return
+    it with 0-based ids."""
+    if not (base <= u < n + base and base <= v < n + base):
+        raise GraphParseError(f"vertex out of range {base}..{n + base - 1}", lineno)
+    if u == v:
+        raise GraphParseError("self-loop", lineno)
+    key = (min(u, v), max(u, v))
+    if key in seen:
+        raise GraphParseError(f"duplicate edge {u} {v}", lineno)
+    seen.add(key)
+    return u - base, v - base
+
+
 def _parse_dimacs(text: str) -> Graph:
     n = m = None
     edges = []
     seen = set()
-    count = 0
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("c"):
@@ -127,22 +133,13 @@ def _parse_dimacs(text: str) -> Graph:
                 u, v = int(parts[1]), int(parts[2])
             except ValueError:
                 raise GraphParseError("non-integer vertex id", lineno)
-            if not (1 <= u <= n and 1 <= v <= n):
-                raise GraphParseError(f"vertex out of range 1..{n}", lineno)
-            if u == v:
-                raise GraphParseError("self-loop", lineno)
-            key = (min(u, v), max(u, v))
-            if key in seen:
-                raise GraphParseError(f"duplicate edge {u} {v}", lineno)
-            seen.add(key)
-            edges.append((u - 1, v - 1))
-            count += 1
+            edges.append(_checked_edge(u, v, n, 1, seen, lineno))
         else:
             raise GraphParseError(f"unknown line type {parts[0]!r}", lineno)
     if n is None:
         raise GraphParseError("missing problem line", 1)
-    if m is not None and count != m:
-        raise GraphParseError(f"header declares {m} edges, found {count}", 1)
+    if m is not None and len(edges) != m:
+        raise GraphParseError(f"header declares {m} edges, found {len(edges)}", 1)
     return Graph(n, edges)
 
 
@@ -166,15 +163,7 @@ def _parse_edge_list(text: str) -> Graph:
             if n < 0 or m < 0:
                 raise GraphParseError("negative counts in header", lineno)
             continue
-        if not (0 <= a < n and 0 <= b < n):
-            raise GraphParseError(f"vertex out of range 0..{n - 1}", lineno)
-        if a == b:
-            raise GraphParseError("self-loop", lineno)
-        key = (min(a, b), max(a, b))
-        if key in seen:
-            raise GraphParseError(f"duplicate edge {a} {b}", lineno)
-        seen.add(key)
-        edges.append((a, b))
+        edges.append(_checked_edge(a, b, n, 0, seen, lineno))
     if n is None:
         raise GraphParseError("empty input", 1)
     if m is not None and len(edges) != m:

@@ -131,38 +131,43 @@ def chromatic_number_exact(g: Graph, *, limit: int | None = SUBSET_SWEEP_CAP) ->
     upper = greedy_coloring(g).palette_size
     # the greedy palette is a coloring, so only the k below it need a search
     for k in range(max(2, _greedy_clique(g)), upper):
-        if _colorable(g, order, k):
+        if _colorable(g, order, k) is not None:
             return k
     return upper
 
 
-def _colorable(g: Graph, order, k) -> bool:
-    """Backtracking over ``order``, each vertex trying its colors in increasing
-    order up to one past the palette used so far.  The search keeps its own
-    stack, so a long path does not reach the recursion limit."""
-    n = g.n
-    assign = [-1] * n
-    # per vertex on the stack: the colors it has left to try, and the palette
-    # size used before it
-    stack: list[tuple[Iterator[int], int]] = []
-    used = 0
-    while len(stack) < n:
-        v = order[len(stack)]
-        forbidden = {assign[w] for w in bits(g.mask(v)) if assign[w] != -1}
-        stack.append((iter([c for c in range(min(used + 1, k)) if c not in forbidden]), used))
-        while stack:
-            colors, used = stack[-1]
-            c = next(colors, None)
-            v = order[len(stack) - 1]
-            if c is not None:
-                assign[v] = c
-                used = max(used, c + 1)
-                break
-            assign[v] = -1
-            stack.pop()
+def _colorable(g: Graph, order, k) -> list[int] | None:
+    """The first proper k-coloring of g by backtracking over ``order``, as a
+    color per vertex, or None.  Each vertex tries its colors in increasing
+    order up to one past the palette used before it.  The search keeps its
+    own position in ``order``, so a long path does not reach the recursion
+    limit, and each color class as a mask, so a color is tried with one AND.
+    """
+    adj, n = g._adj, g.n
+    assign = [0] * n
+    classes = [0] * k
+    palette = [0] * (n + 1)  # the palette size used before each position
+    i = c = 0  # the position in ``order``, and the first color to try there
+    while i < n:
+        v = order[i]
+        top = min(palette[i] + 1, k)
+        while c < top and adj[v] & classes[c]:
+            c += 1
+        if c < top:
+            assign[v] = c
+            classes[c] |= 1 << v
+            palette[i + 1] = max(palette[i], c + 1)
+            i += 1
+            c = 0
+        elif i:
+            i -= 1
+            v = order[i]
+            c = assign[v]
+            classes[c] ^= 1 << v
+            c += 1
         else:
-            return False
-    return True
+            return None
+    return assign
 
 
 # ---------------------------------------------------------------------------

@@ -72,6 +72,29 @@ def ref_parse_graph6_line(line: str, lineno: int = 1) -> Graph:
     return Graph(n, edges)
 
 
+def ref_write_graph6_line(g: Graph) -> str:
+    """The graph6 line of g, one adjacency test per pair of the upper
+    triangle, column by column, and six bits at a time into characters."""
+    n = g.n
+    if n <= 62:
+        head = chr(n + 63)
+    else:
+        head = "~" + "".join(chr(((n >> s) & 63) + 63) for s in (12, 6, 0))
+    bits_out = []
+    for j in range(1, n):
+        for i in range(j):
+            bits_out.append(1 if g.has_edge(i, j) else 0)
+    while len(bits_out) % 6:
+        bits_out.append(0)
+    chars = []
+    for k in range(0, len(bits_out), 6):
+        val = 0
+        for b in bits_out[k : k + 6]:
+            val = val << 1 | b
+        chars.append(chr(val + 63))
+    return head + "".join(chars)
+
+
 def ref_isomorphic(g: Graph, h: Graph) -> bool:
     if g.n != h.n or g.m != h.m:
         return False

@@ -92,3 +92,18 @@ def test_no_module_imports_a_name_it_never_reads():
                 read.add(node.value)
         unread += [f"{path.name}:{line} {name}" for name, line in imported.items() if name not in read]
     assert unread == []
+
+
+def test_no_function_calls_itself_by_name():
+    # the package keeps its own stacks, so no input reaches the recursion
+    # limit: a function, nested ones included, never calls its own name
+    recursive = []
+    for path in sorted(pathlib.Path(isk4color.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                recursive += [
+                    f"{path.name}:{call.lineno} {node.name}" for call in ast.walk(node)
+                    if isinstance(call, ast.Call) and isinstance(call.func, ast.Name)
+                    and call.func.id == node.name
+                ]
+    assert recursive == []

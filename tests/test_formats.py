@@ -18,7 +18,7 @@ from isk4color.colorers import ColoringResult, Violation
 from isk4color.graph import Coloring
 
 from builders import complete_graph, cycle_graph, petersen, random_graph, random_recursive_tree
-from reference import ref_parse_graph6_line
+from reference import ref_parse_graph6_line, ref_write_graph6_line
 
 
 def test_parse_dimacs_triangle():
@@ -69,6 +69,17 @@ def _parsed_or_error(parse, line):
         return parse(line)
     except GraphParseError as exc:
         return str(exc)
+
+
+def test_graph6_writer_agrees_with_reference():
+    # the same line as one adjacency test per pair, around the '~' header
+    rng = random.Random(9)
+    graphs = [random_graph(rng, n, p) for n in (0, 1, 62, 63, 64, 300) for p in (0.0, 0.05, 0.5, 1.0)]
+    graphs.append(random_recursive_tree(rng, 300))
+    for g in graphs:
+        line = write_graph6_line(g)
+        assert line == ref_write_graph6_line(g), g
+        assert parse_graph6_line(line) == g
 
 
 def test_graph6_parser_agrees_with_reference():
