@@ -204,7 +204,7 @@ def _cmd_color(args, argv) -> int:
         raise AssertionError(str(exc)) from exc
     if not proper:
         raise AssertionError(f"algorithm {algorithm} produced an improper coloring")
-    result.violations = pre_violations + result.violations
+    result = result._replace(violations=[*pre_violations, *result.violations])
     extra = {"algorithm": algorithm, "mode": args.mode, "proper": proper}
     text = serialize_coloring(result, as_json=args.json, command=argv,
                               input_sha256=digest, extra=extra)

@@ -43,7 +43,7 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 from contextvars import ContextVar
-from dataclasses import dataclass, field
+from typing import NamedTuple, Sequence
 
 from .graph import (
     Graph,
@@ -91,8 +91,7 @@ BOUND_C2 = 12
 BOUND_C3 = 24
 
 
-@dataclass
-class Violation:
+class Violation(NamedTuple):
     kind: str
     message: str
     vertices: tuple[int, ...] = ()
@@ -115,12 +114,11 @@ class NotAForestError(ValueError):
         self.cycle = tuple(cycle)
 
 
-@dataclass
-class ColoringResult:
+class ColoringResult(NamedTuple):
     coloring: Coloring
     bound_claimed: int
-    trace: list[dict] = field(default_factory=list)
-    violations: list[Violation] = field(default_factory=list)
+    trace: Sequence[dict] = ()
+    violations: Sequence[Violation] = ()
 
     def to_dict(self) -> dict:
         return {
@@ -228,8 +226,7 @@ def _edge(v: int, w: int) -> tuple[int, int]:
     return (v, w) if v < w else (w, v)
 
 
-@dataclass
-class EdgeColoring:
+class EdgeColoring(NamedTuple):
     assignment: dict[tuple[int, int], int]
     palette_size: int
     out_of_contract: bool  # set when the input exceeded max degree 3
@@ -328,7 +325,9 @@ def edge_color_subcubic(h: Graph) -> EdgeColoring:
             recount(x)
 
     palette = max(color.values(), default=-1) + 1
-    if palette == delta + 1 and h.m <= _EXACT_EDGE_SEARCH_EDGE_CAP:
+    # each color class is a matching of at most n // 2 edges, so an overfull
+    # root, one with more than delta * (n // 2) edges, needs delta + 1 colors
+    if palette == delta + 1 and h.m <= min(_EXACT_EDGE_SEARCH_EDGE_CAP, delta * (h.n // 2)):
         tight = _exact_edge_coloring(h, delta)
         if tight is not None:
             color = tight

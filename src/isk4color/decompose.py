@@ -39,7 +39,7 @@ on one explicit stack.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .graph import (
     Graph,
@@ -54,15 +54,13 @@ from .graph import (
 from .patterns import find_k4
 
 
-@dataclass(frozen=True)
-class CliqueCutset:
+class CliqueCutset(NamedTuple):
     clique: tuple[int, ...]
     side_x: int
     side_y: int
 
 
-@dataclass(frozen=True)
-class Proper2Cutset:
+class Proper2Cutset(NamedTuple):
     a: int
     b: int
     side_x: int

@@ -33,9 +33,8 @@ sets, which are results for users, stay frozensets.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 INFINITE_GIRTH = math.inf
 
@@ -138,18 +137,26 @@ class Graph:
         return f"Graph(n={self.n}, m={self.m})"
 
 
-@dataclass(frozen=True)
-class Coloring:
-    """Total assignment vertex -> color index, drawn from 0..palette_size-1."""
-
+class _ColoringFields(NamedTuple):
     assignment: tuple[int, ...]
     palette_size: int
 
-    def __post_init__(self):
-        object.__setattr__(self, "assignment", tuple(self.assignment))
-        for v, c in enumerate(self.assignment):
-            if not (0 <= c < self.palette_size):
-                raise ValueError(f"color {c} of vertex {v} outside palette 0..{self.palette_size - 1}")
+
+class Coloring(_ColoringFields):
+    """Total assignment vertex -> color index, drawn from 0..palette_size-1."""
+
+    __slots__ = ()
+
+    def __new__(cls, assignment, palette_size: int):
+        assignment = tuple(assignment)
+        for v, c in enumerate(assignment):
+            if not (0 <= c < palette_size):
+                raise ValueError(f"color {c} of vertex {v} outside palette 0..{palette_size - 1}")
+        return super().__new__(cls, assignment, palette_size)
+
+    @classmethod
+    def _make(cls, iterable):  # _replace builds through _make: check it too
+        return cls(*iterable)
 
 
 def bfs_layering(g: Graph, root: int) -> tuple[int, ...]:

@@ -16,8 +16,8 @@ suppressing the chains between its branch vertices with
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
+from typing import NamedTuple
 
 from .graph import (
     Graph,
@@ -31,8 +31,7 @@ from .graph import (
 )
 
 
-@dataclass
-class Confluence:
+class Confluence(NamedTuple):
     """Three paths joining tips x, y, z through one shared center.
 
     kind 1: the paths share exactly one common end vertex (``center``).

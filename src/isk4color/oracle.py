@@ -10,9 +10,8 @@ number at n = 16.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .graph import (
     Graph,
@@ -41,8 +40,7 @@ class SizeLimitError(ValueError):
 # induced subdivisions of K4
 
 
-@dataclass
-class Isk4Witness:
+class Isk4Witness(NamedTuple):
     vertices: frozenset[int]
     branch: tuple[int, int, int, int]
     paths: tuple[tuple[int, ...], ...]
@@ -500,8 +498,7 @@ def _levels(
 # hole attachment classification
 
 
-@dataclass
-class HoleAttachmentClassification:
+class HoleAttachmentClassification(NamedTuple):
     output_case: int
     attachers: tuple[int, ...]
     hole_vertices: tuple[int, ...]
@@ -584,8 +581,7 @@ def _check_attachment_preconditions(g, order, sset):
 # layer forests
 
 
-@dataclass
-class LayerCycleWitness:
+class LayerCycleWitness(NamedTuple):
     root: int
     layer: int
     cycle: tuple[int, ...]

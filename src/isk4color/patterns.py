@@ -10,9 +10,9 @@ are exponential in the worst case; they are meant for desk-scale graphs
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import combinations, permutations
-from typing import Iterator
+from types import MappingProxyType
+from typing import Iterator, Mapping, NamedTuple
 
 from .graph import (
     Graph,
@@ -28,11 +28,10 @@ from .graph import (
 )
 
 
-@dataclass
-class PatternWitness:
+class PatternWitness(NamedTuple):
     kind: str
     vertices: frozenset[int]
-    extra: dict = field(default_factory=dict)
+    extra: Mapping = MappingProxyType({})
 
     def to_dict(self) -> dict:
         out = {"kind": self.kind, "vertices": sorted(self.vertices)}
@@ -41,16 +40,14 @@ class PatternWitness:
         return out
 
 
-@dataclass
-class MultipartiteShape:
+class MultipartiteShape(NamedTuple):
     """Complete bipartite/tripartite split; thick iff two parts have size >= 3."""
 
     parts: tuple[tuple[int, ...], ...]
     thick: bool
 
 
-@dataclass
-class KrauszPartition:
+class KrauszPartition(NamedTuple):
     """Edge-disjoint cliques (size <= 3) covering all edges, every vertex in <= 2
     of them, together with the reconstructed subcubic root graph."""
 

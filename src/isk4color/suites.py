@@ -11,10 +11,9 @@ from __future__ import annotations
 import os
 import random
 import time
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
 from functools import partial
 from itertools import combinations
+from typing import NamedTuple
 
 from .colorers import (
     BOUND_GENERAL,
@@ -76,8 +75,7 @@ FILTERS = {
 }
 
 
-@dataclass
-class SuiteReport:
+class SuiteReport(NamedTuple):
     suite: str
     parameters: dict
     counts: dict
@@ -335,8 +333,7 @@ def _check_upstairs(g: Graph) -> dict:
     return {"checks": checks, "violations": violations}
 
 
-@dataclass
-class SuiteSpec:
+class SuiteSpec(NamedTuple):
     name: str
     alias: str
     description: str
@@ -463,7 +460,8 @@ def run_suite(
     ``seed`` only drives the ``random_graphs`` random graphs of ``upstairs``;
     ``random_graphs`` must not be negative.
     Workers only parallelize the per-graph checks; aggregation order is the
-    enumeration order.  ``jobs`` is clamped to the CPU count.  The colorer
+    enumeration order.  ``jobs`` is clamped to the CPU count; at one job no
+    process pool is started, nor its module imported.  The colorer
     calls of one run share their table of small-block templates, which is
     dropped when the run ends.
     """
@@ -490,7 +488,10 @@ def run_suite(
     counter_examples: list[dict] = []
 
     jobs = min(jobs, os.cpu_count() or 1)
-    pool = ProcessPoolExecutor(max_workers=jobs) if jobs > 1 else None
+    pool = None
+    if jobs > 1:
+        from concurrent.futures import ProcessPoolExecutor
+        pool = ProcessPoolExecutor(max_workers=jobs)
     try:
         for n, source in enumerate(levels, 1):
             enumerated = 0

@@ -5,8 +5,15 @@ import ast
 import pathlib
 import types
 
+import pytest
+
 import isk4color
 from isk4color import decompose, families, graph, oracle
+from isk4color.colorers import Violation, color_general
+from isk4color.families import path_graph
+from isk4color.patterns import find_triangle
+
+from builders import complete_graph
 
 
 def _public(module, own_only):
@@ -107,3 +114,31 @@ def test_no_function_calls_itself_by_name():
                     and call.func.id == node.name
                 ]
     assert recursive == []
+
+
+def test_records_are_immutable_tuples():
+    # a record is changed through _replace; to_dict reads as before
+    result = color_general(path_graph(3))
+    violation = Violation("k33", "stub", (0, 1))
+    for record, name in ((result, "violations"), (violation, "kind"), (result.coloring, "palette_size")):
+        with pytest.raises(AttributeError):
+            setattr(record, name, getattr(record, name))
+    assert result.to_dict() == {
+        "palette_size": 2, "assignment": [1, 0, 1], "bound_claimed": 24,
+        "trace": [
+            {"rule": "cut_vertices", "cuts": [1], "blocks": 2, "size": 3, "parent": None},
+            {"rule": "layering_4wheel_free", "root": 0, "layer_sizes": [1, 1], "size": 2,
+             "parent": 0, "layer_palettes": [1, 1], "palette": 2},
+            {"rule": "layering_4wheel_free", "root": 1, "layer_sizes": [1, 1], "size": 2,
+             "parent": 0, "layer_palettes": [1, 1], "palette": 2},
+        ],
+        "violations": [],
+    }
+    assert violation.to_dict() == {"kind": "k33", "message": "stub", "vertices": [0, 1]}
+    with pytest.raises(ValueError):
+        result.coloring._replace(palette_size=1)
+    assert result._replace(violations=[violation]).to_dict()["violations"] == [violation.to_dict()]
+    triangle = find_triangle(complete_graph(3))
+    assert triangle.extra == {} and triangle.to_dict() == {"kind": "triangle", "vertices": [0, 1, 2]}
+    with pytest.raises(TypeError):
+        triangle.extra["order"] = (0, 1, 2)

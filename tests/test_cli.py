@@ -1,4 +1,7 @@
 import json
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -243,6 +246,26 @@ def test_cli_json_byte_determinism(files, capsys):
 def test_version_flag(capsys):
     assert cli_main(["--version"]) == 0
     capsys.readouterr()
+
+
+def test_startup_imports_no_pool_and_no_dataclasses():
+    # every color call is a fresh process, so it pays for each module the
+    # CLI imports; the process pool (enumerate --jobs k > 1 only) and the
+    # dataclass machinery serve no call.  Modules that a bare interpreter
+    # already holds, such as those a site .pth file loads, are not counted
+    show = "import sys; print(' '.join(sorted(sys.modules)))"
+    probe = ("import sys; sys.path.insert(0, sys.argv[1])\n"
+             "from isk4color.cli import cli_main\n"
+             "assert cli_main(['--version']) == 0\n" + show)
+    src = str(pathlib.Path(cli.__file__).parents[1])
+
+    def loaded(*argv):
+        done = subprocess.run([sys.executable, "-I", *argv], capture_output=True, text=True, check=True)
+        return set(done.stdout.splitlines()[-1].split())
+
+    new = loaded("-c", probe, src) - loaded("-c", show)
+    assert "isk4color.cli" in new
+    assert new & {"concurrent.futures", "multiprocessing", "dataclasses", "inspect"} == set()
 
 
 def test_parser_is_built_once_and_reused(files, capsys):

@@ -55,6 +55,7 @@ from builders import (
     rich_square_graph,
     ring_of_beads,
     star_graph,
+    subdivided_complete,
     theta_graph,
 )
 from reference import ref_edge_chromatic, ref_exact_edge_coloring
@@ -187,6 +188,27 @@ def test_exact_edge_coloring_agrees_with_reference():
         snark = flower_snark(k)
         found = _exact_edge_coloring(snark, 3)
         assert found == ref_exact_edge_coloring(snark, 3) and (found is not None) == colorable
+
+
+def test_overfull_roots_skip_the_exact_search(monkeypatch):
+    # more than delta * (n // 2) edges cannot split into delta matchings, so
+    # no exact search runs: K4 with one edge subdivided (5 vertices, 7
+    # edges), and the 39-vertex, 58-edge root that took the search 65 CPU-s
+    # to refute (the tenth draw below)
+    rng = random.Random(11)
+    for _ in range(10):
+        root = _random_subcubic(rng, rng.randint(10, 40), 60)
+    assert (root.n, root.m) == (39, 58)
+    k4_sub = subdivided_complete(4, {(0, 1): 1})
+    assert (k4_sub.n, k4_sub.m) == (5, 7)
+
+    def refuse(h, k):
+        raise AssertionError("exact search on an overfull root")
+
+    monkeypatch.setattr(isk4color.colorers, "_exact_edge_coloring", refuse)
+    for h in (k4_sub, root):
+        ec = edge_color_subcubic(h)  # checks its own coloring is proper
+        assert ec.palette_size == 4 and not ec.out_of_contract
 
 
 def test_color_line_graph_examples():

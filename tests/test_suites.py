@@ -1,3 +1,4 @@
+import concurrent.futures
 import hashlib
 import json
 import os
@@ -168,7 +169,7 @@ def test_jobs_clamped_to_cpu_count(monkeypatch):
         def shutdown(self):
             pass
 
-    monkeypatch.setattr(suites, "ProcessPoolExecutor", FakePool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
     monkeypatch.setattr(os, "cpu_count", lambda: 3)
     run_suite("layer-forests", 5, jobs=10**6)
     assert started == [3]
@@ -329,7 +330,8 @@ def test_max_chi_reports_graphs_over_the_expected_bound(monkeypatch):
 
 
 def test_min_degree_counterexamples_reach_the_report(monkeypatch):
-    monkeypatch.setattr(SUITES["min-degree-c3"], "check", partial(suites._check_min_degree, bound=1))
+    spec = SUITES["min-degree-c3"]._replace(check=partial(suites._check_min_degree, bound=1))
+    monkeypatch.setitem(SUITES, "min-degree-c3", spec)
     report = run_suite("min-degree-c3", 5)
     kept = _kept(5, FILTERS["k33-free"], FILTERS["k222-free"], FILTERS["prism-free"])
     expected = [(g, f"minimum degree {d} exceeds 1") for g in kept
