@@ -820,7 +820,8 @@ def color_general(g: Graph, mode: str = "strict") -> ColoringResult:
 
 
 def color_auto(g: Graph, mode: str = "strict") -> tuple[str, ColoringResult]:
-    """triangle-free algorithm when no triangle exists, else the general one."""
+    """triangle-free algorithm when no triangle exists, else the general one.
+    The graph is searched for a triangle once."""
     if find_triangle(g) is None:
-        return "triangle-free", color_triangle_free(g, mode)
+        return "triangle-free", _color(g, mode, _TRIANGLE_FREE, BOUND_TRIANGLE_FREE)
     return "general", color_general(g, mode)

@@ -2,14 +2,17 @@
 machine-readable report serialization.
 
 All parsers normalize vertex ids to 0..n-1 and reject loops and duplicate
-edges with a line number.  JSON output uses sorted keys and no volatile
-fields, so identical inputs produce byte-identical reports.
+edges with a line number.  A JSON report is the text of
+``json.dumps(payload, sort_keys=True, indent=2)`` plus a newline, written
+by ``_json_text`` instead of json's pure-Python indenting encoder; it has no
+volatile fields, so identical inputs produce byte-identical reports.
 """
 
 from __future__ import annotations
 
 import json
 import re
+from json.encoder import encode_basestring_ascii as _quote
 
 from .graph import Graph, bits
 
@@ -256,6 +259,10 @@ def serialize_coloring(result, as_json: bool = False, *, command=None, input_sha
 
 
 def json_report(*, command=None, input_sha256=None, result=None, trace=None, violations=None) -> str:
+    """The JSON report of a command: its arguments, the input's SHA-256,
+    the result, the decomposition trace, the violations and the package
+    version, as ``json.dumps(payload, sort_keys=True, indent=2)`` writes them,
+    plus a newline."""
     from . import __version__
 
     payload = {
@@ -266,4 +273,90 @@ def json_report(*, command=None, input_sha256=None, result=None, trace=None, vio
         "violations": violations if violations is not None else [],
         "version": __version__,
     }
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    return _json_text(payload) + "\n"
+
+
+_ONLY_INT = frozenset((int,))
+
+
+def _key_text(key) -> str:
+    """A dict key as json writes it: a string, or the quoted JSON text of a
+    number, bool or None."""
+    if isinstance(key, str):
+        return _quote(key)
+    if key is None or isinstance(key, (int, float)):
+        return _quote(json.dumps(key))
+    raise TypeError(f"keys must be str, int, float, bool or None, not {key.__class__.__name__}")
+
+
+def _json_text(value) -> str:
+    """``json.dumps(value, sort_keys=True, indent=2)``, byte for byte.
+
+    json writes indented text with its pure-Python encoder, a generator per
+    container and a chunk per item.  This writes exact strs, ints, None and
+    bools itself, a list or tuple of exact ints (never bools) with one
+    ``join``, and hands every other scalar (floats, subclasses, objects json
+    rejects) to ``json.dumps``, whose text for a scalar does not depend on
+    the indent.  It walks containers with a stack instead of recursion, and
+    raises ValueError on a container inside itself, as json does.
+    """
+    chunks = []
+    emit = chunks.append
+    # per depth d: the line break and indent of d, the same after a comma,
+    # and the opening, separator and closing text of an int list at d
+    depths = []
+    stack = []  # the enclosing containers, innermost last
+    open_ids = set()
+    # the container being written: its items left, whether they are (key,
+    # value) pairs, its items' depth, and the text before its next item.
+    # The outermost one holds ``value`` alone.
+    items, pairs, depth, sep = iter((value,)), False, 0, ""
+    while True:
+        if depth == len(depths):
+            indent = "\n" + "  " * depth
+            depths.append((indent, "," + indent, "[" + indent + "  ", "," + indent + "  ", indent + "]"))
+        indent, comma, int_open, int_sep, int_close = depths[depth]
+        for item in items:
+            if pairs:
+                key, value = item
+                head = sep + (_quote(key) if type(key) is str else _key_text(key)) + ": "
+            else:
+                value, head = item, sep
+            sep = comma
+            kind = type(value)
+            if kind is int:
+                emit(head + repr(value))
+            elif kind is str:
+                emit(head + _quote(value))
+            elif (kind is list or kind is tuple) and value and _ONLY_INT.issuperset(map(type, value)):
+                emit(head + int_open + int_sep.join(map(repr, value)) + int_close)
+            elif value is None:
+                emit(head + "null")
+            elif value is True:
+                emit(head + "true")
+            elif value is False:
+                emit(head + "false")
+            elif not isinstance(value, (list, tuple, dict)):
+                emit(head + json.dumps(value))
+            elif not value:
+                emit(head + ("{}" if isinstance(value, dict) else "[]"))
+            else:
+                mark = id(value)
+                if mark in open_ids:
+                    raise ValueError("Circular reference detected")
+                open_ids.add(mark)
+                stack.append((items, pairs, mark))
+                pairs = isinstance(value, dict)
+                emit(head + ("{" if pairs else "["))
+                items = iter(sorted(value.items()) if pairs else value)
+                depth += 1
+                sep = indent + "  "
+                break
+        else:
+            if not stack:
+                return "".join(chunks)
+            depth -= 1
+            emit(depths[depth][0] + ("}" if pairs else "]"))
+            items, pairs, mark = stack.pop()
+            open_ids.remove(mark)
+            sep = depths[depth][1]

@@ -5,8 +5,10 @@ definitions, staying deliberately independent of the library's targeted
 search paths.
 """
 
+import json
 from itertools import combinations, permutations
 
+from isk4color import __version__
 from isk4color.decompose import CliqueCutset, Proper2Cutset, _cliques_lex
 from isk4color.formats import GraphParseError
 from isk4color.graph import Graph, bits, component_masks, induced_subgraph, is_connected, k_core, mask_of
@@ -70,6 +72,20 @@ def ref_parse_graph6_line(line: str, lineno: int = 1) -> Graph:
                 edges.append((i, j))
             k += 1
     return Graph(n, edges)
+
+
+def ref_json_report(*, command=None, input_sha256=None, result=None, trace=None, violations=None) -> str:
+    """``formats.json_report`` through the standard library's indenting
+    encoder, which the report format is defined by."""
+    payload = {
+        "command": list(command) if command else [],
+        "input_sha256": input_sha256,
+        "result": result,
+        "trace": trace if trace is not None else [],
+        "violations": violations if violations is not None else [],
+        "version": __version__,
+    }
+    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
 def ref_write_graph6_line(g: Graph) -> str:

@@ -142,3 +142,17 @@ def test_records_are_immutable_tuples():
     assert triangle.extra == {} and triangle.to_dict() == {"kind": "triangle", "vertices": [0, 1, 2]}
     with pytest.raises(TypeError):
         triangle.extra["order"] = (0, 1, 2)
+
+
+def test_no_module_dumps_indented_json():
+    # json's indenting encoder is pure Python; reports go through the
+    # package's own writer, formats._json_text, which writes the same bytes
+    indented = []
+    for path in sorted(pathlib.Path(isk4color.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                    and isinstance(node.func.value, ast.Name) and node.func.value.id == "json"
+                    and node.func.attr in ("dump", "dumps")
+                    and any(k.arg in ("indent", None) for k in node.keywords)):
+                indented.append(f"{path.name}:{node.lineno}")
+    assert indented == []

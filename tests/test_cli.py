@@ -1,11 +1,12 @@
 import json
 import pathlib
+import random
 import subprocess
 import sys
 
 import pytest
 
-from isk4color import cli, colorers, suites
+from isk4color import cli, colorers, formats, suites
 from isk4color.cli import cli_main
 from isk4color.colorers import ClassViolationError, Violation
 from isk4color.families import path_graph
@@ -13,7 +14,8 @@ from isk4color.formats import parse_graph6_line, write_graph
 from isk4color.graph import Coloring
 from isk4color.oracle import ENUMERATION_CAP, contains_isk4, enumerate_graphs
 
-from builders import complete_graph, complete_multipartite, cycle_graph, petersen
+from builders import complete_graph, complete_multipartite, cycle_graph, petersen, random_recursive_tree
+from reference import ref_json_report
 
 
 @pytest.fixture()
@@ -226,21 +228,52 @@ def test_enumerate_alias_and_filter(capsys):
     assert json.loads(out)["result"]["suite"] == "layer-forests"
 
 
-def test_cli_json_byte_determinism(files, capsys):
-    outs = []
-    for _ in range(2):
-        code, out = run(capsys, "color", files["k222.el"], "--algorithm", "general", "--json")
-        assert code == 0
-        outs.append(out)
-    assert outs[0] == outs[1]
+def test_cli_json_byte_determinism(files, tmp_path, capsys):
+    tree = tmp_path / "tree300.el"
+    tree.write_text(write_graph(random_recursive_tree(random.Random(3), 300), "edge-list"))
+    for argv in (
+        ["color", files["k222.el"], "--algorithm", "general", "--json"],
+        ["color", str(tree), "--json"],
+        ["enumerate", "--n", "4", "--check", "max-chi-general", "--json", "--seed", "3"],
+    ):
+        outs = []
+        for _ in range(2):
+            code, out = run(capsys, *argv)
+            assert code == 0
+            outs.append(out)
+        assert outs[0] == outs[1]
+        # the bytes are those of the standard library's indented, sorted dump
+        assert out == json.dumps(json.loads(out), sort_keys=True, indent=2) + "\n"
 
-    outs = []
-    for _ in range(2):
-        code, out = run(capsys, "enumerate", "--n", "4", "--check", "max-chi-general",
-                        "--json", "--seed", "3")
-        assert code == 0
-        outs.append(out)
-    assert outs[0] == outs[1]
+
+def test_cli_reports_agree_with_the_standard_library(files, capsys, monkeypatch):
+    # each report's fields, as json_report received them, through the
+    # standard library's encoder give the same bytes as the CLI wrote
+    received = []
+    write_report = formats.json_report
+
+    def recording(**fields):
+        received.append(fields)
+        return write_report(**fields)
+
+    monkeypatch.setattr(formats, "json_report", recording)
+    monkeypatch.setattr(cli, "json_report", recording)
+    for argv, expected_code in (
+        (["color", files["c5.col"], "--json"], 0),
+        (["color", files["petersen.g6"], "--algorithm", "general", "--json"], 0),
+        (["color", files["k5.col"], "--algorithm", "general", "--tolerant", "--json"], 0),
+        (["color", files["k5.col"], "--verify-input", "--tolerant", "--json"], 0),
+        (["color", files["k5.col"], "--json"], 1),
+        (["color", files["k222.el"], "--algorithm", "triangle-free", "--json"], 1),
+        (["detect", "--pattern", "k33", files["k33.col"], "--json"], 0),
+        (["detect", "--pattern", "triangle", files["c5.col"], "--json"], 1),
+        (["oracle", "isk4", files["k5.col"], "--json"], 0),
+        (["oracle", "chi", files["petersen.g6"], "--json"], 0),
+    ):
+        received.clear()
+        code, out = run(capsys, *argv)
+        assert code == expected_code and len(received) == 1
+        assert out == ref_json_report(**received[0])
 
 
 def test_version_flag(capsys):

@@ -395,6 +395,25 @@ def test_color_auto():
     assert algo == "general" and r.coloring.palette_size == 3
 
 
+def test_color_auto_searches_for_a_triangle_once(monkeypatch):
+    # the triangle-free branch colors without repeating the search, and
+    # each branch returns what its colorer returns
+    searches = []
+    find_triangle = isk4color.colorers.find_triangle
+
+    def counting(g):
+        searches.append(g)
+        return find_triangle(g)
+
+    monkeypatch.setattr(isk4color.colorers, "find_triangle", counting)
+    algo, r = color_auto(path_graph(10))
+    assert algo == "triangle-free" and len(searches) == 1
+    assert r.to_dict() == color_triangle_free(path_graph(10)).to_dict()
+    g = complete_multipartite(2, 2, 2)
+    algo, r = color_auto(g, "tolerant")
+    assert algo == "general" and r.to_dict() == color_general(g, "tolerant").to_dict()
+
+
 def test_nested_class_chain_exhaustive(isk4_free_connected_8):
     """Each layered colorer meets its bound, violation-free, on every member
     of its own class with n <= 8 (not just via the general colorer)."""

@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -8,6 +9,7 @@ from isk4color.formats import (
     FORMATS,
     GraphParseError,
     detect_format,
+    json_report,
     parse_graph,
     parse_graph6_line,
     serialize_coloring,
@@ -16,9 +18,10 @@ from isk4color.formats import (
 )
 from isk4color.colorers import ColoringResult, Violation
 from isk4color.graph import Coloring
+from isk4color.suites import SUITES, run_suite
 
 from builders import complete_graph, cycle_graph, petersen, random_graph, random_recursive_tree
-from reference import ref_parse_graph6_line, ref_write_graph6_line
+from reference import ref_json_report, ref_parse_graph6_line, ref_write_graph6_line
 
 
 def test_parse_dimacs_triangle():
@@ -200,3 +203,108 @@ def test_serialize_coloring_json_deterministic():
     b = serialize_coloring(res2, as_json=True, command=["color", "f"], input_sha256="00")
     assert a == b
     assert '"version"' in a and '"input_sha256"' in a
+
+
+class _Int(int):
+    pass
+
+
+class _Str(str):
+    pass
+
+
+class _Float(float):
+    pass
+
+
+# characters json escapes or writes as \u escapes: quotes, backslashes,
+# control characters, non-ASCII, astral (a surrogate pair) and a lone surrogate
+_CHARS = 'ab {}[],:"\\/\n\t\x00\x1f\x7f\xe9\u2028\U0001f600\ud800'
+_FLOATS = (0.5, -0.0, 0.0, math.nan, math.inf, -math.inf, 1e300, 5e-324, 0.1 + 0.2)
+
+
+def _random_text(rng):
+    return "".join(rng.choice(_CHARS) for _ in range(rng.randrange(5)))
+
+
+def _random_int(rng):
+    return rng.choice((0, 1, -1, 7, -300, 2**63, -(2**64) - 1, 10**40, rng.randint(-(10**6), 10**6)))
+
+
+def _random_scalar(rng):
+    return rng.choice((
+        _random_int(rng), _random_text(rng), rng.choice(_FLOATS), rng.random(), True, False, None,
+        _Int(rng.randrange(-5, 5)), _Str(_random_text(rng)), _Float(rng.random()),
+    ))
+
+
+def _random_key(rng, kind):
+    if kind == "str":
+        return _random_text(rng)
+    return rng.choice((_random_int(rng), rng.choice(_FLOATS), True, False))
+
+
+def _random_json(rng, depth):
+    """A random JSON value, nested up to ``depth`` containers deep: big and
+    negative ints, floats with -0.0, nan and infinities, awkward strings,
+    subclasses of int, str and float, empty and int-only lists and tuples
+    (sometimes with a bool among the ints), and dicts with str, number, bool
+    or None keys."""
+    roll = rng.random()
+    if depth == 0 or roll < 0.4:
+        return _random_scalar(rng)
+    if roll < 0.6:
+        items = [_random_int(rng) for _ in range(rng.randrange(6))]
+        if items and rng.random() < 0.3:
+            items[rng.randrange(len(items))] = rng.choice((True, False, 2.0, None, _Int(1)))
+    else:
+        items = [_random_json(rng, depth - 1) for _ in range(rng.randrange(5))]
+    if roll < 0.8:
+        return items if rng.random() < 0.8 else tuple(items)
+    if rng.random() < 0.1:
+        return {None: items}
+    kind = "str" if rng.random() < 0.7 else "number"
+    return {_random_key(rng, kind): value for value in items}
+
+
+def test_json_report_agrees_with_the_standard_library():
+    rng = random.Random(5)
+    for _ in range(3000):
+        fields = {"result": _random_json(rng, 4)}
+        if rng.random() < 0.3:
+            fields["trace"] = [_random_json(rng, 2) for _ in range(rng.randrange(3))]
+        if rng.random() < 0.3:
+            fields["command"] = [_random_text(rng) for _ in range(rng.randrange(1, 4))]
+        assert json_report(**fields) == ref_json_report(**fields)
+
+
+def test_json_report_agrees_on_every_suite_report():
+    for name in sorted(SUITES):
+        fields = {
+            "command": ["enumerate", "--n", "6", "--check", name, "--json"],
+            "input_sha256": "0" * 64,
+            "result": run_suite(name, 6).to_dict(),
+        }
+        assert json_report(**fields) == ref_json_report(**fields)
+
+
+def _inside_itself():
+    loop = [1, "a"]
+    loop.append({"loop": loop})
+    return loop
+
+
+@pytest.mark.parametrize("value, error", [
+    (object(), TypeError),
+    ([1, {2, 3}], TypeError),
+    ({"bytes": b"x"}, TypeError),
+    ({(0, 1): 2}, TypeError),
+    ({1: "int", "a": "str"}, TypeError),
+    (_inside_itself(), ValueError),
+])
+def test_json_report_rejects_what_json_rejects(value, error):
+    with pytest.raises(error) as expected:
+        ref_json_report(result=value)
+    with pytest.raises(error) as raised:
+        json_report(result=value)
+    assert str(raised.value) == str(expected.value)
