@@ -234,100 +234,82 @@ class EdgeColoring(NamedTuple):
 
 def edge_color_subcubic(h: Graph) -> EdgeColoring:
     """Proper edge coloring with at most max_degree + 1 colors via the
-    fan-rotation and alternating-path method.
+    fan-rotation and alternating-path method (Misra and Gries).
 
     Intended for max degree <= 3 (then at most 4 colors); larger inputs are
     still colored with max_degree + 1 colors but flagged out of contract.
     When the fan pass spends the extra color on a small graph, a bounded
     exact search tries to bring the palette down to max_degree, so desk-scale
     outputs match the optimum.
+
+    The edges are colored in sorted order and named by their index in it
+    (``_edge_index``).  ``cls[c]`` is the mask of the edges of color c and
+    ``cls[k]`` of those not colored yet; ``col`` indexes each edge's color.
+    So c is free at v when ``at[v] & cls[c]`` is 0, and otherwise that AND
+    is v's edge of color c.  Edge uv takes the smallest color free at both
+    ends.  Otherwise a maximal fan at u grows from v, each step taking the
+    colored edge uw of lowest w whose color is free at the fan's last
+    vertex; c is the smallest color free at u, d the smallest free at the
+    fan's end, and the path from u alternating d and c swaps them; the fan,
+    up to its first vertex where d is free and not past an edge the swap
+    made busy at the vertex before it, rotates one step toward uv and its
+    last edge takes d.
     """
     delta = max((h.degree(v) for v in range(h.n)), default=0)
     k = delta + 1 if delta else 0
-    color: dict[tuple[int, int], int] = {}
-    used: list[set[int]] = [set() for _ in range(h.n)]
+    edges, at = _edge_index(h)
+    col = [k] * len(edges)
+    cls = [0] * k + [(1 << len(edges)) - 1]
 
-    def free_colors(v):
-        return [c for c in range(k) if c not in used[v]]
+    def paint(batch):
+        for j, c in batch:
+            cls[col[j]] ^= 1 << j
+            cls[c] |= 1 << j
+            col[j] = c
 
-    def edge_at(v, c):
-        for w in h.neighbors(v):
-            e = _edge(v, w)
-            if color.get(e) == c:
-                return w, e
-        return None
+    def smallest_free(busy):
+        for c in range(k):
+            if not busy & cls[c]:
+                return c
+        return k
 
-    def recount(v):
-        used[v] = {color[e] for w in h.neighbors(v) if (e := _edge(v, w)) in color}
-
-    def invert_path(start, c, d):
-        # flip colors along the maximal path from ``start`` alternating d, c
-        chain = []
-        cur = start
-        want = d
-        while True:
-            hit = edge_at(cur, want)
-            if hit is None:
-                break
-            cur, e = hit
-            chain.append(e)
-            want = c if want == d else d
-        for e in chain:
-            color[e] = c if color[e] == d else d
-        for v in set(x for e in chain for x in e):
-            recount(v)
-
-    for u, v in sorted(h.edges()):
-        e = (u, v)
-        both = sorted(set(free_colors(u)) & set(free_colors(v)))
-        if both:
-            color[e] = both[0]
-            used[u].add(both[0])
-            used[v].add(both[0])
+    for i, (u, v) in enumerate(edges):
+        c = smallest_free(at[u] | at[v])
+        if c < k:
+            paint(((i, c),))
             continue
-        # build a maximal fan at u starting from v
-        fan = [v]
-        fan_edges = {v: e}
-        while True:
-            last = fan[-1]
-            ext = None
-            for w in h.neighbors(u):
-                if w in fan:
-                    continue
-                ew = _edge(u, w)
-                if ew in color and color[ew] not in used[last]:
-                    ext = (w, ew)
-                    break
-            if ext is None:
-                break
+        fan, ends = [i], [v]  # the fan's edges at u, the first uncolored, and their other ends
+        rest = at[u] & ~cls[k]  # the colored edges at u outside the fan
+        while ext := [j for j in bits(rest) if not at[ends[-1]] & cls[col[j]]]:
             fan.append(ext[0])
-            fan_edges[ext[0]] = ext[1]
-        c = free_colors(u)[0]
-        d = free_colors(fan[-1])[0]
-        invert_path(u, c, d)
-        # after inversion find the first fan prefix endpoint where d is free
+            ends.append(sum(edges[ext[0]]) - u)
+            rest ^= 1 << ext[0]
+        c = smallest_free(at[u])
+        d = smallest_free(at[ends[-1]])
+        flip = []
+        cur, want, other = u, d, c
+        while step := at[cur] & cls[want]:
+            j = step.bit_length() - 1
+            flip.append((j, other))
+            cur = sum(edges[j]) - cur
+            want, other = other, want
+        paint(flip)
         w_idx = None
-        for idx, w in enumerate(fan):
-            if idx > 0 and color[fan_edges[w]] in used[fan[idx - 1]]:
-                break  # fan property broken past here by the inversion
-            if d not in used[w]:
+        for idx, w in enumerate(ends):
+            if idx and at[ends[idx - 1]] & cls[col[fan[idx]]]:
+                break  # fan property broken past here by the swap
+            if not at[w] & cls[d]:
                 w_idx = idx
                 break
         if w_idx is None:
             raise AssertionError("internal error: the alternating path freed no color")
-        # rotate the fan prefix toward the uncolored edge, then finish with d;
-        # apply in one batch (used-sets cannot track the transient duplicates)
-        new_colors = {fan_edges[fan[idx]]: color[fan_edges[fan[idx + 1]]] for idx in range(w_idx)}
-        new_colors[fan_edges[fan[w_idx]]] = d
-        for e2, c2 in new_colors.items():
-            color[e2] = c2
-        for x in {u, *fan[: w_idx + 1]}:
-            recount(x)
+        paint([(fan[x], col[fan[x + 1]]) for x in range(w_idx)] + [(fan[w_idx], d)])
 
-    palette = max(color.values(), default=-1) + 1
+    palette = max(col, default=-1) + 1
+    color = dict(zip(edges, col))
     # each color class is a matching of at most n // 2 edges, so an overfull
     # root, one with more than delta * (n // 2) edges, needs delta + 1 colors
-    if palette == delta + 1 and h.m <= min(_EXACT_EDGE_SEARCH_EDGE_CAP, delta * (h.n // 2)):
+    if palette == delta + 1 and len(edges) <= min(_EXACT_EDGE_SEARCH_EDGE_CAP, delta * (h.n // 2)):
         tight = _exact_edge_coloring(h, delta)
         if tight is not None:
             color = tight
@@ -337,6 +319,18 @@ def edge_color_subcubic(h: Graph) -> EdgeColoring:
 
 
 _EXACT_EDGE_SEARCH_EDGE_CAP = 60
+
+
+def _edge_index(h: Graph) -> tuple[list[tuple[int, int]], list[int]]:
+    """The edges of h in sorted order, and ``at[v]``, the mask of the
+    indices of v's edges.  The indices at v run in the order of the edges'
+    other ends."""
+    edges = sorted(h.edges())
+    at = [0] * h.n
+    for i, (u, v) in enumerate(edges):
+        at[u] |= 1 << i
+        at[v] |= 1 << i
+    return edges, at
 
 
 def _exact_edge_coloring(h: Graph, k: int) -> dict | None:
@@ -353,11 +347,7 @@ def _exact_edge_coloring(h: Graph, k: int) -> dict | None:
     two colors swapped from there on, give a smaller coloring, so the
     first-use pruning never cuts it off.
     """
-    edges = sorted(h.edges())
-    at = [0] * h.n  # the edges at each vertex, as a mask of edge indices
-    for i, (u, v) in enumerate(edges):
-        at[u] |= 1 << i
-        at[v] |= 1 << i
+    edges, at = _edge_index(h)
     line = Graph.from_masks((at[u] | at[v]) ^ 1 << i for i, (u, v) in enumerate(edges))
     order: list[int] = []
     seen = 0
@@ -386,8 +376,8 @@ def _assert_proper_edge_coloring(h: Graph, color) -> None:
 def color_line_graph(g: Graph, kp: KrauszPartition) -> Coloring:
     """Pull an edge coloring of the subcubic root back through the
     vertex-of-g <-> edge-of-root bijection."""
-    rebuilt_edges = sorted(tuple(sorted(kp.root_edge_of[v])) for v in range(g.n))
-    if rebuilt_edges != sorted(kp.root.edges()) or len(rebuilt_edges) != g.n:
+    rebuilt_edges = sorted(tuple(sorted(e)) for e in kp.root_edge_of.values())
+    if kp.root_edge_of.keys() != set(range(g.n)) or rebuilt_edges != sorted(kp.root.edges()):
         raise ValueError("partition does not match the graph")
     ec = edge_color_subcubic(kp.root)
     assign = [ec.assignment[_edge(*kp.root_edge_of[v])] for v in range(g.n)]

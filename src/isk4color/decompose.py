@@ -835,6 +835,8 @@ def build_2cutset_blocks(
 
 def _validate_2cutset(g: Graph, cut: Proper2Cutset) -> None:
     x, y = cut.side_x, cut.side_y
+    if not (0 <= cut.a < g.n and 0 <= cut.b < g.n) or cut.a == cut.b:
+        raise ValueError("cut vertices must be two distinct vertices of the graph")
     ab = (1 << cut.a) | (1 << cut.b)
     if g.has_edge(cut.a, cut.b):
         raise ValueError("cut vertices are adjacent")

@@ -378,7 +378,8 @@ def is_connected(g: Graph) -> bool:
 
 def bfs_path(g: Graph, s: int, t: int, blocked: int = 0) -> list[int] | None:
     """A shortest s-t path avoiding the ``blocked`` mask (s and t are always
-    allowed), or None.  Ties go to the lowest-id parent."""
+    allowed), or None.  Each vertex's parent is its first neighbour in the
+    previous layer, in the order the search reached that layer, not by id."""
     if s == t:
         return [s]
     allowed = ~(blocked & ~(1 << s) & ~(1 << t))

@@ -513,7 +513,8 @@ def classify_hole_attachment(g: Graph, hole: Iterable[int], s: Iterable[int]) ->
        neighbors of a third attacher.
 
     Returns None when no case matches (the host graph then lies outside the
-    {K4-subdivision, triangle, K_{3,3}}-free class, or the inputs are wrong).
+    {K4-subdivision, triangle, K_{3,3}}-free class), and raises ValueError on
+    wrong inputs, such as a ``hole`` not listed in order around it.
     """
     order = tuple(hole)
     sset = sorted(set(s))
@@ -561,8 +562,10 @@ def classify_hole_attachment(g: Graph, hole: Iterable[int], s: Iterable[int]) ->
 
 
 def _check_attachment_preconditions(g, order, sset):
-    if chordless_order(g, order, hole=True) is None:
-        raise ValueError("the given vertices do not form a hole")
+    walk = chordless_order(g, order, hole=True)
+    cyclic = zip(order, order[1:] + order[:1])
+    if walk is None or len(walk) != len(order) or not all(g.has_edge(a, b) for a, b in cyclic):
+        raise ValueError("the given vertices do not form a hole in this order")
     hset = set(order)
     if hset & set(sset):
         raise ValueError("attachment set intersects the hole")

@@ -222,8 +222,9 @@ def check_prism(g: Graph, vertices) -> dict | None:
     chains = suppress_chains(g, vmask, mask_of(branch))
     if chains is None or len(chains) != 9:
         return None
-    # the two triangles must consist of direct edges; the cross chains form a
-    # perfect matching between them
+    # the two triangles must consist of direct edges; the chains form a
+    # simple cubic graph on the six branch vertices, so the three cross
+    # chains are then a perfect matching between the triangles
     direct = {pair for pair, path in chains.items() if len(path) == 2}
     for t1 in combinations(branch, 3):
         t1_edges = {tuple(sorted(p)) for p in combinations(t1, 2)}
@@ -234,10 +235,6 @@ def check_prism(g: Graph, vertices) -> dict | None:
         if not t2_edges <= direct:
             continue
         cross = [pair for pair in chains if pair not in t1_edges and pair not in t2_edges]
-        if len(cross) != 3:
-            continue
-        if sorted(v for pair in cross for v in pair) != branch:
-            continue
         paths = tuple(sorted(tuple(chains[p]) for p in cross))
         return {"triangles": (t1, t2), "paths": paths}
     return None

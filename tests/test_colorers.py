@@ -35,6 +35,7 @@ from isk4color.colorers import (
 )
 from isk4color.oracle import chromatic_number_exact, contains_isk4
 from isk4color.patterns import (
+    MultipartiteShape,
     find_rich_square,
     recognize_line_graph_subcubic,
     recognize_thick_multipartite,
@@ -86,6 +87,8 @@ def test_color_thick_multipartite_examples():
         shape = recognize_thick_multipartite(g)
         c = color_thick_multipartite(shape)
         assert c.palette_size == expect and is_proper_coloring(g, c)
+    with pytest.raises(ValueError, match="partition"):
+        color_thick_multipartite(MultipartiteShape(((0, 1), (1, 2)), False))
 
 
 def test_edge_color_examples():
@@ -142,6 +145,7 @@ def test_edge_colorings_pinned(connected_corpus_8):
     h = hashlib.sha256()
     for g in graphs:
         ec = edge_color_subcubic(g)
+        assert list(ec.assignment) == sorted(g.edges())
         h.update(json.dumps([ec.palette_size, sorted(ec.assignment.items())]).encode() + b"\n")
     assert len(graphs) == 320
     assert h.hexdigest() == _EDGE_COLORINGS_DIGEST
@@ -225,6 +229,22 @@ def test_color_line_graph_examples():
     c = color_line_graph(lp, recognize_line_graph_subcubic(lp))
     assert c.palette_size == 4 and is_proper_coloring(lp, c)
 
+    # C5's partition does not fit C6, nor C6's C5
+    c6 = cycle_graph(6)
+    for g, h in ((c6, c5), (c5, c6)):
+        with pytest.raises(ValueError, match="does not match"):
+            color_line_graph(g, recognize_line_graph_subcubic(h))
+    # P4 as L(P5) with the root edges of its inner vertices swapped: 0 and 1
+    # are adjacent in P4 but take root edges two apart, of one color
+    p4 = path_graph(4)
+    kp = recognize_line_graph_subcubic(p4)
+    edge_of = kp.root_edge_of
+    swapped = kp._replace(root_edge_of={**edge_of, 1: edge_of[2], 2: edge_of[1]})
+    colors = edge_color_subcubic(kp.root).assignment
+    assert colors[edge_of[0]] == colors[edge_of[2]]
+    with pytest.raises(ValueError, match="not proper"):
+        color_line_graph(p4, swapped)
+
 
 def test_color_rich_square_examples():
     k222 = complete_multipartite(2, 2, 2)
@@ -241,6 +261,8 @@ def test_color_rich_square_examples():
     bad = PatternWitness("rich_square", frozenset(range(k222.n)), {"square": (0, 1, 2, 3)})
     with pytest.raises(ValueError):
         color_rich_square(k222, bad)
+    with pytest.raises(ValueError, match="must be a rich_square"):
+        color_rich_square(k222, PatternWitness("k222", frozenset(range(k222.n))))
 
 
 def test_color_rich_square_generated_family():

@@ -599,6 +599,10 @@ def test_build_2cutset_blocks_rejects_bad_cuts():
         (c6, Proper2Cutset(0, 3, mask_of({1, 2, 4}), mask_of({4, 5})), "partition"),
         (c6, Proper2Cutset(0, 3, mask_of({1, 4}), mask_of({2, 5})), "crosses"),
         (p5, Proper2Cutset(0, 2, mask_of({0, 1}), mask_of({3, 4})), "cut vertex"),
+        # a == b would give each block a loop at 0; 7 and -1 are no vertices
+        (Graph(3, [(0, 1), (0, 2)]), Proper2Cutset(0, 0, 0b010, 0b100), "distinct"),
+        (c6, Proper2Cutset(7, 0, mask_of({1, 2}), mask_of({4, 5})), "distinct"),
+        (c6, Proper2Cutset(-1, 3, mask_of({1, 2}), mask_of({4, 5})), "distinct"),
     ]
     for g, cut, message in bad:
         with pytest.raises(ValueError, match=message):
@@ -648,6 +652,16 @@ def test_merge_colorings_error_cases():
     with pytest.raises(ValueError):
         # palette smaller than the overlap
         merge_colorings(g, Coloring((0, 0, 0), 1), ids1, Coloring((0, 0, 0), 1), ids2, [0, 2])
+    p3 = path_graph(3)
+    with pytest.raises(ValueError, match="missing"):
+        # vertex 2 is in no block
+        merge_colorings(p3, Coloring((0, 1), 2), (0, 1), Coloring((0,), 1), (1,), [2])
+    with pytest.raises(ValueError, match="cover"):
+        # the blocks {0, 1} and {1} leave vertex 2 out
+        merge_colorings(p3, Coloring((0, 1), 2), (0, 1), Coloring((0,), 1), (1,), [1])
+    with pytest.raises(ValueError, match="not proper"):
+        # {0, 1} and {2} share nothing, and the edge 1-2 joins one color
+        merge_colorings(p3, Coloring((0, 1), 2), (0, 1), Coloring((1,), 2), (2,), [])
 
 
 def test_merge_colorings_random_clique_splits():

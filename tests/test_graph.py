@@ -244,6 +244,9 @@ def test_bfs_path_is_shortest_and_avoids_blocked():
             assert path[0] == s and path[-1] == t and len(path) - 1 == expected
             assert all(g.has_edge(a, b) for a, b in zip(path, path[1:]))
             assert set(path) <= allowed
+    # 5 is reached before 3, so 6 hangs from 5, not from the lower 3
+    g = Graph(7, [(0, 1), (0, 2), (1, 5), (2, 3), (3, 6), (5, 6)])
+    assert bfs_path(g, 0, 6) == [0, 1, 5, 6]
 
 
 def test_triangles_lexicographic():

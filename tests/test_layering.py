@@ -102,6 +102,9 @@ def test_classify_confluence_examples():
     p = path_graph(5)
     conf = classify_confluence(p, range(5), (0, 2, 4))
     assert conf is not None and conf.kind == 1 and conf.center == 2
+    # a tip outside the candidate, or a tip named twice
+    assert classify_confluence(spider, range(6), (2, 4, 6)) is None
+    assert classify_confluence(spider, range(7), (2, 4, 4)) is None
 
 
 def test_classify_requires_exact_vertex_set():
@@ -165,6 +168,10 @@ def test_combine_layer_colorings_errors():
         combine_layer_colorings(
             tri, lay_t, [Coloring((0,), 1), Coloring((0, 0), 1)]
         )  # layer {1,2} is an edge; the single color is not proper
+    with pytest.raises(ValueError, match="layer 1 coloring does not cover"):
+        combine_layer_colorings(
+            c6, lay, [Coloring((0,), 1), Coloring((0,), 1), Coloring((0, 0), 1), Coloring((0,), 1)]
+        )
     edge = Graph(2, [(0, 1)])
     with pytest.raises(ValueError, match="overlap"):
         # vertex 0 sits in both layers

@@ -388,6 +388,18 @@ def test_classify_hole_attachment_case2():
     assert res.hole_vertices == (0, 2, 4)
 
 
+def test_classify_hole_attachment_reads_the_hole_in_order():
+    # the hole C6 with single attachers at 0, 2 and 4, and 9 at 1, 3 and 5:
+    # case 2 from any start and in either direction; its vertex set in
+    # another order is no walk around it
+    g = Graph(10, list(cycle_graph(6).edges()) + [(6, 0), (7, 2), (8, 4), (9, 1), (9, 3), (9, 5)])
+    for hole in ((0, 1, 2, 3, 4, 5), (3, 4, 5, 0, 1, 2), (0, 5, 4, 3, 2, 1), (4, 3, 2, 1, 0, 5)):
+        res = classify_hole_attachment(g, hole, (6, 7, 8, 9))
+        assert res is not None and res.output_case == 2 and res.attachers == (6, 7, 8)
+    with pytest.raises(ValueError, match="in this order"):
+        classify_hole_attachment(g, (0, 2, 4, 1, 3, 5), (6, 7, 8, 9))
+
+
 def test_classify_hole_attachment_preconditions():
     c4 = cycle_graph(4)
     g = Graph(6, list(c4.edges()) + [(4, 0), (5, 2)])

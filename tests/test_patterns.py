@@ -8,6 +8,8 @@ from isk4color.graph import Graph, is_connected, triangles
 from isk4color.oracle import are_isomorphic
 from isk4color.patterns import (
     MultipartiteShape,
+    PatternWitness,
+    check_prism,
     enumerate_holes,
     find_boat,
     find_four_wheel,
@@ -80,6 +82,12 @@ def test_find_k33_examples():
     assert find_k33(complete_multipartite(3, 3)) is not None
     assert find_k33(complete_multipartite(3, 4)) is not None
     assert find_k33(cycle_graph(6)) is None
+    # five vertices, or six that induce too few edges, are no K33
+    k33 = complete_multipartite(3, 3)
+    assert not verify_witness(k33, PatternWitness("k33", frozenset(range(5))))
+    assert not verify_witness(cycle_graph(6), PatternWitness("k33", frozenset(range(6))))
+    with pytest.raises(ValueError, match="unknown witness kind"):
+        verify_witness(k33, PatternWitness("k34", frozenset(range(6))))
 
 
 def test_find_k222_examples():
@@ -100,6 +108,17 @@ def test_find_prism_examples():
     long = prism_graph((2, 3, 1))
     w2 = find_prism(long)
     assert w2 is not None and verify_witness(long, w2)
+    # check_prism rejects: five vertices; a hole (no branch vertex); a prism
+    # beside a triangle, which no chain reaches; a prism whose second
+    # triangle has every edge subdivided
+    prism = prism_graph()
+    assert check_prism(prism, range(5)) is None
+    assert check_prism(cycle_graph(6), range(6)) is None
+    beside = Graph(9, list(prism.edges()) + [(6, 7), (7, 8), (6, 8)])
+    assert check_prism(beside, range(9)) is None
+    split = Graph(9, [(0, 1), (1, 2), (0, 2), (0, 3), (1, 4), (2, 5),
+                      (3, 6), (6, 4), (4, 7), (7, 5), (5, 8), (8, 3)])
+    assert check_prism(split, range(9)) is None
 
 
 def test_boat_wheel_examples():
