@@ -17,11 +17,12 @@ their colorings on the cuts, so a long chain of clique cutsets or proper
 again, at most three deep.  A cut vertex splits the block at every cut
 vertex at once, into all of its blocks, read off the one DFS that found it:
 a path, a tree or a caterpillar takes one search at its root and one merge
-per edge, each renaming only the edge's own coloring, so it colors in
-linear time.  The trace holds one entry per block, with the block's size
-and its parent entry, so it grows linearly with the number of blocks.  A
-one-vertex layer, or a one-vertex component of a layer, is no block: it
-takes color 0 with no entry, and its layering's entry counts it.
+per edge, each renaming only the edge's own coloring, and builds no
+subgraph for its edges (``_K2``): past the root's search, an edge costs a
+constant number of steps.  The trace holds one entry per block, with the
+block's size and its parent entry, so it grows linearly with the number of
+blocks.  A one-vertex layer, or a one-vertex component of a layer, is no
+block: it takes color 0 with no entry, and its layering's entry counts it.
 
 Small blocks repeat, and ``_drive`` replays them.  A block of at most five
 vertices is keyed by its rule table and labelled adjacency; the first time
@@ -238,9 +239,11 @@ def edge_color_subcubic(h: Graph) -> EdgeColoring:
 
     Intended for max degree <= 3 (then at most 4 colors); larger inputs are
     still colored with max_degree + 1 colors but flagged out of contract.
-    When the fan pass spends the extra color on a small graph, a bounded
-    exact search tries to bring the palette down to max_degree, so desk-scale
-    outputs match the optimum.
+    When the fan pass spends the extra color on a small subcubic graph, a
+    bounded exact search tries to bring the palette down to max_degree, so
+    desk-scale outputs match the optimum.  An out-of-contract input keeps
+    the fan pass's max_degree + 1 colors: the search is exponential, and
+    past degree 3 it ran for seconds on 60 edges.
 
     The edges are colored in sorted order and named by their index in it
     (``_edge_index``).  ``cls[c]`` is the mask of the edges of color c and
@@ -309,7 +312,8 @@ def edge_color_subcubic(h: Graph) -> EdgeColoring:
     color = dict(zip(edges, col))
     # each color class is a matching of at most n // 2 edges, so an overfull
     # root, one with more than delta * (n // 2) edges, needs delta + 1 colors
-    if palette == delta + 1 and len(edges) <= min(_EXACT_EDGE_SEARCH_EDGE_CAP, delta * (h.n // 2)):
+    if (palette == delta + 1 and delta <= 3
+            and len(edges) <= min(_EXACT_EDGE_SEARCH_EDGE_CAP, delta * (h.n // 2))):
         tight = _exact_edge_coloring(h, delta)
         if tight is not None:
             color = tight
@@ -440,10 +444,13 @@ def _drive(g: Graph, ids, run: _Run, rules) -> Coloring:
     block's coloring; a split ``(cuts, children)``, each child a
     ``(block, ids, rules)`` and ``cuts`` the input ids that each child after
     the first shares with the children before it; or None, which passes on
-    to the next rule.  The children's subtrees are colored in order; then
-    each child after the first is folded into the first, its coloring
-    renamed to agree on its cut (``_merge_blocks``, on input ids), so a
-    merge costs O(child) however many blocks came before.
+    to the next rule.  A child's ``ids`` name its block's vertices in
+    order; the block may be a graph that children share, such as the
+    ``_K2`` of every bridge, since no rule changes a graph.  The children's
+    subtrees are colored in order; then each child after the first is
+    folded into the first, its coloring renamed to agree on its cut
+    (``_merge_blocks``, on input ids), so a merge costs O(child) however
+    many blocks came before.
 
     A block decomposes the same way wherever it occurs: its rules and its
     labelled adjacency decide its subtree, and the input ids only name its
@@ -522,6 +529,9 @@ _VERTEX_LISTS = frozenset(("clique", "cut", "cuts", "square"))
 
 # The coloring of a one-vertex layer or component of a layer.
 _ONE_COLORING = Coloring((0,), 1)
+
+# Every bridge of a cut-vertex split (``_recurse_clique_cutset``).
+_K2 = Graph.from_masks((2, 1))
 
 
 def _record(run: _Run, key, ids, start: int, violations: int, out: Coloring) -> None:
@@ -602,7 +612,12 @@ def _recurse_clique_cutset(g, ids, run, _witness, rules):
     numbered below its neighbour: peeling K would take one level, and one
     search of the rest, per cut vertex.  Every block keeps ``rules``, so
     what the rules before this one ruled out stays ruled out; a block with
-    no clique cutset is an atom and goes on to the rest of the table."""
+    no clique cutset is an atom and goes on to the rest of the table.
+
+    A block of two vertices is a bridge.  Its child is the one graph
+    ``_K2`` with the two ids in ascending order, as an induced subgraph
+    would list them, so a bridge builds nothing and ``_drive`` replays its
+    template; a larger block is built as an induced subgraph."""
     cut = find_clique_cutset(g)
     if cut is None:
         return None
@@ -611,15 +626,22 @@ def _recurse_clique_cutset(g, ids, run, _witness, rules):
         members = blocks.blocks()
         cuts = [(ids[block[0]],) for block in members[1:]]  # each cut vertex heads one or more
         run.note("cut_vertices", g.n, cuts=sorted({v for v, in cuts}), blocks=len(members))
-        masks = map(mask_of, members)  # lazily: a mask has up to g.n bits
+        children = []
+        for block in members:
+            if len(block) == 2:
+                u, v = block
+                children.append((_K2, (ids[u], ids[v]) if u < v else (ids[v], ids[u]), rules))
+            else:
+                sub, sub_ids = induced_subgraph(g, mask_of(block))
+                children.append((sub, _map_ids(ids, sub_ids), rules))
     else:
         run.note("clique_cutset", g.n, clique=[ids[v] for v in cut.clique],
                  sides=[cut.side_x.bit_count(), cut.side_y.bit_count()])
         cuts = [_map_ids(ids, cut.clique)]
         clique = mask_of(cut.clique)
-        masks = [cut.side_x | clique, cut.side_y | clique]
-    subs = (induced_subgraph(g, mask) for mask in masks)
-    return cuts, [(sub, _map_ids(ids, sub_ids), rules) for sub, sub_ids in subs]
+        subs = (induced_subgraph(g, side | clique) for side in (cut.side_x, cut.side_y))
+        children = [(sub, _map_ids(ids, sub_ids), rules) for sub, sub_ids in subs]
+    return cuts, children
 
 
 def _recurse_2cutset(g, ids, run, cut2, _rules):

@@ -6,13 +6,14 @@ ids) so that decomposition traces are reproducible.
 
 Both cutset searches read their candidates off one structure, ``_Blocks``.
 One iterative low-point DFS (``_low_points``) gives the cut vertices and the
-blocks of the graph.  On demand, the SPQR tree of each block with four or
-more vertices (``_triconnected_components``: Hopcroft-Tarjan with the
-Gutwenger-Mutzel corrections, on explicit stacks) gives every separation
-pair {a, b} of the block B, with the number of components of B - {a, b}
-and how many of them are bare a-b paths.  A 2-connected graph hands its
-tree that DFS; a block of a graph with a cut vertex is built as an
-induced subgraph and runs a DFS of its own.  In a block, a 2-clique
+blocks of the graph.  On demand, block by block, the SPQR tree of a block
+with four or more vertices (``_triconnected_components``: Hopcroft-Tarjan
+with the Gutwenger-Mutzel corrections, on explicit stacks) gives every
+separation pair {a, b} of the block B, with the number of components of
+B - {a, b} and how many of them are bare a-b paths.  Only the blocks a
+search asks about build a tree.  A 2-connected graph hands its tree that
+DFS; a block of a graph with a cut vertex is built as an induced subgraph
+and runs a DFS of its own.  In a block, a 2-clique
 cutset is an adjacent separation pair, the real edge of a P-node.  The
 proper 2-cutset search takes only graphs with no cut vertex, a single
 block, which is all the colorers give it: a cut vertex is a clique
@@ -34,7 +35,9 @@ blocks, each missing a non-empty side of the cut, and the colorers split a
 graph with a cut vertex into all of its blocks at once (``_Blocks.blocks``),
 each missing a vertex of another.  So every block is smaller than its
 parent and the colorers' decomposition terminates without a depth guard,
-on one explicit stack.
+on one explicit stack.  Their colorings are merged on the cuts
+(``_merge_blocks``); the cut of a cut-vertex split is one vertex, whose
+renaming has a closed form.
 """
 
 from __future__ import annotations
@@ -525,12 +528,13 @@ def _spqr_pairs(adj, tree, ids, host_deg, pairs: dict, cycles: list) -> None:
 class _Blocks:
     """The degree of each vertex (``deg``) and the cut vertices (``cuts``)
     of a connected graph, from one ``_low_points`` DFS (``tree``), and on
-    demand the vertex lists of its blocks and their separation pairs.
+    demand the vertex lists of its blocks and, block by block, their
+    separation pairs.
 
     Raises ValueError when the graph is not connected.
     """
 
-    __slots__ = ("g", "tree", "cuts", "deg", "_blocks", "_separations")
+    __slots__ = ("g", "tree", "cuts", "deg", "_blocks", "_home", "_separations")
 
     def __init__(self, g: Graph):
         self.g = g
@@ -540,7 +544,8 @@ class _Blocks:
         self.cuts = self.tree[6]
         self.deg = [mask.bit_count() for mask in g._adj]
         self._blocks = None
-        self._separations = None
+        self._home = None
+        self._separations = {}
 
     def blocks(self) -> list[list[int]]:
         """The vertices of each block of g, in the preorder of the DFS.  Each
@@ -552,23 +557,27 @@ class _Blocks:
         """
         if self._blocks is None:
             order, num, parent, low1, _, _, _ = self.tree
-            block = [-1] * self.g.n  # the block of the tree edge into each vertex
+            home = [0] * self.g.n  # the block of the tree edge into each vertex; 0 at the root
             members: list[list[int]] = []
             for v in order[1:]:
                 p = parent[v]
                 if low1[v] >= num[p]:
-                    block[v] = len(members)
+                    home[v] = len(members)
                     members.append([p])
                 else:
-                    block[v] = block[p]
-                members[block[v]].append(v)
+                    home[v] = home[p]
+                members[home[v]].append(v)
             self._blocks = members
+            self._home = home
         return self._blocks
 
-    def separations(self) -> tuple[dict, list]:
-        """The separation pairs of every block B with four or more vertices,
-        from its triconnected components (SPQR tree): ``(pairs, cycles)``.
-        Built on the first call, then kept.
+    def separations(self, v: int) -> tuple[dict, list]:
+        """The separation pairs of the block B that holds the tree edge into
+        v, or the first block when v is the DFS root, from its triconnected
+        components (SPQR tree): ``(pairs, cycles)``, both empty when B has
+        fewer than four vertices.  A vertex that is no cut vertex lies in one
+        block only, so that is its block.  Built on the first call for B,
+        then kept; the other blocks build nothing.
 
         ``pairs`` maps each pair (a, b), a < b, that is the two ends of a
         virtual edge to ``(components, bare)``: how many components B - {a, b}
@@ -582,26 +591,25 @@ class _Blocks:
         leaves every skeleton, and with them B, connected.
 
         A 2-connected g is its own block and hands its SPQR tree the DFS of
-        g.  Every block of a graph with a cut vertex is built as an induced
-        subgraph and gets a DFS of its own.  O(n + m) time and memory.
+        g.  A block of a graph with a cut vertex is built as an induced
+        subgraph and gets a DFS of its own.  O(n + m) time and memory per
+        block built.
         """
-        if self._separations is not None:
-            return self._separations
-        g = self.g
-        pairs: dict[tuple[int, int], tuple[int, int]] = {}
-        cycles: list[list[int]] = []
-        for ids in self.blocks():
-            if len(ids) < 4:
-                continue
-            if len(ids) == g.n:  # g is 2-connected: its own block
-                block, ids, tree = g, range(g.n), self.tree
-            else:
-                block, ids = induced_subgraph(g, mask_of(ids))
-                tree = _low_points(block._adj)
-            adj = [list(bits(mask)) for mask in block._adj]
-            _spqr_pairs(adj, tree[1:6], ids, self.deg, pairs, cycles)
-        self._separations = pairs, cycles
-        return pairs, cycles
+        members = self.blocks()
+        b = self._home[v]
+        found = self._separations.get(b)
+        if found is None:
+            g, ids = self.g, members[b]
+            found = self._separations[b] = {}, []
+            if len(ids) >= 4:
+                if len(ids) == g.n:  # g is 2-connected: its own block
+                    block, ids, tree = g, range(g.n), self.tree
+                else:
+                    block, ids = induced_subgraph(g, mask_of(ids))
+                    tree = _low_points(block._adj)
+                adj = [list(bits(mask)) for mask in block._adj]
+                _spqr_pairs(adj, tree[1:6], ids, self.deg, *found)
+        return found
 
 
 # (graph, its _Blocks) of the last search.  The colorers ask both searches
@@ -645,7 +653,8 @@ def find_clique_cutset(g: Graph) -> CliqueCutset | None:
       of its block B.  With neither end a cut vertex, g - {a, b} is
       disconnected exactly when B - {a, b} is, that is, when ab is the
       real edge of a P-node of B's SPQR tree (``_Blocks.separations``,
-      built when the walk first reaches such an edge).  A graph with fewer
+      built when the walk first reaches such an edge of B; the tree of a
+      block the walk never asks about is not built).  A graph with fewer
       than ``_SWEEP_BELOW`` vertices sweeps every such edge instead and
       builds no tree;
     - a triangle whose vertices have at least four edges leaving it,
@@ -680,7 +689,7 @@ def find_clique_cutset(g: Graph) -> CliqueCutset | None:
             if len(clique) == 2:
                 if deg[clique[0]] < 3 or deg[clique[1]] < 3:
                     continue
-                if spqr and clique not in blocks.separations()[0]:
+                if spqr and clique not in blocks.separations(clique[1])[0]:
                     continue
             elif sum(deg[v] - 2 for v in clique) < 4:
                 continue
@@ -769,7 +778,7 @@ def find_proper_2cutset(g: Graph) -> Proper2Cutset | None:
         return None
     if n < _SWEEP_BELOW:
         return _swept_2cutset(g, deg2)
-    pairs, cycles = blocks.separations()
+    pairs, cycles = blocks.separations(0)
     best = None
     for (a, b), (comps, bare) in pairs.items():
         if (
@@ -855,20 +864,33 @@ def _merge_blocks(x, y, shared):
     overlap on ``shared``, Y's renamed to agree with X's (X's dict grows).
     The shared vertices must be rainbow in both blocks.  The renaming takes
     each shared vertex's color in Y to its color in X, and Y's other
-    colors, in increasing order, to the ones X leaves free on ``shared``."""
+    colors, in increasing order, to the ones X leaves free on ``shared``.
+
+    One shared vertex, colored cx in X and cy in Y, is renamed by the same
+    rule in closed form, with no set or sort: cy goes to cx, and X leaves
+    every other color free, so a color c other than cy, the k-th of Y's
+    other colors for k = c - [c > cy], goes to k + [k >= cx].  The checks
+    of the general rule cannot fail there: one vertex is rainbow, and a
+    ``Coloring`` that colors it has a palette of at least one color."""
     (colors, px), (colors_y, py) = x, y
     palette = max(px, py)
-    shared_x = [colors[v] for v in shared]
-    shared_y = [colors_y[v] for v in shared]
-    if palette < len(shared_x):
-        raise ValueError("palette smaller than the shared overlap")
-    if len(set(shared_x)) != len(shared_x) or len(set(shared_y)) != len(shared_y):
-        raise ValueError("shared vertices are not rainbow in both blocks")
-    perm = [-1] * palette
-    for cy, cx in zip(shared_y, shared_x):
-        perm[cy] = cx
-    free = iter(sorted(set(range(palette)).difference(shared_x)))
-    perm = [next(free) if c == -1 else c for c in perm]
+    if len(shared) == 1:
+        v, = shared
+        cx, cy = colors[v], colors_y[v]
+        perm = [k + (k >= cx) for k in range(palette - 1)]
+        perm.insert(cy, cx)
+    else:
+        shared_x = [colors[v] for v in shared]
+        shared_y = [colors_y[v] for v in shared]
+        if palette < len(shared_x):
+            raise ValueError("palette smaller than the shared overlap")
+        if len(set(shared_x)) != len(shared_x) or len(set(shared_y)) != len(shared_y):
+            raise ValueError("shared vertices are not rainbow in both blocks")
+        perm = [-1] * palette
+        for cy, cx in zip(shared_y, shared_x):
+            perm[cy] = cx
+        free = iter(sorted(set(range(palette)).difference(shared_x)))
+        perm = [next(free) if c == -1 else c for c in perm]
     for v, c in colors_y.items():
         colors[v] = perm[c]
     return colors, palette

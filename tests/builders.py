@@ -156,6 +156,33 @@ def random_graph(rng: random.Random, n: int, p: float) -> Graph:
     return Graph(n, edges)
 
 
+def series_parallel(rng: random.Random, ops: int) -> tuple[Graph, int, int]:
+    """Random two-terminal series/parallel composition with ``ops`` steps."""
+    edges = [(0, 1)]
+    n = 2
+    s, t = 0, 1
+    for _ in range(ops):
+        u, v = edges[rng.randrange(len(edges))]
+        if rng.random() < 0.5:
+            edges.append((u, v))  # parallel duplicate, deduped by Graph
+        else:
+            edges.remove((u, v))
+            edges.append((u, n))
+            edges.append((n, v))
+            n += 1
+    return Graph(n, edges), s, t
+
+
+def bridged_series_parallel() -> Graph:
+    """``series_parallel(Random(2), 300)`` on 0..146 and
+    ``series_parallel(Random(3), 300)`` on 147..300, joined by the bridge
+    146-300.  The second graph has a cut vertex of its own."""
+    a, _, _ = series_parallel(random.Random(2), 300)
+    b, _, _ = series_parallel(random.Random(3), 300)
+    edges = [*a.edges(), *((u + a.n, v + a.n) for u, v in b.edges()), (a.n - 1, a.n + b.n - 1)]
+    return Graph(a.n + b.n, edges)
+
+
 def caterpillar(spine: int) -> Graph:
     """A path on the spine 0..spine-1, numbered first, and one leaf
     spine + i on each spine vertex i."""

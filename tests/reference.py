@@ -974,3 +974,26 @@ def dfs_proper_2cutset(g: Graph) -> Proper2Cutset | None:
             ym = full & ~ab & ~xm
             return Proper2Cutset(a, b, xm, ym)
     return None
+
+
+def ref_merge_blocks(x, y, shared):
+    """``decompose._merge_blocks`` by its general rule alone: each shared
+    vertex's color in Y goes to its color in X, and Y's other colors, in
+    increasing order, to the sorted colors that X leaves free on
+    ``shared``.  X's dict grows."""
+    (colors, px), (colors_y, py) = x, y
+    palette = max(px, py)
+    shared_x = [colors[v] for v in shared]
+    shared_y = [colors_y[v] for v in shared]
+    if palette < len(shared_x):
+        raise ValueError("palette smaller than the shared overlap")
+    if len(set(shared_x)) != len(shared_x) or len(set(shared_y)) != len(shared_y):
+        raise ValueError("shared vertices are not rainbow in both blocks")
+    perm = [-1] * palette
+    for cy, cx in zip(shared_y, shared_x):
+        perm[cy] = cx
+    free = iter(sorted(set(range(palette)).difference(shared_x)))
+    perm = [next(free) if c == -1 else c for c in perm]
+    for v, c in colors_y.items():
+        colors[v] = perm[c]
+    return colors, palette

@@ -33,6 +33,7 @@ from isk4color.colorers import (
     edge_color_subcubic,
     greedy_fallback,
 )
+from isk4color.formats import parse_graph6_line
 from isk4color.oracle import chromatic_number_exact, contains_isk4
 from isk4color.patterns import (
     MultipartiteShape,
@@ -52,6 +53,7 @@ from builders import (
     line_graph,
     petersen,
     prism_graph,
+    random_graph,
     random_recursive_tree,
     rich_square_graph,
     ring_of_beads,
@@ -213,6 +215,27 @@ def test_overfull_roots_skip_the_exact_search(monkeypatch):
     for h in (k4_sub, root):
         ec = edge_color_subcubic(h)  # checks its own coloring is proper
         assert ec.palette_size == 4 and not ec.out_of_contract
+
+
+def test_out_of_contract_roots_skip_the_exact_search(monkeypatch):
+    # a root of max degree 4 or more keeps the fan pass's delta + 1 colors
+    # and runs no exact search, even small and not overfull: EC\w (6
+    # vertices, 8 edges, max degree 4; the search gave it 4 colors), and a
+    # 20-vertex, 40-edge graph of max degree 7 (the second draw below)
+    ecw = parse_graph6_line("EC\\w")
+    rng = random.Random(4)
+    for _ in range(2):
+        big = random_graph(rng, 20, 0.2)
+
+    def refuse(h, k):
+        raise AssertionError("exact search on an out-of-contract root")
+
+    monkeypatch.setattr(isk4color.colorers, "_exact_edge_coloring", refuse)
+    for h, delta in ((ecw, 4), (big, 7)):
+        assert max(h.degree(v) for v in range(h.n)) == delta and h.m <= delta * (h.n // 2)
+        ec = edge_color_subcubic(h)  # checks its own coloring is proper
+        assert ec.palette_size == delta + 1 and ec.out_of_contract
+    assert (big.n, big.m) == (20, 40)
 
 
 def test_color_line_graph_examples():
@@ -550,8 +573,25 @@ _PINNED_RESULTS = [
 ]
 
 
-@pytest.mark.parametrize("colorer,make,digest", [c[1:] for c in _PINNED_RESULTS],
-                         ids=[c[0] for c in _PINNED_RESULTS])
+# trees whose DFS meets every bridge from its higher id, the path 0, 39,
+# 38, ..., 1 and a caterpillar numbered leaves first: a bridge's ids ascend
+_BACKWARD_BRIDGES = [
+    ("P40-backwards-general", color_general,
+     lambda: Graph(40, [(0, 39)] + [(v, v + 1) for v in range(1, 39)]),
+     "88c8d1f25c75458730a78ac576e65795d4be9fa24a52ffdc667d9ef9a8777ac2"),
+    ("P40-backwards-triangle-free", color_triangle_free,
+     lambda: Graph(40, [(0, 39)] + [(v, v + 1) for v in range(1, 39)]),
+     "eeb21b333c4a40df8e2e4d37cd2d488f528418b4e1796cab9e6bc1bf7b34b27d"),
+    ("caterpillar20-leaves-first-general", color_general, lambda: _reversed(caterpillar(20)),
+     "06799ca283c836ba7f35398ea805a9db516797361c20a2b404ab2921637cdc24"),
+    ("caterpillar20-leaves-first-triangle-free", color_triangle_free,
+     lambda: _reversed(caterpillar(20)),
+     "a770c48248966c4ef0de4d6067a4de05d08e4030cadbe613c7adf5583723be27"),
+]
+
+
+@pytest.mark.parametrize("colorer,make,digest", [c[1:] for c in _PINNED_RESULTS + _BACKWARD_BRIDGES],
+                         ids=[c[0] for c in _PINNED_RESULTS + _BACKWARD_BRIDGES])
 def test_result_bytes_pinned(colorer, make, digest):
     payload = json.dumps(colorer(make()).to_dict(), sort_keys=True)
     assert hashlib.sha256(payload.encode()).hexdigest() == digest
@@ -729,10 +769,11 @@ def test_trees_split_at_every_cut_vertex_at_once(make):
 def test_split_work_is_linear_in_the_blocks(monkeypatch):
     # one search at the root finds every block.  Blocks of at most five
     # vertices replay the first one's subtree, so a tree searches twice in
-    # all (the root and its first edge) and builds one subgraph per edge;
-    # a block of six vertices, a hexagon, is searched once and builds
-    # itself and its two 2-vertex layers.  The wrappers count the calls and
-    # the vertices of the graphs searched and of the subgraphs built.
+    # all (the root and its first edge) and, its blocks all bridges, builds
+    # no subgraph; a block of six vertices, a hexagon, is searched once and
+    # builds itself and its two 2-vertex layers.  The wrappers count the
+    # calls and the vertices of the graphs searched and of the subgraphs
+    # built.
     from isk4color import colorers
 
     work = {}
@@ -755,8 +796,7 @@ def test_split_work_is_linear_in_the_blocks(monkeypatch):
                   random_recursive_tree(random.Random(n), n)):
             work.clear()
             assert is_proper_coloring(g, color_general(g).coloring)
-            assert work == {"find_clique_cutset": (2, n + 2),
-                            "induced_subgraph": (n - 1, 2 * (n - 1))}
+            assert work == {"find_clique_cutset": (2, n + 2)}
         k = n // 10
         work.clear()
         g = chain_of_cycles(k, 6)

@@ -19,10 +19,12 @@ from isk4color.graph import (
     mask_of,
 )
 from isk4color import decompose
+from isk4color.colorers import color_general
 from isk4color.families import path_graph
 from isk4color.decompose import (
     Proper2Cutset,
     _Blocks,
+    _merge_blocks,
     build_2cutset_blocks,
     find_clique_cutset,
     find_proper_2cutset,
@@ -38,6 +40,7 @@ from isk4color.suites import (
 )
 
 from builders import (
+    bridged_series_parallel,
     complete_graph,
     complete_multipartite,
     cycle_graph,
@@ -50,6 +53,7 @@ from reference import (
     dfs_proper_2cutset,
     ref_clique_cutset,
     ref_is_proper_2cutset,
+    ref_merge_blocks,
     ref_proper_2cutset,
     ref_separation_pairs,
 )
@@ -276,10 +280,17 @@ def test_cutset_searches_agree_across_the_sweep_threshold():
 
 
 def _all_separation_pairs(g):
-    """Expand ``_Blocks.separations``: each virtual-edge pair as given, and
-    each non-adjacent pair of an S-node cycle with its two arcs, an arc bare
-    when every vertex on it has degree 2."""
-    pairs, cycles = _Blocks(g).separations()
+    """Expand ``_Blocks.separations`` over every block: each virtual-edge
+    pair as given, and each non-adjacent pair of an S-node cycle with its
+    two arcs, an arc bare when every vertex on it has degree 2.  A block is
+    asked for by the second vertex it lists, whose tree edge opens it."""
+    blocks = _Blocks(g)
+    pairs, cycles = {}, []
+    for members in blocks.blocks():
+        block_pairs, block_cycles = blocks.separations(members[1])
+        assert not pairs.keys() & block_pairs.keys()
+        pairs.update(block_pairs)
+        cycles += block_cycles
     out = dict(pairs)
     for cycle in cycles:
         k = len(cycle)
@@ -686,6 +697,57 @@ def test_merge_colorings_random_clique_splits():
         assert merged.palette_size == max(greedy_coloring(b1).palette_size,
                                           greedy_coloring(b2).palette_size)
     assert hits > 50
+
+
+def test_merge_blocks_agrees_with_reference():
+    # one shared vertex is renamed in closed form, two or three by the
+    # general rule; both must rename as the sorted list of free colors does,
+    # on random block colorings with palettes 1 to 8, and raise as it does
+    # when the shared vertices are not rainbow
+    rng = random.Random(34)
+    merged, raised = Counter(), Counter()
+    for _ in range(3000):
+        k = rng.randint(1, 3)
+        px, py = rng.randint(k, 8), rng.randint(k, 8)
+        shared = rng.sample(range(10), k)
+        x = {v: rng.randrange(px) for v in range(10)}
+        y = {v: rng.randrange(py) for v in [*shared, *range(10, 10 + rng.randint(0, 8))]}
+        if rng.random() < 0.8:
+            x.update(zip(shared, rng.sample(range(px), k)))
+            y.update(zip(shared, rng.sample(range(py), k)))
+        try:
+            expected = ref_merge_blocks((dict(x), px), (dict(y), py), shared)
+        except ValueError:
+            with pytest.raises(ValueError):
+                _merge_blocks((dict(x), px), (dict(y), py), shared)
+            raised[k] += 1
+            continue
+        assert _merge_blocks((dict(x), px), (dict(y), py), shared) == expected, (x, y, shared)
+        merged[max(px, py), k] += 1
+    assert raised[1] == 0 and raised[2] > 0 and raised[3] > 0
+    assert all(merged[p, k] for p in range(1, 9) for k in (1, 2, 3) if k <= p)
+
+
+def test_clique_search_builds_the_tree_of_the_block_it_asks_about(monkeypatch):
+    # two series-parallel blocks of 147 and 154 vertices (the second with a
+    # cut vertex of its own) joined by a bridge: the walk first asks about
+    # an edge of the first block, finds (1, 9) there, and builds no SPQR
+    # tree for the others.  Two blocks share at most one vertex, so the
+    # answer is that of the reference sweep, and the coloring is the same
+    g = bridged_series_parallel()
+    builds = []
+    spqr = decompose._triconnected_components
+    monkeypatch.setattr(decompose, "_triconnected_components",
+                        lambda adj, tree: builds.append(len(adj)) or spqr(adj, tree))
+    cut = find_clique_cutset(g)
+    assert builds == [147]
+    assert cut.clique == (1, 9) and cut == dfs_clique_cutset(g)
+    builds.clear()
+    result = color_general(Graph(g.n, g.edges()))  # a new graph: no search kept
+    assert len(builds) == 70  # 72 when every block of the root built its tree
+    payload = json.dumps(result.to_dict(), sort_keys=True)
+    digest = "1db479e2ea8ede1169375bdf19c3082435b8a661fca3d69eb3743dc41971944f"
+    assert hashlib.sha256(payload.encode()).hexdigest() == digest
 
 
 def _all_cliques(g):

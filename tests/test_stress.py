@@ -10,24 +10,7 @@ from isk4color.graph import Graph, is_connected, is_proper_coloring, mask_of
 from isk4color.oracle import contains_isk4
 from isk4color.patterns import find_triangle
 
-from builders import cycle_graph, line_graph
-
-
-def series_parallel(rng, ops):
-    """Random two-terminal series/parallel composition with ``ops`` steps."""
-    edges = [(0, 1)]
-    n = 2
-    s, t = 0, 1
-    for _ in range(ops):
-        u, v = edges[rng.randrange(len(edges))]
-        if rng.random() < 0.5:
-            edges.append((u, v))  # parallel duplicate, deduped by Graph
-        else:
-            edges.remove((u, v))
-            edges.append((u, n))
-            edges.append((n, v))
-            n += 1
-    return Graph(n, edges), s, t
+from builders import cycle_graph, line_graph, series_parallel
 
 
 def test_series_parallel_graphs_color_within_bound():
